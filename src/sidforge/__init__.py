@@ -61,7 +61,6 @@ from .scorer import (
     gated_cross_attention,
     init_scorer,
     ntp_loss_and_grad,
-    step_logits,
     train_epoch,
 )
 from .tokenizer import (

@@ -51,8 +51,13 @@ def _load_corpus_and_log(data_dir):
 
 
 def _load_space(data_dir):
-    with open(os.path.join(data_dir, "space.json"), "r", encoding="utf-8") as fh:
-        return tokenizer.SequenceSpace.from_dict(json.load(fh)["space"])
+    path = os.path.join(data_dir, "space.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        return tokenizer.SequenceSpace.from_dict(doc["space"])
+    except KeyError as exc:
+        raise tokenizer.TokenizerError(f"{path}: missing key {exc.args[0]!r}") from exc
 
 
 def _cmd_gen_data(args):
@@ -186,20 +191,8 @@ def _cmd_decode(args):
     data_dir = _data_dir(args)
     paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"))
     params = scorer.load_checkpoint(_checkpoint_path(data_dir))
-    trie = decoder.build_trie(paths)
-    ctx = tokenizer.TaskContext(cfg.decode.objective, cfg.decode.scene)
-    bos = tokenizer.task_bos_token(ctx, params.space)
-    model = scorer.NeuralSequenceModel(params, (), bos)
-    candidates = decoder.beam_search(model, trie, cfg.decode.beam_width, cfg.decode.top_k)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "candidates.jsonl")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for c in candidates:
-            fh.write(json.dumps(
-                {"path": list(c.path), "logprob": c.logprob, "item_ids": list(c.item_ids)}
-            ) + "\n")
-    pipeline._write_meta(out_path, cfg)
-    print(f"wrote {len(candidates)} candidates to {out_path}")
+    candidates = pipeline.decode(cfg, params, decoder.build_trie(paths), args.out)
+    print(f"wrote {len(candidates)} candidates to {os.path.join(args.out, 'candidates.jsonl')}")
     return 0
 
 
@@ -210,6 +203,7 @@ def _cmd_eval(args):
     paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"))
     params = scorer.load_checkpoint(_checkpoint_path(data_dir))
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
+    pipeline.require_eval_set(cfg, log, eval_set)
     trie = decoder.build_trie(paths)
     report = evaluation.evaluate_model(
         params, trie, eval_set, ks=cfg.eval.ks, beam_width=cfg.eval.beam_width,

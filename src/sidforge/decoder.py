@@ -8,7 +8,10 @@ tie-breaks for determinism.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class DecoderError(ValueError):
@@ -101,31 +104,39 @@ class Candidate:
 def beam_search(model, trie: PathTrie, beam_width: int, top_k: int) -> list:
     """Width-limited exact search over trie-valid paths.
 
-    ``model.step_logprobs(prefix)`` must return log-probabilities over the
-    vocabulary of step len(prefix)+1.  Returns min(top_k, #paths)
-    candidates ranked by cumulative log-probability, ties broken by
-    lexicographic token path.
+    ``model.step_logprobs(prefixes)`` takes the live beams' prefixes as a
+    (B, n) integer array and returns a (B, V) array: row b holds the
+    log-probabilities of prefix b's next token over the vocabulary of
+    step n+1.  Returns min(top_k, #paths) candidates ranked by cumulative
+    log-probability, ties broken by lexicographic token path.
     """
     if top_k < 1 or beam_width < top_k:
         raise DecoderError("need beam_width >= top_k >= 1")
     if not trie.root.children:
         raise DecoderError("empty trie")
 
-    beams = [((), 0.0)]
-    for _ in range(trie.n_steps):
-        expansions = []
-        for path, lp in beams:
-            step_lp = model.step_logprobs(path)
-            for tok in trie.children(path):
-                if tok >= len(step_lp):
-                    raise DecoderError(
-                        f"trie token {tok} outside scorer vocabulary at step {len(path) + 1}"
-                    )
-                expansions.append((path + (tok,), lp + float(step_lp[tok])))
-        expansions.sort(key=lambda e: (-e[1], e[0]))
-        beams = expansions[:beam_width]
+    # live beams in lexicographic path order, so that expanding them in
+    # order lists the expanded paths in lexicographic order too
+    paths, scores = [()], np.zeros(1)
+    for step in range(1, trie.n_steps + 1):
+        step_lp = model.step_logprobs(np.array(paths, dtype=np.int64).reshape(len(paths), step - 1))
+        children = [trie.children(path) for path in paths]
+        parent = np.repeat(np.arange(len(paths)), [len(c) for c in children])
+        toks = np.fromiter(itertools.chain.from_iterable(children), dtype=np.int64,
+                           count=len(parent))
+        if toks.max() >= step_lp.shape[1]:
+            raise DecoderError(
+                f"trie token {toks.max()} outside scorer vocabulary at step {step}"
+            )
+        expanded = scores[parent] + step_lp[parent, toks]
+        # a stable sort keeps lexicographic order among equal log-probs
+        keep = np.sort(np.argsort(-expanded, kind="stable")[:beam_width])
+        paths = [paths[p] + (t,) for p, t in zip(parent[keep].tolist(), toks[keep].tolist())]
+        scores = expanded[keep]
 
+    ranked = np.argsort(-scores, kind="stable")[:top_k].tolist()
     return [
-        Candidate(path=path, logprob=lp, item_ids=tuple(sorted(trie.items_at(path))))
-        for path, lp in beams[:top_k]
+        Candidate(path=paths[i], logprob=float(scores[i]),
+                  item_ids=tuple(sorted(trie.items_at(paths[i]))))
+        for i in ranked
     ]

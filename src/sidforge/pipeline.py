@@ -259,7 +259,10 @@ def load_sequences(path) -> dict:
             unknown = set(obj) - {"item_id", "path"}
             if unknown:
                 raise ValueError(f"line {lineno}: unknown field(s) {sorted(unknown)}")
-            out[obj["item_id"]] = tuple(obj["path"])
+            try:
+                out[obj["item_id"]] = tuple(obj["path"])
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc
     return out
 
 
@@ -300,11 +303,26 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
             )
         for e in engaged:
             user_hist.append(e["item_id"])
-    n_eval = max(1, int(cfg.eval.holdout_frac * len(requests)))
-    eval_request_ids = {r.request_id for r in requests[-n_eval:]}
-    train_set = [s for s in samples if s.request_id not in eval_request_ids]
-    eval_set = [s for s in samples if s.request_id in eval_request_ids]
+    held_out = eval_request_ids(cfg, log)
+    train_set = [s for s in samples if s.request_id not in held_out]
+    eval_set = [s for s in samples if s.request_id in held_out]
     return train_set, eval_set
+
+
+def eval_request_ids(cfg: RunConfig, log) -> set:
+    """The final ``holdout_frac`` of requests by request_id order, at least one."""
+    ids = sorted(r.request_id for r in log)
+    n_eval = max(1, int(cfg.eval.holdout_frac * len(ids)))
+    return set(ids[-n_eval:])
+
+
+def require_eval_set(cfg: RunConfig, log, eval_set):
+    """Refuse to evaluate on an empty holdout instead of falling back to training data."""
+    if not eval_set:
+        raise ConfigError(
+            f"empty eval split: eval.holdout_frac={cfg.eval.holdout_frac} of "
+            f"{len(log)} requests holds no engaged event with a known path"
+        )
 
 
 def request_contexts(cfg: RunConfig, log, space):
@@ -351,10 +369,14 @@ def train_model(cfg: RunConfig, params, train_set):
 
 
 def align_model(cfg: RunConfig, params, train_set, log, paths, space):
-    """Joint advantage-reweighted NTP + preference-pair optimization."""
+    """Joint advantage-reweighted NTP + preference-pair optimization.
+
+    Preference pairs come from training requests only, never the holdout.
+    """
     a = cfg.align
     reference = scorer.clone_params(params)
-    contexts = request_contexts(cfg, log, space)
+    held_out = eval_request_ids(cfg, log)
+    contexts = {r: c for r, c in request_contexts(cfg, log, space).items() if r not in held_out}
     pairs = alignment.build_dpo_pairs(log, paths, contexts, a.pairs_per_request, cfg.seed)
     spec = alignment.RewardSpec(
         metric_weights=a.reward_weights, lam=a.lam, c_clip=a.c_clip, eps=a.eps
@@ -383,13 +405,36 @@ def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     return params, trace
 
 
+def decode(cfg: RunConfig, params, trie, out_dir=None) -> list:
+    """Top candidates for the configured task with no behavior context.
+
+    Writes ``candidates.jsonl`` (with its meta sidecar) when ``out_dir`` is
+    given.
+    """
+    ctx = tokenizer.TaskContext(cfg.decode.objective, cfg.decode.scene)
+    bos = tokenizer.task_bos_token(ctx, params.space)
+    model = scorer.NeuralSequenceModel(params, (), bos)
+    candidates = decoder.beam_search(model, trie, cfg.decode.beam_width, cfg.decode.top_k)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        cand_path = os.path.join(out_dir, "candidates.jsonl")
+        with open(cand_path, "w", encoding="utf-8") as fh:
+            for c in candidates:
+                fh.write(json.dumps(
+                    {"path": list(c.path), "logprob": c.logprob, "item_ids": list(c.item_ids)}
+                ) + "\n")
+        _write_meta(cand_path, cfg)
+    return candidates
+
+
 def run_pipeline(cfg: RunConfig, out_dir):
-    """gen-data -> quantize -> sequences -> train -> align -> decode -> eval."""
+    """gen-data -> quantize -> sequences -> train -> align -> eval -> decode."""
     os.makedirs(out_dir, exist_ok=True)
     corp, log = gen_data(cfg, out_dir)
     rq = run_quantizer(cfg, corp, out_dir)
     space, paths = build_sequences(cfg, corp, rq.sids, out_dir)
     train_set, eval_set = assemble_samples(cfg, corp, log, space, paths)
+    require_eval_set(cfg, log, eval_set)
     params = init_model(cfg, corp, space)
     params, trace = train_model(cfg, params, train_set)
     params, align_trace = align_model(cfg, params, train_set, log, paths, space)
@@ -398,24 +443,14 @@ def run_pipeline(cfg: RunConfig, out_dir):
 
     trie = decoder.build_trie(paths)
     report = evaluation.evaluate_model(
-        params, trie, eval_set or train_set,
+        params, trie, eval_set,
         ks=cfg.eval.ks, beam_width=cfg.eval.beam_width,
         metadata=artifact_meta(cfg),
     )
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, sort_keys=True)
 
-    ctx = tokenizer.TaskContext(cfg.decode.objective, cfg.decode.scene)
-    bos = tokenizer.task_bos_token(ctx, space)
-    model = scorer.NeuralSequenceModel(params, (), bos)
-    candidates = decoder.beam_search(model, trie, cfg.decode.beam_width, cfg.decode.top_k)
-    cand_path = os.path.join(out_dir, "candidates.jsonl")
-    with open(cand_path, "w", encoding="utf-8") as fh:
-        for c in candidates:
-            fh.write(json.dumps(
-                {"path": list(c.path), "logprob": c.logprob, "item_ids": list(c.item_ids)}
-            ) + "\n")
-    _write_meta(cand_path, cfg)
+    decode(cfg, params, trie, out_dir)
     return report
 
 
@@ -438,12 +473,13 @@ def ablation_run(cfg: RunConfig, corp, log, attr_chains, quantizer_methods):
             )
             space, paths = build_sequences(arm_cfg2, corp, rq.sids)
             train_set, eval_set = assemble_samples(arm_cfg2, corp, log, space, paths)
+            require_eval_set(arm_cfg2, log, eval_set)
             params = init_model(arm_cfg2, corp, space)
             params, _ = train_model(arm_cfg2, params, train_set)
             trie = decoder.build_trie(paths)
             name = f"{method}:{'>'.join(chain) if chain else 'direct-sid'}"
             reports[name] = evaluation.evaluate_model(
-                params, trie, eval_set or train_set,
+                params, trie, eval_set,
                 ks=arm_cfg2.eval.ks, beam_width=arm_cfg2.eval.beam_width,
                 metadata={"arm": name, **artifact_meta(arm_cfg2)},
             )

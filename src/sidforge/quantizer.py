@@ -390,13 +390,16 @@ def load_codebook(path) -> Codebook:
     unknown = set(doc) - _CODEBOOK_KEYS
     if unknown:
         raise ValueError(f"unknown codebook field(s) {sorted(unknown)}")
-    return Codebook(
-        layers=[np.asarray(layer, dtype=np.float64) for layer in doc["layers"]],
-        K=doc["K"],
-        L=doc["L"],
-        tau=doc["tau"],
-        c_cap_per_layer=list(doc["c_cap_per_layer"]),
-    )
+    try:
+        return Codebook(
+            layers=[np.asarray(layer, dtype=np.float64) for layer in doc["layers"]],
+            K=doc["K"],
+            L=doc["L"],
+            tau=doc["tau"],
+            c_cap_per_layer=list(doc["c_cap_per_layer"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
 
 
 def save_sids(sids, path):
@@ -419,5 +422,8 @@ def load_sids(path) -> list:
             unknown = set(obj) - {"item_id", "sid"}
             if unknown:
                 raise ValueError(f"line {lineno}: unknown field(s) {sorted(unknown)}")
-            out.append(SemanticId(obj["item_id"], tuple(obj["sid"])))
+            try:
+                out.append(SemanticId(obj["item_id"], tuple(obj["sid"])))
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc
     return out

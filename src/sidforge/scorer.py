@@ -172,36 +172,34 @@ def encode_context(behavior_seq, params: ScorerParams):
     return keys, values, h_agg
 
 
-@dataclass
-class StepState:
-    q_t: np.ndarray
-    e_prefix: np.ndarray  # flattened prefix_window * d_model slots
-    c_t: np.ndarray
-    h_agg: np.ndarray
+def _input_rows(params, paths, steps, q, h_agg):
+    """Scorer inputs x = [q | prefix window | content summary | h_agg].
 
-
-def step_logits(state: StepState, t: int, params: ScorerParams) -> np.ndarray:
-    if not 1 <= t <= params.space.n_steps:
-        raise ScorerError(f"step {t} out of range 1..{params.space.n_steps}")
-    x = np.concatenate([state.q_t, state.e_prefix, state.c_t, state.h_agg])
-    return params.tensors[f"head_w_{t}"] @ x + params.tensors[f"head_b_{t}"]
-
-
-def _prefix_slots(params, tokens, t):
-    """Most-recent-first window of decoded-token embeddings, zero padded.
-
-    Returns (flat vector, list of (slot, step) actually filled).
+    Row b scores decoding step steps[b] of the (B, n) token array
+    ``paths`` and reads only that row's first steps[b]-1 tokens.  The
+    prefix window holds their embeddings most recent first, zero padded.
+    Returns x and the content-summary rows (hash-table row indices).
     """
-    d = params.config.d_model
-    w = params.config.prefix_window
-    flat = np.zeros(w * d)
-    filled = []
-    for s in range(w):
-        j = t - 1 - s  # decoding step whose token occupies slot s
-        if j >= 1:
-            flat[s * d:(s + 1) * d] = params.tensors[f"emb_step_{j}"][tokens[j - 1]]
-            filled.append((s, j))
-    return flat, filled
+    space, cfg, tensors = params.space, params.config, params.tensors
+    d, w = cfg.d_model, cfg.prefix_window
+    b, n = paths.shape
+    x = np.zeros((b, params.x_dim))
+    x[:, :d] = q
+    # each row's token embeddings by step; column n stays zero as the window's padding
+    emb = np.zeros((b, n + 1, d))
+    for j in range(n):
+        emb[:, j] = tensors[f"emb_step_{j + 1}"][paths[:, j]]
+    col = steps[:, None] - 2 - np.arange(w)  # column of each window slot's token
+    col[col < 0] = n
+    x[:, d:(1 + w) * d] = emb[np.arange(b)[:, None], col].reshape(b, -1)
+    path_globals = np.full((b, space.n_steps), -1, dtype=np.int64)
+    path_globals[:, :n] = np.where(np.arange(n) < steps[:, None] - 1,
+                                   paths + space.step_offsets[:n], -1)
+    rows = content_summary_rows(path_globals, params.hash_spec)
+    c_start = (1 + w) * d
+    x[:, c_start:c_start + params.hash_spec.output_dim] = tensors["emb_hash"][rows].reshape(b, -1)
+    x[:, -d:] = h_agg
+    return x, rows
 
 
 @dataclass
@@ -215,15 +213,14 @@ class _Cache:
     q_in: np.ndarray
     attn: np.ndarray  # softmax rows (n_steps, T)
     ctx: np.ndarray  # gated context rows (n_steps, d)
-    x_rows: list  # x_t per step
+    x_rows: np.ndarray  # row t-1 is x_t
     probs: list  # softmax per step
     target_logps: np.ndarray
-    prefix_filled: list  # per step, list of (slot, step)
     hash_rows: list  # per step, row indices of the content summary
 
 
 def _forward_sample(params: ScorerParams, sample: Sample) -> _Cache:
-    space, spec, cfg = params.space, params.hash_spec, params.config
+    space, cfg = params.space, params.config
     d = cfg.d_model
     n_steps = space.n_steps
     if len(sample.tokens) != n_steps:
@@ -248,25 +245,16 @@ def _forward_sample(params: ScorerParams, sample: Sample) -> _Cache:
     gamma = float(params.tensors["attn_gamma"])
     ctx = gamma * (attn @ values)
 
-    globals_by_step = {
-        j: space.global_index(j, sample.tokens[j - 1]) for j in range(1, n_steps + 1)
-    }
-    x_rows, probs, prefix_filled, rows_per_step = [], [], [], []
+    x_rows, hash_rows = _input_rows(params, np.broadcast_to(sample.tokens, (n_steps, n_steps)),
+                                    np.arange(1, n_steps + 1), ctx, h_agg)
+    probs = []
     target_logps = np.empty(n_steps)
-    hash_table = params.tensors["emb_hash"]
     for t in range(1, n_steps + 1):
-        prefix_flat, filled = _prefix_slots(params, sample.tokens, t)
-        rows = content_summary_rows({j: g for j, g in globals_by_step.items() if j < t}, spec)
-        c_t = hash_table[rows].reshape(-1)
-        x = np.concatenate([ctx[t - 1], prefix_flat, c_t, h_agg])
-        logits = params.tensors[f"head_w_{t}"] @ x + params.tensors[f"head_b_{t}"]
-        if not np.all(np.isfinite(logits)):
+        logits = params.tensors[f"head_w_{t}"] @ x_rows[t - 1] + params.tensors[f"head_b_{t}"]
+        if not np.isfinite(logits).all():
             raise ScorerError(f"non-finite logits in tensor head_w_{t} at step {t}")
         logp = _log_softmax(logits)
-        x_rows.append(x)
         probs.append(np.exp(logp))
-        prefix_filled.append(filled)
-        rows_per_step.append(rows)
         target_logps[t - 1] = logp[sample.tokens[t - 1]]
 
     return _Cache(
@@ -282,8 +270,7 @@ def _forward_sample(params: ScorerParams, sample: Sample) -> _Cache:
         x_rows=x_rows,
         probs=probs,
         target_logps=target_logps,
-        prefix_filled=prefix_filled,
-        hash_rows=rows_per_step,
+        hash_rows=hash_rows.tolist(),
     )
 
 
@@ -317,7 +304,8 @@ def _accumulate_backward(params: ScorerParams, cache: _Cache, coeffs, grads):
 
         d_ctx[t - 1] += dx[:d]
         d_prefix = dx[d:d + cfg.prefix_window * d]
-        for slot, j in cache.prefix_filled[t - 1]:
+        for slot in range(min(cfg.prefix_window, t - 1)):
+            j = t - 1 - slot  # decoding step whose token occupies the slot
             grads[f"emb_step_{j}"][sample.tokens[j - 1]] += d_prefix[slot * d:(slot + 1) * d]
         d_c = dx[d + cfg.prefix_window * d:d + cfg.prefix_window * d + c_dim]
         d_c = d_c.reshape(-1, d_hash_dim)
@@ -380,42 +368,46 @@ class NeuralSequenceModel:
         self.params = params
         self.bos = bos
         self.keys, self.values, self.h_agg = encode_context(behavior, params)
-        self._q_memo = {}
-
-    def _q_row(self, t: int, last_token):
-        key = (t, last_token)
-        if key in self._q_memo:
-            return self._q_memo[key]
-        params = self.params
-        d = params.config.d_model
-        if t == 1:
-            emb = params.tensors["emb_bos"][self.bos]
-        else:
-            emb = params.tensors[f"emb_step_{t - 1}"][last_token]
-        pe = sinusoidal_positions(params.space.n_steps, d)[t - 1]
-        q_in = (emb + pe) @ params.tensors["attn_wq"]
-        scores = q_in @ self.keys.T / math.sqrt(d)
-        a = _softmax_rows(scores[None, :])[0]
-        q_t = float(params.tensors["attn_gamma"]) * (a @ self.values)
-        self._q_memo[key] = q_t
-        return q_t
 
     def step_logprobs(self, prefix) -> np.ndarray:
-        """log p(token | prefix) over the vocabulary of step len(prefix)+1."""
+        """log p(token | prefix) over the vocabulary of step t = len(prefix)+1.
+
+        ``prefix`` may also be a (B, n) array of B prefixes of one length;
+        they are scored with one head matmul into a (B, V_t) array.
+        """
         params = self.params
-        space = params.space
-        t = len(prefix) + 1
+        space, tensors, d = params.space, params.tensors, params.config.d_model
+        try:
+            tokens = np.asarray(prefix, dtype=np.int64)
+        except ValueError as exc:
+            raise ScorerError(f"prefixes must share one length: {exc}") from exc
+        one = tokens.ndim == 1
+        tokens = tokens.reshape(1, -1) if one else tokens
+        if tokens.ndim != 2:
+            raise ScorerError(f"need a prefix or a 2-D array of prefixes, got shape "
+                              f"{tokens.shape}")
+        b, n = tokens.shape
+        t = n + 1
         if t > space.n_steps:
-            raise ScorerError("prefix already complete")
-        q_t = self._q_row(t, prefix[-1] if prefix else None)
-        flat, _ = _prefix_slots(params, tuple(prefix) + (0,) * (space.n_steps - len(prefix)), t)
-        globals_by_step = {
-            j + 1: space.global_index(j + 1, tok) for j, tok in enumerate(prefix)
-        }
-        rows = content_summary_rows(globals_by_step, params.hash_spec)
-        c_t = params.tensors["emb_hash"][rows].reshape(-1)
-        state = StepState(q_t=q_t, e_prefix=flat, c_t=c_t, h_agg=self.h_agg)
-        return _log_softmax(step_logits(state, t, params))
+            raise ScorerError(f"prefix already complete: step {t} out of range "
+                              f"1..{space.n_steps}")
+        bad = (tokens < 0) | (tokens >= space.step_vocab_sizes[:n])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ScorerError(f"token {tokens[i, j]} out of range at step {j + 1}")
+
+        # gated attention query for each row's last decoded token (the BOS at step 1)
+        if n == 0:
+            last = tensors["emb_bos"][[self.bos]]
+        else:
+            last = tensors[f"emb_step_{n}"][tokens[:, -1]]
+        q_in = (last + sinusoidal_positions(space.n_steps, d)[n]) @ tensors["attn_wq"]
+        attn = _softmax_rows(q_in @ self.keys.T / math.sqrt(d))
+        q = float(tensors["attn_gamma"]) * (attn @ self.values)
+
+        x, _ = _input_rows(params, tokens, np.full(b, t), q, self.h_agg)
+        logp = _log_softmax(x @ tensors[f"head_w_{t}"].T + tensors[f"head_b_{t}"])
+        return logp[0] if one else logp
 
 
 class CountScorer:
@@ -458,6 +450,9 @@ class CountScorer:
         return counts / (total + self.smoothing * v)
 
     def step_logprobs(self, prefix) -> np.ndarray:
+        """log p over step len(prefix)+1; a (B, n) array gives one row per prefix."""
+        if np.ndim(prefix) == 2:
+            return np.stack([self.step_logprobs(p) for p in np.asarray(prefix).tolist()])
         with np.errstate(divide="ignore"):
             return np.log(self.step_probs(prefix))
 
@@ -577,22 +572,25 @@ def save_checkpoint(params: ScorerParams, path, meta: dict | None = None):
 def load_checkpoint(path) -> ScorerParams:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    config = ScorerConfig(**doc["config"])
-    space = SequenceSpace.from_dict(doc["space"])
-    hs = doc["hash_spec"]
-    hash_spec = HashSpec(
-        pairs=tuple(tuple(p) for p in hs["pairs"]),
-        pair_sizes=tuple(hs["pair_sizes"]),
-        m_hashes=hs["m_hashes"],
-        p1=hs["p1"],
-        p2=hs["p2"],
-        d_hash=hs["d_hash"],
-    )
-    tensors = {n: np.asarray(a, dtype=np.float64) for n, a in doc["tensors"].items()}
-    params = ScorerParams(config, space, hash_spec, doc["n_behavior_tokens"], tensors)
-    for name, digest in doc["frozen_digests"].items():
-        if tensor_digest(tensors[name]) != digest:
-            raise ScorerError(f"frozen tensor {name} digest mismatch in checkpoint")
+    try:
+        config = ScorerConfig(**doc["config"])
+        space = SequenceSpace.from_dict(doc["space"])
+        hs = doc["hash_spec"]
+        hash_spec = HashSpec(
+            pairs=tuple(tuple(p) for p in hs["pairs"]),
+            pair_sizes=tuple(hs["pair_sizes"]),
+            m_hashes=hs["m_hashes"],
+            p1=hs["p1"],
+            p2=hs["p2"],
+            d_hash=hs["d_hash"],
+        )
+        tensors = {n: np.asarray(a, dtype=np.float64) for n, a in doc["tensors"].items()}
+        params = ScorerParams(config, space, hash_spec, doc["n_behavior_tokens"], tensors)
+        for name, digest in doc["frozen_digests"].items():
+            if tensor_digest(tensors[name]) != digest:
+                raise ScorerError(f"frozen tensor {name} digest mismatch in checkpoint")
+    except KeyError as exc:
+        raise ScorerError(f"{path}: missing key {exc.args[0]!r}") from exc
     return params
 
 

@@ -58,17 +58,21 @@ class SequenceSpace:
     sid_sizes: tuple  # K per layer
     objectives: tuple = OBJECTIVES
     scenes: tuple = SCENES
+    step_vocab_sizes: tuple = field(init=False)
     step_offsets: tuple = field(init=False)
 
     def __post_init__(self):
         for f in self.attr_chain:
             if f not in self.attr_vocabs:
                 raise TokenizerError(f"no vocabulary for attribute field {f!r}")
+        self.step_vocab_sizes = tuple(
+            [len(self.attr_vocabs[f]) for f in self.attr_chain] + list(self.sid_sizes)
+        )
         offsets = []
         base = len(self.objectives) * len(self.scenes)
-        for t in range(1, self.n_steps + 1):
+        for v in self.step_vocab_sizes:
             offsets.append(base)
-            base += self.step_vocab_size(t)
+            base += v
         self.step_offsets = tuple(offsets)
 
     @property
@@ -81,18 +85,16 @@ class SequenceSpace:
 
     @property
     def n_steps(self) -> int:
-        return self.m + self.n_layers
+        return len(self.step_vocab_sizes)
 
     @property
     def n_task_tokens(self) -> int:
         return len(self.objectives) * len(self.scenes)
 
     def step_vocab_size(self, t: int) -> int:
-        if not 1 <= t <= self.n_steps:
+        if not 1 <= t <= len(self.step_vocab_sizes):
             raise TokenizerError(f"step {t} out of range 1..{self.n_steps}")
-        if t <= self.m:
-            return len(self.attr_vocabs[self.attr_chain[t - 1]])
-        return self.sid_sizes[t - self.m - 1]
+        return self.step_vocab_sizes[t - 1]
 
     def step_name(self, t: int) -> str:
         if t <= self.m:
@@ -258,11 +260,14 @@ def hash_spec_for_space(space: SequenceSpace, pairs=None, m_hashes=3, p1=31, p2=
                     d_hash=d_hash)
 
 
+def _hash_family(spec: HashSpec, x, y) -> np.ndarray:
+    """H1 = x+y, H2 = x*y, H3 = p1*x + p2*y (the first m_hashes), on a new last axis."""
+    return np.stack([x + y, x * y, spec.p1 * x + spec.p2 * y][: spec.m_hashes], axis=-1)
+
+
 def hash_rows(spec: HashSpec, pair_index: int, x: int, y: int):
     """Row indices of the m_hashes lookups for global token indices (x, y)."""
-    s = spec.pair_sizes[pair_index]
-    family = (x + y, x * y, spec.p1 * x + spec.p2 * y)
-    return [h % s for h in family[: spec.m_hashes]]
+    return (_hash_family(spec, x, y) % spec.pair_sizes[pair_index]).tolist()
 
 
 def content_summary(prefix_globals, spec: HashSpec, table: np.ndarray) -> np.ndarray:
@@ -283,16 +288,30 @@ def content_summary(prefix_globals, spec: HashSpec, table: np.ndarray) -> np.nda
     return table[rows].reshape(-1)
 
 
-def content_summary_rows(prefix_globals, spec: HashSpec) -> list:
-    """Row indices (length m_hashes * n_pairs) backing :func:`content_summary`."""
-    if not isinstance(prefix_globals, dict):
-        prefix_globals = {t + 1: g for t, g in enumerate(prefix_globals)}
-    rows = []
-    for j, (px, py) in enumerate(spec.pairs):
-        x = prefix_globals.get(px)
-        y = prefix_globals.get(py)
-        if x is None or y is None:
-            rows.extend([spec.null_row] * spec.m_hashes)
-        else:
-            rows.extend(hash_rows(spec, j, int(x), int(y)))
-    return rows
+def content_summary_rows(prefix_globals, spec: HashSpec):
+    """Row indices (length m_hashes * n_pairs) backing :func:`content_summary`.
+
+    ``prefix_globals`` is one partially decoded path, in either form that
+    :func:`content_summary` takes, and gives a list.  A (B, n) integer
+    array scores B paths at once: entry [b, t-1] is the global index of
+    path b's token at step t, or -1 where that step is not decoded, and n
+    covers every position in ``spec.pairs``.  It gives a (B, n_pairs *
+    m_hashes) array, one row per path.
+    """
+    batch = isinstance(prefix_globals, np.ndarray) and prefix_globals.ndim == 2
+    if batch:
+        g = prefix_globals
+    else:
+        if not isinstance(prefix_globals, dict):
+            prefix_globals = dict(enumerate(prefix_globals, start=1))
+        decoded = {t: v for t, v in prefix_globals.items() if v is not None}
+        width = max([p for pair in spec.pairs for p in pair] + list(decoded))
+        g = np.full((1, width), -1, dtype=np.int64)
+        for t, v in decoded.items():
+            g[0, t - 1] = v
+    pos = np.array(spec.pairs, dtype=np.int64).reshape(-1, 2) - 1
+    x, y = g[:, pos[:, 0]], g[:, pos[:, 1]]
+    rows = _hash_family(spec, x, y) % np.array(spec.pair_sizes, dtype=np.int64)[:, None]
+    rows[np.minimum(x, y) < 0] = spec.null_row  # a position of the pair is not decoded
+    rows = rows.reshape(len(g), -1)
+    return rows if batch else rows[0].tolist()

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny scorer instances and the finite-difference checker."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sidforge import scorer, tokenizer
 
@@ -26,6 +27,36 @@ def tiny_params(rng, space=None, d_model=4, d_hash=3, n_behavior=6):
     cfg = scorer.ScorerConfig(d_model=d_model, prefix_window=4,
                               seed=int(rng.integers(0, 2**31)))
     return scorer.init_scorer(space, spec, n_behavior, cfg)
+
+
+@st.composite
+def tiny_contexts(draw):
+    """A random tiny scorer with one (behavior, bos) context for it.
+
+    The space has 0-2 attribute steps and 1-3 SID layers with vocabularies
+    of 1-4 tokens; the prefix window may be shorter than the path.
+    """
+    m = draw(st.integers(0, 2))
+    vocab = st.integers(1, 4)
+    attr_vocabs = {f: {f"{f}_{i}": i for i in range(draw(vocab))} for f in ("l2", "l3")}
+    sid_sizes = tuple(draw(st.lists(vocab, min_size=1, max_size=3)))
+    space = tokenizer.SequenceSpace(attr_chain=("l2", "l3")[:m], attr_vocabs=attr_vocabs,
+                                    sid_sizes=sid_sizes)
+    spec = tokenizer.hash_spec_for_space(space, d_hash=draw(st.integers(1, 3)),
+                                         m_hashes=draw(st.integers(1, 3)))
+    cfg = scorer.ScorerConfig(d_model=draw(st.sampled_from((2, 4))),
+                              prefix_window=draw(st.integers(1, 4)),
+                              seed=draw(st.integers(0, 2**31 - 1)))
+    n_behavior = draw(st.integers(1, 5))
+    params = scorer.init_scorer(space, spec, n_behavior, cfg)
+    behavior = tuple(draw(st.lists(st.integers(0, n_behavior - 1), max_size=4)))
+    bos = draw(st.integers(0, space.n_task_tokens - 1))
+    return params, behavior, bos
+
+
+def token_paths(space):
+    """Hypothesis strategy: full token paths of ``space``."""
+    return st.tuples(*(st.integers(0, v - 1) for v in space.step_vocab_sizes))
 
 
 def random_sample(rng, params, alpha=None):

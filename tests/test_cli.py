@@ -6,9 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from sidforge import pipeline
+from sidforge import alignment, pipeline
 from sidforge.cli import main
-from sidforge.corpus import Item, ItemCorpus, load_items, save_items
+from sidforge.corpus import (
+    Item,
+    ItemCorpus,
+    load_interactions,
+    load_items,
+    save_interactions,
+    save_items,
+)
 from sidforge.quantizer import load_codebook, load_sids
 
 MINI_CONFIG = {
@@ -141,6 +148,49 @@ class TestCliErrors:
         assert rc == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_checkpoint_without_tensors_key(self, tmp_path, config_path, capsys):
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "build-seqs", "train"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        del doc["tensors"]
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["decode", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'tensors'" in err and "checkpoint.json" in err
+
+    def test_space_without_space_key(self, tmp_path, config_path, capsys):
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "build-seqs"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0
+        (tmp_path / "run" / "space.json").write_text(json.dumps({"meta": {}}))
+        capsys.readouterr()
+        assert run(["train", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "'space'" in err and "space.json" in err
+
+    def test_sids_line_without_sid_key(self, tmp_path, config_path, capsys):
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0
+        (tmp_path / "run" / "sids.jsonl").write_text('{"item_id": 0}\n')
+        capsys.readouterr()
+        assert run(["build-seqs", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "sids.jsonl: line 1: missing key 'sid'" in err
+
+    def test_sequence_and_codebook_loaders_name_the_missing_key(self, tmp_path):
+        seqs = tmp_path / "sequences.jsonl"
+        seqs.write_text('{"item_id": 3, "path": [0, 1]}\n{"item_id": 4}\n')
+        with pytest.raises(ValueError, match="sequences.jsonl: line 2: missing key 'path'"):
+            pipeline.load_sequences(str(seqs))
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text('{"layers": []}')
+        with pytest.raises(ValueError, match="codebook.json: missing key 'K'"):
+            load_codebook(str(codebook))
+
     def test_threads_env_fallback(self, tmp_path, config_path, monkeypatch):
         monkeypatch.setenv("SIDFORGE_THREADS", "2")
         out = str(tmp_path / "run")
@@ -155,6 +205,43 @@ class TestRunPipeline:
         for name in ("items.jsonl", "codebook.json", "checkpoint.json",
                      "report.json", "candidates.jsonl"):
             assert os.path.exists(os.path.join(str(tmp_path / "run"), name))
+
+
+class TestHoldout:
+    def test_alignment_pairs_come_from_training_requests_only(self, tmp_path, monkeypatch):
+        cfg = pipeline.load_config(MINI_CONFIG)
+        built, build = [], alignment.build_dpo_pairs
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(alignment, "build_dpo_pairs", recording_build)
+        run_dir = str(tmp_path / "run")
+        pipeline.run_pipeline(cfg, run_dir)
+        log = load_interactions(os.path.join(run_dir, "interactions.jsonl"))
+        held_out = pipeline.eval_request_ids(cfg, log)
+        (pairs,) = built
+        assert pairs and held_out
+        assert not {p.request_id for p in pairs} & held_out
+
+    def test_empty_holdout_is_an_error(self, tmp_path, capsys):
+        cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": 0.0}})
+        data = str(tmp_path / "data")
+        corp, log = pipeline.gen_data(cfg, data)
+        last = max(log, key=lambda r: r.request_id)
+        for e in last.events:  # the one held-out request engages with nothing
+            e["level"] = 0
+        with pytest.raises(ValueError, match=r"eval\.holdout_frac=0\.0 of 80 requests"):
+            pipeline.ablation_run(cfg, corp, log, [("l2", "l3")], ["capacity"])
+
+        save_interactions(log, os.path.join(data, "interactions.jsonl"))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**MINI_CONFIG, "eval": {"holdout_frac": 0.0}}))
+        assert run(["ablate", "--config", str(cfg_path), "--data-dir", data,
+                    "--out", str(tmp_path / "out"), "--chains", '[["l2","l3"]]',
+                    "--methods", "capacity"]) == 1
+        assert "eval.holdout_frac" in capsys.readouterr().err
 
 
 class TestAblationHarness:

@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidforge.decoder import DecoderError, beam_search, build_trie
-from sidforge.scorer import CountScorer
+from sidforge.scorer import CountScorer, NeuralSequenceModel
 
-from helpers import random_sample, tiny_params
+from helpers import random_sample, tiny_contexts, tiny_params, token_paths
 
 
 class RandomLogitModel:
@@ -24,6 +26,8 @@ class RandomLogitModel:
                 self.tables[prefix] = logits - np.log(np.exp(logits).sum())
 
     def step_logprobs(self, prefix):
+        if np.ndim(prefix) == 2:  # one row per prefix, as beam search asks
+            return np.stack([self.tables[tuple(p)] for p in np.asarray(prefix).tolist()])
         return self.tables[tuple(prefix)]
 
 
@@ -98,6 +102,20 @@ class TestBeamSearch:
         lps = [c.logprob for c in out]
         assert all(a >= b - 1e-12 for a, b in zip(lps, lps[1:]))
 
+    def test_ties_break_lexicographically(self):
+        # p(0, 0) = 1/4 * 3/4 and p(1, 0) = 3/4 * 1/4 tie exactly, though the
+        # beam holding (1,) outranks the beam holding (0,) after step 1
+        seqs = [(0, 0)] * 3 + [(0, 1)] + [(1, 0)] * 3 + [(1, 1)] * 9
+        model = CountScorer(seqs, vocab_sizes=(2, 2))
+        trie = build_trie(dict(enumerate(seqs)))
+        out = beam_search(model, trie, beam_width=4, top_k=4)
+        assert [c.path for c in out] == [(1, 1), (0, 0), (1, 0), (0, 1)]
+        assert out[1].logprob == out[2].logprob
+
+        siblings = CountScorer([(0, 2), (0, 1)], vocab_sizes=(1, 3))
+        out = beam_search(siblings, build_trie({0: (0, 2), 1: (0, 1)}), beam_width=2, top_k=2)
+        assert [c.path for c in out] == [(0, 1), (0, 2)]
+
     def test_top1_monotone_in_width(self):
         sizes = (4, 4, 4)
         model = RandomLogitModel(sizes, seed=9)
@@ -107,11 +125,29 @@ class TestBeamSearch:
                 for b in (1, 2, 4, 16, 64)]
         assert all(b >= a - 1e-12 for a, b in zip(tops, tops[1:]))
 
+    @given(tiny_contexts(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_full_width_neural_beam_equals_exhaustive_enumeration(self, context, data):
+        params, behavior, bos = context
+        paths = data.draw(st.lists(token_paths(params.space), min_size=1, max_size=12))
+        trie = build_trie(dict(enumerate(paths)))
+        model = NeuralSequenceModel(params, behavior, bos)
+        got = beam_search(model, trie, beam_width=trie.n_paths, top_k=trie.n_paths)
+
+        oracle = []
+        for path in trie.paths():
+            lp = sum(float(model.step_logprobs(path[:t])[path[t]]) for t in range(len(path)))
+            oracle.append((path, lp))
+        oracle.sort(key=lambda e: (-e[1], e[0]))
+        assert [c.path for c in got] == [p for p, _ in oracle]
+        for c, (path, lp) in zip(got, oracle):
+            assert c.logprob == pytest.approx(lp, abs=1e-12)
+            assert c.item_ids == tuple(sorted(trie.items_at(path)))
+
     def test_neural_model_drives_beam(self):
         rng = np.random.default_rng(17)
         params = tiny_params(rng)
         sample = random_sample(rng, params)
-        from sidforge.scorer import NeuralSequenceModel
 
         seqs = {0: sample.tokens}
         trie = build_trie(seqs)

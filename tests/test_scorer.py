@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidforge import scorer, tokenizer
 from sidforge.scorer import (
@@ -13,7 +15,6 @@ from sidforge.scorer import (
     Sample,
     ScorerConfig,
     ScorerError,
-    StepState,
     encode_context,
     gated_cross_attention,
     init_scorer,
@@ -21,12 +22,18 @@ from sidforge.scorer import (
     ntp_loss_and_grad,
     save_checkpoint,
     sequence_logprob,
-    step_logits,
     train,
     train_epoch,
 )
 
-from helpers import finite_difference_grads, max_grad_rel_error, random_sample, tiny_params
+from helpers import (
+    finite_difference_grads,
+    max_grad_rel_error,
+    random_sample,
+    tiny_contexts,
+    tiny_params,
+    token_paths,
+)
 
 
 @pytest.fixture
@@ -107,21 +114,47 @@ class TestStepLogits:
     def test_zero_head_uniform(self, params):
         params.tensors["head_w_1"][:] = 0
         params.tensors["head_b_1"][:] = 0
-        d = params.config.d_model
-        state = StepState(
-            q_t=np.ones(d), e_prefix=np.zeros(params.config.prefix_window * d),
-            c_t=np.zeros(params.hash_spec.output_dim), h_agg=np.ones(d),
-        )
-        logits = step_logits(state, 1, params)
-        p = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(p, 1.0 / len(p), atol=1e-15)
+        model = NeuralSequenceModel(params, (1, 2), bos=0)
+        logp = model.step_logprobs([()])
+        assert logp.shape == (1, params.space.step_vocab_size(1))
+        np.testing.assert_allclose(np.exp(logp), 1.0 / logp.shape[1], atol=1e-15)
 
     def test_step_out_of_range(self, params):
-        d = params.config.d_model
-        state = StepState(np.zeros(d), np.zeros(4 * d),
-                          np.zeros(params.hash_spec.output_dim), np.zeros(d))
+        model = NeuralSequenceModel(params, (), bos=0)
+        complete = (0,) * params.space.n_steps
         with pytest.raises(ScorerError):
-            step_logits(state, 99, params)
+            model.step_logprobs([complete, complete])
+        with pytest.raises(ScorerError):
+            model.step_logprobs(complete)
+
+    def test_batch_rows_match_single_prefix_calls(self, params):
+        model = NeuralSequenceModel(params, (3, 1, 4), bos=2)
+        prefixes = [(0, 1), (2, 3), (1, 0), (0, 1)]
+        batch = model.step_logprobs(prefixes)
+        assert batch.shape == (4, params.space.step_vocab_size(3))
+        for prefix, row in zip(prefixes, batch):
+            np.testing.assert_allclose(row, model.step_logprobs(prefix), rtol=0, atol=1e-12)
+
+    def test_unequal_or_invalid_prefixes_raise(self, params):
+        model = NeuralSequenceModel(params, (), bos=0)
+        with pytest.raises(ScorerError):
+            model.step_logprobs([(0,), (0, 1)])
+        with pytest.raises(ScorerError):
+            model.step_logprobs(np.zeros((1, 1, 1), dtype=int))
+        with pytest.raises(ScorerError, match="out of range at step 2"):
+            model.step_logprobs([(0, 99)])
+
+    @given(tiny_contexts(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_match_teacher_forced_forward(self, context, data):
+        params, behavior, bos = context
+        model = NeuralSequenceModel(params, behavior, bos)
+        for t in range(1, params.space.n_steps + 1):
+            paths = data.draw(st.lists(token_paths(params.space), min_size=1, max_size=4))
+            batch = model.step_logprobs([p[:t - 1] for p in paths])
+            for path, row in zip(paths, batch):
+                cache = scorer._forward_sample(params, Sample(behavior, bos, path))
+                np.testing.assert_allclose(row, np.log(cache.probs[t - 1]), rtol=0, atol=1e-12)
 
     def test_softmax_normalization(self, params):
         sample = Sample(behavior=(1,), bos=0, tokens=(1, 2, 3, 4))

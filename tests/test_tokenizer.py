@@ -174,6 +174,22 @@ class TestContentSummary:
             dims.add(content_summary(prefix, spec, table).shape)
         assert dims == {(spec.output_dim,)}
 
+    def test_array_of_paths_matches_per_pair_hashes(self, corpus_and_space):
+        _, space = corpus_and_space
+        paths = np.array([[4, 9, -1, -1, -1], [4, 9, 2, 7, -1], [-1] * 5, [3, 8, 1, 6, 5]])
+        for pairs in (None, [[1, 3], [2, 4]]):  # list pairs, as JSON gives them
+            spec = hash_spec_for_space(space, pairs=pairs)
+            rows = content_summary_rows(paths, spec)
+            assert rows.shape == (len(paths), spec.m_hashes * len(spec.pairs))
+            for path, row in zip(paths.tolist(), rows.tolist()):
+                expect = []
+                for j, (px, py) in enumerate(spec.pairs):
+                    x, y = path[px - 1], path[py - 1]
+                    expect += (hash_rows(spec, j, x, y) if min(x, y) >= 0
+                               else [spec.null_row] * spec.m_hashes)
+                assert row == expect
+                assert content_summary_rows([g if g >= 0 else None for g in path], spec) == expect
+
     def test_dimension_mismatch_errors(self):
         spec, _ = self.spec_and_table()
         with pytest.raises(ValueError):
