@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CLICK, EXPOSURE, PURCHASE
-from .scorer import Sample, _accumulate_backward, _forward_sample, zero_grads
+from .scorer import (
+    Sample,
+    _accumulate_backward,
+    _forward_batch,
+    _weighted_nll_and_grad,
+    sequence_logprobs,
+    zero_grads,
+)
 
 
 class AlignmentError(ValueError):
@@ -103,15 +110,7 @@ def rft_loss_and_grad(batch, advantages: AdvantageBatch, lam: float, params):
             f"non-positive effective weight {weights[bad[0]]:.4f} at sample {int(bad[0])}; "
             f"require lam * c_clip < 1"
         )
-    grads = zero_grads(params)
-    loss = 0.0
-    n_steps = params.space.n_steps
-    for sample, w in zip(batch, weights):
-        cache = _forward_sample(params, sample)
-        coeff = -w * sample.alpha
-        loss += coeff * float(cache.target_logps.sum())
-        _accumulate_backward(params, cache, np.full(n_steps, coeff), grads)
-    return loss, grads
+    return _weighted_nll_and_grad(batch, weights, params)
 
 
 # ----------------------------------------------------------------------
@@ -201,15 +200,9 @@ def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
     return out
 
 
-def _sigmoid(x: float) -> float:
+def _sigmoid(x):
     # sigma(x) = exp(-softplus(-x)), stable for both signs
-    return float(np.exp(-np.logaddexp(0.0, -x)))
-
-
-def _pair_samples(pair: PreferencePair):
-    w = Sample(behavior=pair.behavior, bos=pair.bos, tokens=pair.winner)
-    l = Sample(behavior=pair.behavior, bos=pair.bos, tokens=pair.loser)
-    return w, l
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def dpo_loss_and_grad(pairs, params, reference, beta: float, stop_grad: bool = True):
@@ -230,26 +223,29 @@ def dpo_loss_and_grad(pairs, params, reference, beta: float, stop_grad: bool = T
     else:
         coeff_mask[:] = 1.0
 
+    winners = [Sample(behavior=p.behavior, bos=p.bos, tokens=p.winner) for p in pairs]
+    losers = [Sample(behavior=p.behavior, bos=p.bos, tokens=p.loser) for p in pairs]
+    ref_w = sequence_logprobs(reference, winners)
+    ref_l = sequence_logprobs(reference, losers)
+    # with stop_grad only the last step is kept for the backward
+    cache_w = _forward_batch(params, winners, keep=coeff_mask != 0)
+    cache_l = _forward_batch(params, losers, keep=coeff_mask != 0)
+    lp_w = cache_w.target_logps.sum(axis=1)
+    lp_l = cache_l.target_logps.sum(axis=1)
+    finite = np.isfinite(lp_w) & np.isfinite(lp_l) & np.isfinite(ref_w) & np.isfinite(ref_l)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise AlignmentError(
+            f"non-finite log-prob for pair {k} "
+            f"(items {pairs[k].winner_item} vs {pairs[k].loser_item})"
+        )
+    margin = (lp_w - ref_w) - (lp_l - ref_l)
+    loss = float(np.logaddexp(0.0, -beta * margin).sum())  # -log sigmoid(beta*margin)
+    d_margin = -beta * _sigmoid(-beta * margin)
+
     grads = zero_grads(params)
-    loss = 0.0
-    for k, pair in enumerate(pairs):
-        w_sample, l_sample = _pair_samples(pair)
-        cache_w = _forward_sample(params, w_sample)
-        cache_l = _forward_sample(params, l_sample)
-        lp_w = float(cache_w.target_logps.sum())
-        lp_l = float(cache_l.target_logps.sum())
-        ref_w = float(_forward_sample(reference, w_sample).target_logps.sum())
-        ref_l = float(_forward_sample(reference, l_sample).target_logps.sum())
-        if not all(map(math.isfinite, (lp_w, lp_l, ref_w, ref_l))):
-            raise AlignmentError(
-                f"non-finite log-prob for pair {k} "
-                f"(items {pair.winner_item} vs {pair.loser_item})"
-            )
-        margin = (lp_w - ref_w) - (lp_l - ref_l)
-        loss += float(np.logaddexp(0.0, -beta * margin))  # -log sigmoid(beta*margin)
-        d_margin = -beta * _sigmoid(-beta * margin)
-        _accumulate_backward(params, cache_w, d_margin * coeff_mask, grads)
-        _accumulate_backward(params, cache_l, -d_margin * coeff_mask, grads)
+    _accumulate_backward(params, cache_w, d_margin[:, None] * coeff_mask, grads)
+    _accumulate_backward(params, cache_l, -d_margin[:, None] * coeff_mask, grads)
 
     n = len(pairs)
     loss /= n

@@ -23,9 +23,6 @@ from .analysis import entropy_report, exposure_report
 def _add_common(p):
     p.add_argument("--config", help="JSON run config; defaults apply when omitted")
     p.add_argument("--seed", type=int, help="override the global seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (SIDFORGE_THREADS fallback; execution is "
-                        "single-threaded for bitwise determinism)")
     p.add_argument("--out", default="run", help="run directory (default: run)")
 
 
@@ -33,10 +30,6 @@ def _resolve_config(args) -> pipeline.RunConfig:
     cfg = pipeline.load_config(args.config) if args.config else pipeline.RunConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SIDFORGE_THREADS", "1"))
-    cfg = dataclasses.replace(cfg, threads=threads)
     return cfg
 
 

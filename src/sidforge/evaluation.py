@@ -8,7 +8,7 @@ import numpy as np
 
 from .corpus import PURCHASE
 from .decoder import beam_search
-from .scorer import NeuralSequenceModel, _forward_sample
+from .scorer import NeuralSequenceModel, _forward_batch
 
 
 @dataclass
@@ -33,16 +33,19 @@ class EvalReport:
         }
 
 
+# token_hr3 forwards the eval set in slices of this many samples, which
+# bounds the forward's memory
+TOKEN_HR3_SLICE = 64
+
+
 def token_top3_hits(params, samples):
     """Per-step counts of targets appearing in the top-3 step predictions."""
-    space = params.space
-    hits = np.zeros(space.n_steps, dtype=np.int64)
-    for sample in samples:
-        cache = _forward_sample(params, sample)
-        for t in range(1, space.n_steps + 1):
-            top3 = np.argsort(-cache.probs[t - 1], kind="stable")[:3]
-            if sample.tokens[t - 1] in top3:
-                hits[t - 1] += 1
+    hits = np.zeros(params.space.n_steps, dtype=np.int64)
+    for start in range(0, len(samples), TOKEN_HR3_SLICE):
+        cache = _forward_batch(params, samples[start:start + TOKEN_HR3_SLICE])
+        for t, probs in enumerate(cache.probs):
+            top3 = np.argsort(-probs, axis=1, kind="stable")[:, :3]
+            hits[t] += int((top3 == cache.tokens[:, t, None]).any(axis=1).sum())
     return hits
 
 

@@ -89,11 +89,14 @@ class EvalConfig:
     beam_width: int = 32
     holdout_frac: float = 0.10
 
+    def __post_init__(self):
+        if not 0.0 <= self.holdout_frac < 1.0:
+            raise ConfigError(f"eval.holdout_frac must be in [0, 1), got {self.holdout_frac!r}")
+
 
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 1
     corpus: corpus_mod.SynthConfig = field(default_factory=corpus_mod.SynthConfig)
     quantizer: QuantizerConfig = field(default_factory=QuantizerConfig)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
@@ -122,6 +125,8 @@ def _build_section(cls, data, path):
             kwargs[name] = value
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -160,9 +165,8 @@ def config_digest(cfg: RunConfig) -> str:
 
 
 def _write_meta(path, cfg: RunConfig):
-    meta = {"config_digest": config_digest(cfg), "seed": cfg.seed}
     with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
+        json.dump(artifact_meta(cfg), fh, sort_keys=True)
 
 
 def artifact_meta(cfg: RunConfig) -> dict:
@@ -255,10 +259,13 @@ def load_sequences(path) -> dict:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
             unknown = set(obj) - {"item_id", "path"}
             if unknown:
-                raise ValueError(f"line {lineno}: unknown field(s) {sorted(unknown)}")
+                raise ValueError(f"{path}: line {lineno}: unknown field(s) {sorted(unknown)}")
             try:
                 out[obj["item_id"]] = tuple(obj["path"])
             except KeyError as exc:
@@ -310,10 +317,9 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
 
 
 def eval_request_ids(cfg: RunConfig, log) -> set:
-    """The final ``holdout_frac`` of requests by request_id order, at least one."""
+    """The final ``holdout_frac`` of requests by request_id order, rounded down."""
     ids = sorted(r.request_id for r in log)
-    n_eval = max(1, int(cfg.eval.holdout_frac * len(ids)))
-    return set(ids[-n_eval:])
+    return set(ids[len(ids) - int(cfg.eval.holdout_frac * len(ids)):])
 
 
 def require_eval_set(cfg: RunConfig, log, eval_set):

@@ -151,25 +151,36 @@ def gated_cross_attention(q, k, v, gamma, d_model) -> np.ndarray:
     return float(gamma) * (_softmax_rows(scores) @ v)
 
 
-def _behavior_context(params: ScorerParams, behavior_seq):
-    """(tokens, raw embeddings, keys, values, h_agg) for one behavior sequence."""
-    tokens = tuple(behavior_seq) if len(behavior_seq) else (params.pad_token,)
+def _behavior_context(params: ScorerParams, behaviors):
+    """Padded behavior batch: (tokens, mask, keys, values, h_agg).
+
+    Row b holds behaviors[b], an empty one as the single pad token, padded
+    with the pad token to the longest; ``mask`` is True on real positions.
+    keys and values are (B, T, d); h_agg is each row's mean raw embedding.
+    """
+    pad = params.pad_token
+    seqs = [tuple(b) if len(b) else (pad,) for b in behaviors]
+    width = max(map(len, seqs), default=1)
+    tokens = np.array([b + (pad,) * (width - len(b)) for b in seqs], dtype=np.int64)
     emb_table = params.tensors["emb_behavior"]
-    for b in tokens:
-        if not 0 <= b < emb_table.shape[0]:
-            raise ScorerError(f"unknown behavior token {b}")
-    emb = emb_table[list(tokens)]
-    kv_in = emb + sinusoidal_positions(len(tokens), params.config.d_model)
-    keys = kv_in @ params.tensors["attn_wk"]
-    values = kv_in @ params.tensors["attn_wv"]
-    return tokens, emb, keys, values, emb.mean(axis=0)
+    bad = (tokens < 0) | (tokens >= emb_table.shape[0])
+    if bad.any():
+        raise ScorerError(f"unknown behavior token {tokens.ravel()[bad.argmax()]}")
+    lengths = np.array([len(b) for b in seqs])
+    mask = np.arange(width) < lengths[:, None]
+    emb = emb_table[tokens]
+    kv_in = (emb + sinusoidal_positions(width, params.config.d_model)).reshape(-1, emb.shape[2])
+    keys = (kv_in @ params.tensors["attn_wk"]).reshape(emb.shape)
+    values = (kv_in @ params.tensors["attn_wv"]).reshape(emb.shape)
+    h_agg = emb.sum(axis=1, where=mask[:, :, None]) / lengths[:, None]
+    return tokens, mask, keys, values, h_agg
 
 
 def encode_context(behavior_seq, params: ScorerParams):
     """Projected behavior embeddings with positional encodings, plus the
     position-free mean-pooled behavior embedding."""
-    _, _, keys, values, h_agg = _behavior_context(params, behavior_seq)
-    return keys, values, h_agg
+    _, _, keys, values, h_agg = _behavior_context(params, [behavior_seq])
+    return keys[0], values[0], h_agg[0]
 
 
 def _input_rows(params, paths, steps, q, h_agg):
@@ -204,135 +215,168 @@ def _input_rows(params, paths, steps, q, h_agg):
 
 @dataclass
 class _Cache:
-    sample: Sample
-    beh_tokens: tuple
-    beh_emb: np.ndarray
-    keys: np.ndarray
-    values: np.ndarray
-    h_agg: np.ndarray
-    q_in: np.ndarray
-    attn: np.ndarray  # softmax rows (n_steps, T)
-    ctx: np.ndarray  # gated context rows (n_steps, d)
-    x_rows: np.ndarray  # row t-1 is x_t
-    probs: list  # softmax per step
-    target_logps: np.ndarray
-    hash_rows: list  # per step, row indices of the content summary
+    """Teacher-forced forward state of a batch; row b is samples[b]."""
+
+    tokens: np.ndarray  # (B, n_steps) target tokens, local ids per step
+    bos: np.ndarray  # (B,)
+    beh_tokens: np.ndarray  # (B, T) behavior tokens, pad token beyond each row's length
+    beh_mask: np.ndarray  # (B, T) True on real behavior positions
+    keys: np.ndarray  # (B, T, d)
+    values: np.ndarray  # (B, T, d)
+    q_in: np.ndarray  # (B, n_steps, d)
+    attn: np.ndarray  # (B, n_steps, T) softmax rows, zero on padding
+    target_logps: np.ndarray  # (B, n_steps)
+    # per step, None where the forward did not keep the step
+    x_rows: list = field(default_factory=list)  # (B, x_dim) head inputs
+    probs: list = field(default_factory=list)  # (B, V_t) softmax
+    hash_rows: list = field(default_factory=list)  # (B, R) content-summary rows
 
 
-def _forward_sample(params: ScorerParams, sample: Sample) -> _Cache:
-    space, cfg = params.space, params.config
-    d = cfg.d_model
+def _forward_batch(params: ScorerParams, samples, keep=True) -> _Cache:
+    """Teacher-forced forward of a batch, one head matmul per decoding step.
+
+    ``keep`` says, for every step or per step, whether the step's head
+    inputs and softmax are kept for :func:`_accumulate_backward`, which
+    needs them at each step with a non-zero coefficient.  The target
+    log-probs are always filled in.
+    """
+    space, tensors = params.space, params.tensors
+    d = params.config.d_model
     n_steps = space.n_steps
-    if len(sample.tokens) != n_steps:
-        raise ScorerError(
-            f"sample has {len(sample.tokens)} tokens, space expects {n_steps}"
-        )
-    for t, tok in enumerate(sample.tokens, start=1):
-        if not 0 <= tok < space.step_vocab_size(t):
-            raise ScorerError(f"target token {tok} out of range at step {t}")
+    if not samples:
+        raise ScorerError("empty batch")
+    for sample in samples:
+        if len(sample.tokens) != n_steps:
+            raise ScorerError(
+                f"sample has {len(sample.tokens)} tokens, space expects {n_steps}"
+            )
+    tokens = np.array([s.tokens for s in samples], dtype=np.int64)
+    bad = (tokens < 0) | (tokens >= space.step_vocab_sizes)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ScorerError(f"target token {tokens[i, j]} out of range at step {j + 1}")
+    b = tokens.shape[0]
+    bos = np.array([s.bos for s in samples], dtype=np.int64)
 
-    beh_tokens, beh_emb, keys, values, h_agg = _behavior_context(params, sample.behavior)
+    beh_tokens, beh_mask, keys, values, h_agg = _behavior_context(
+        params, [s.behavior for s in samples])
 
     # query row j holds the token decoded at step j (row 0: the task BOS)
-    q_emb = np.empty((n_steps, d))
-    q_emb[0] = params.tensors["emb_bos"][sample.bos]
+    q_emb = np.empty((b, n_steps, d))
+    q_emb[:, 0] = tensors["emb_bos"][bos]
     for j in range(1, n_steps):
-        q_emb[j] = params.tensors[f"emb_step_{j}"][sample.tokens[j - 1]]
-    q_in = (q_emb + sinusoidal_positions(n_steps, d)) @ params.tensors["attn_wq"]
+        q_emb[:, j] = tensors[f"emb_step_{j}"][tokens[:, j - 1]]
+    q_in = (q_emb + sinusoidal_positions(n_steps, d)) @ tensors["attn_wq"]
 
-    scores = q_in @ keys.T / math.sqrt(d)
-    attn = _softmax_rows(scores)
-    gamma = float(params.tensors["attn_gamma"])
-    ctx = gamma * (attn @ values)
+    scores = q_in @ keys.transpose(0, 2, 1) / math.sqrt(d)
+    attn = _softmax_rows(np.where(beh_mask[:, None, :], scores, -np.inf))
+    ctx = float(tensors["attn_gamma"]) * (attn @ values)
 
-    x_rows, hash_rows = _input_rows(params, np.broadcast_to(sample.tokens, (n_steps, n_steps)),
-                                    np.arange(1, n_steps + 1), ctx, h_agg)
-    probs = []
-    target_logps = np.empty(n_steps)
-    for t in range(1, n_steps + 1):
-        logits = params.tensors[f"head_w_{t}"] @ x_rows[t - 1] + params.tensors[f"head_b_{t}"]
+    cache = _Cache(tokens, bos, beh_tokens, beh_mask, keys, values, q_in, attn,
+                   target_logps=np.empty((b, n_steps)))
+    rows = np.arange(b)
+    for t, kept in enumerate(np.broadcast_to(keep, n_steps).tolist(), start=1):
+        x, hash_rows = _input_rows(params, tokens, np.full(b, t), ctx[:, t - 1], h_agg)
+        logits = x @ tensors[f"head_w_{t}"].T + tensors[f"head_b_{t}"]
         if not np.isfinite(logits).all():
             raise ScorerError(f"non-finite logits in tensor head_w_{t} at step {t}")
         logp = _log_softmax(logits)
-        probs.append(np.exp(logp))
-        target_logps[t - 1] = logp[sample.tokens[t - 1]]
+        cache.target_logps[:, t - 1] = logp[rows, tokens[:, t - 1]]
+        cache.x_rows.append(x if kept else None)
+        cache.probs.append(np.exp(logp) if kept else None)
+        cache.hash_rows.append(hash_rows if kept else None)
+    return cache
 
-    return _Cache(
-        sample=sample,
-        beh_tokens=beh_tokens,
-        beh_emb=beh_emb,
-        keys=keys,
-        values=values,
-        h_agg=h_agg,
-        q_in=q_in,
-        attn=attn,
-        ctx=ctx,
-        x_rows=x_rows,
-        probs=probs,
-        target_logps=target_logps,
-        hash_rows=hash_rows.tolist(),
-    )
+
+def _forward_sample(params: ScorerParams, sample: Sample) -> _Cache:
+    """One-row :func:`_forward_batch` without the batch axis: ``target_logps``
+    is (n_steps,) and ``probs[t-1]`` is (V_t,)."""
+    cache = _forward_batch(params, [sample])
+    return replace(cache, target_logps=cache.target_logps[0],
+                   probs=[p[0] for p in cache.probs])
+
+
+def _scatter_add(table, rows, values):
+    """table[rows[i]] += values[i], duplicate rows included.
+
+    np.add.at over the flattened table: the same sums in the same order
+    as the two-dimensional call, which numpy runs several times slower.
+    """
+    width = table.shape[1]
+    np.add.at(table.reshape(-1), (rows[:, None] * width + np.arange(width)).ravel(),
+              values.ravel())
 
 
 def _accumulate_backward(params: ScorerParams, cache: _Cache, coeffs, grads):
-    """Add the gradient of sum_t coeffs[t-1] * log p(target_t | .) to grads.
+    """Add the gradient of sum_{b,t} coeffs[b, t-1] * log p(target_{b,t} | .) to grads.
 
-    Frozen tensors are skipped (their grads stay zero).
+    A step whose coefficients are all zero is skipped.  Frozen tensors are
+    skipped (their grads stay zero).
     """
-    space, cfg = params.space, params.config
-    d = cfg.d_model
-    n_steps = space.n_steps
-    sample = cache.sample
-    gamma = float(params.tensors["attn_gamma"])
+    cfg, tensors = params.config, params.tensors
+    d, w = cfg.d_model, cfg.prefix_window
+    b, n_steps = cache.tokens.shape
+    rows = np.arange(b)
+    gamma = float(tensors["attn_gamma"])
+    c_start = (1 + w) * d
+    c_end = c_start + params.hash_spec.output_dim
 
-    d_ctx = np.zeros((n_steps, d))
-    d_h_agg = np.zeros(d)
-    c_dim = params.hash_spec.output_dim
-    d_hash_dim = params.hash_spec.d_hash
+    d_ctx = np.zeros((b, n_steps, d))
+    d_h_agg = np.zeros((b, d))
+    # d_emb[:, j] feeds the embedding of step j's token (column 0: the BOS)
+    d_emb = np.zeros((b, n_steps, d))
 
     for t in range(1, n_steps + 1):
-        c = coeffs[t - 1]
-        if c == 0.0:
+        c = coeffs[:, t - 1]
+        if not c.any():
             continue
-        p = cache.probs[t - 1]
-        delta = -c * p
-        delta[sample.tokens[t - 1]] += c  # c * (onehot - p)
-        x = cache.x_rows[t - 1]
-        grads[f"head_w_{t}"] += np.outer(delta, x)
-        grads[f"head_b_{t}"] += delta
-        dx = params.tensors[f"head_w_{t}"].T @ delta
+        if cache.x_rows[t - 1] is None:
+            raise ScorerError(f"step {t} has coefficients but the forward did not keep it")
+        delta = -c[:, None] * cache.probs[t - 1]
+        delta[rows, cache.tokens[:, t - 1]] += c  # c * (onehot - p)
+        grads[f"head_w_{t}"] += delta.T @ cache.x_rows[t - 1]
+        grads[f"head_b_{t}"] += delta.sum(axis=0)
+        dx = delta @ tensors[f"head_w_{t}"]
 
-        d_ctx[t - 1] += dx[:d]
-        d_prefix = dx[d:d + cfg.prefix_window * d]
-        for slot in range(min(cfg.prefix_window, t - 1)):
-            j = t - 1 - slot  # decoding step whose token occupies the slot
-            grads[f"emb_step_{j}"][sample.tokens[j - 1]] += d_prefix[slot * d:(slot + 1) * d]
-        d_c = dx[d + cfg.prefix_window * d:d + cfg.prefix_window * d + c_dim]
-        d_c = d_c.reshape(-1, d_hash_dim)
-        for r, row in enumerate(cache.hash_rows[t - 1]):
-            grads["emb_hash"][row] += d_c[r]
-        d_h_agg += dx[-d:]
+        d_ctx[:, t - 1] = dx[:, :d]
+        for slot in range(min(w, t - 1)):
+            d_emb[:, t - 1 - slot] += dx[:, (1 + slot) * d:(2 + slot) * d]
+        _scatter_add(grads["emb_hash"], cache.hash_rows[t - 1].ravel(),
+                     dx[:, c_start:c_end].reshape(-1, params.hash_spec.d_hash))
+        d_h_agg += dx[:, -d:]
 
     # attention backward (queries and keys/values feed the embeddings)
-    d_attn_out = d_ctx  # ctx = gamma * attn @ values
-    d_attn = gamma * (d_attn_out @ cache.values.T)
-    d_values = gamma * (cache.attn.T @ d_attn_out)
-    a = cache.attn
-    d_scores = a * (d_attn - (d_attn * a).sum(axis=1, keepdims=True))
+    a = cache.attn  # ctx = gamma * attn @ values
+    d_attn = gamma * (d_ctx @ cache.values.transpose(0, 2, 1))
+    d_scores = a * (d_attn - (d_attn * a).sum(axis=2, keepdims=True))
     scale = 1.0 / math.sqrt(d)
-    d_q_in = d_scores @ cache.keys * scale
-    d_keys = d_scores.T @ cache.q_in * scale
 
-    d_q_emb = d_q_in @ params.tensors["attn_wq"].T
-    grads["emb_bos"][sample.bos] += d_q_emb[0]
+    d_emb += (d_scores @ cache.keys * scale) @ tensors["attn_wq"].T
+    _scatter_add(grads["emb_bos"], cache.bos, d_emb[:, 0])
     for j in range(1, n_steps):
-        grads[f"emb_step_{j}"][sample.tokens[j - 1]] += d_q_emb[j]
+        _scatter_add(grads[f"emb_step_{j}"], cache.tokens[:, j - 1], d_emb[:, j])
 
-    d_kv_in = d_keys @ params.tensors["attn_wk"].T + d_values @ params.tensors["attn_wv"].T
-    n_beh = len(cache.beh_tokens)
-    d_beh = d_kv_in + d_h_agg / n_beh
-    for i, b in enumerate(cache.beh_tokens):
-        grads["emb_behavior"][b] += d_beh[i]
+    # the (B, T, d) key and value gradients sum into d_beh in place, so at
+    # most two of these arrays are alive at once
+    d_beh = (d_scores.transpose(0, 2, 1) @ cache.q_in * scale) @ tensors["attn_wk"].T
+    d_beh += gamma * (a.transpose(0, 2, 1) @ d_ctx) @ tensors["attn_wv"].T
+    mask = cache.beh_mask
+    d_beh += (d_h_agg / mask.sum(axis=1)[:, None])[:, None, :]
+    _scatter_add(grads["emb_behavior"], cache.beh_tokens[mask], d_beh[mask])
+
+
+def _weighted_nll_and_grad(batch, weights, params: ScorerParams):
+    """-sum_i weights_i * alpha_i * sum_t log p(target_{i,t} | prefix, context)."""
+    grads = zero_grads(params)
+    if not batch:
+        return 0.0, grads
+    cache = _forward_batch(params, batch)
+    coeffs = -(np.asarray(weights, dtype=np.float64)
+               * np.array([s.alpha for s in batch], dtype=np.float64))
+    loss = float(coeffs @ cache.target_logps.sum(axis=1))
+    _accumulate_backward(params, cache, np.broadcast_to(coeffs[:, None], cache.tokens.shape),
+                         grads)
+    return loss, grads
 
 
 def ntp_loss_and_grad(batch, params: ScorerParams):
@@ -340,21 +384,20 @@ def ntp_loss_and_grad(batch, params: ScorerParams):
 
     loss = -sum_i alpha_i * sum_t log p(target_{i,t} | prefix, context).
     """
-    grads = zero_grads(params)
-    loss = 0.0
-    for sample in batch:
-        cache = _forward_sample(params, sample)
-        loss += -sample.alpha * float(cache.target_logps.sum())
-        coeffs = np.full(params.space.n_steps, -sample.alpha)
-        _accumulate_backward(params, cache, coeffs, grads)
+    loss, grads = _weighted_nll_and_grad(batch, np.ones(len(batch)), params)
     if not math.isfinite(loss):
         raise ScorerError("non-finite training loss")
     return loss, grads
 
 
+def sequence_logprobs(params: ScorerParams, samples) -> np.ndarray:
+    """Teacher-forced log-probability of each sample's full token path."""
+    return _forward_batch(params, samples, keep=False).target_logps.sum(axis=1)
+
+
 def sequence_logprob(params: ScorerParams, sample: Sample) -> float:
     """Teacher-forced log-probability of the sample's full token path."""
-    return float(_forward_sample(params, sample).target_logps.sum())
+    return float(sequence_logprobs(params, [sample])[0])
 
 
 # ----------------------------------------------------------------------

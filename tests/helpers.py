@@ -59,6 +59,32 @@ def token_paths(space):
     return st.tuples(*(st.integers(0, v - 1) for v in space.step_vocab_sizes))
 
 
+@st.composite
+def teacher_forced_batches(draw):
+    """A tiny scorer from ``tiny_contexts`` and a batch of 3-7 samples for it.
+
+    Behaviors mix lengths 0-5, one of them empty, and the first sample
+    appears twice, so a batched forward pads and masks, and its backward
+    scatter-adds repeated embedding and hash rows.  Small vocabularies
+    repeat tokens across the other samples too.
+    """
+    params, behavior, bos = draw(tiny_contexts())
+    space = params.space
+    sample = st.builds(
+        scorer.Sample,
+        behavior=st.lists(st.integers(0, params.n_behavior_tokens - 1), max_size=5).map(tuple),
+        bos=st.integers(0, space.n_task_tokens - 1),
+        tokens=token_paths(space),
+        alpha=st.floats(0.25, 4.0),
+    )
+    samples = [scorer.Sample(behavior, bos, draw(token_paths(space))),
+               scorer.Sample((), bos, draw(token_paths(space)))]
+    samples += draw(st.lists(sample, max_size=4))
+    samples.append(samples[0])
+    order = draw(st.permutations(range(len(samples))))
+    return params, [samples[i] for i in order]
+
+
 def random_sample(rng, params, alpha=None):
     space = params.space
     behavior = tuple(int(t) for t in

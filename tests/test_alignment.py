@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidforge import scorer
 from sidforge.alignment import (
@@ -24,7 +26,13 @@ from sidforge.alignment import (
 from sidforge.corpus import CLICK, EXPOSURE, PURCHASE, SynthConfig, generate_corpus, generate_interactions
 from sidforge.scorer import Sample, ntp_loss_and_grad
 
-from helpers import finite_difference_grads, max_grad_rel_error, random_sample, tiny_params
+from helpers import (
+    finite_difference_grads,
+    max_grad_rel_error,
+    random_sample,
+    teacher_forced_batches,
+    tiny_params,
+)
 
 
 class TestCompositeReward:
@@ -347,3 +355,30 @@ class TestJointLoss:
         for name in grads_j:
             np.testing.assert_allclose(
                 grads_j[name], 20.0 * grads_r[name] + 3.0 * grads_d[name], atol=1e-14)
+
+
+@given(teacher_forced_batches(), st.booleans(), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dpo_batch_matches_one_pair_calls(drawn, stop_grad, seed):
+    params, samples = drawn
+    rng = np.random.default_rng(seed)
+    reference = scorer.clone_params(params)
+    for name in reference.trainable_names():
+        reference.tensors[name] = reference.tensors[name] + 0.05 * rng.standard_normal(
+            reference.tensors[name].shape)
+    # consecutive samples pair up, so winners and losers share repeated paths
+    pairs = [PreferencePair(request_id="r", behavior=w.behavior, bos=w.bos, winner=w.tokens,
+                            loser=l.tokens, winner_item=0, loser_item=1, winner_level=2,
+                            loser_level=1, winner_rank=1, loser_rank=2)
+             for w, l in zip(samples, samples[1:])]
+    loss, grads = dpo_loss_and_grad(pairs, params, reference, beta=0.5, stop_grad=stop_grad)
+    want_loss, want_grads = 0.0, scorer.zero_grads(params)
+    for pair in pairs:
+        pair_loss, pair_grads = dpo_loss_and_grad([pair], params, reference, beta=0.5,
+                                                  stop_grad=stop_grad)
+        want_loss += pair_loss / len(pairs)
+        for name, g in pair_grads.items():
+            want_grads[name] += g / len(pairs)
+    assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+    for name, g in want_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)

@@ -13,7 +13,6 @@ from sidforge.corpus import (
     ItemCorpus,
     load_interactions,
     load_items,
-    save_interactions,
     save_items,
 )
 from sidforge.quantizer import load_codebook, load_sids
@@ -191,10 +190,23 @@ class TestCliErrors:
         with pytest.raises(ValueError, match="codebook.json: missing key 'K'"):
             load_codebook(str(codebook))
 
-    def test_threads_env_fallback(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setenv("SIDFORGE_THREADS", "2")
+    def test_malformed_sequences_line_names_file_and_line(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "run")
-        assert run(["gen-data", "--config", config_path, "--out", out]) == 0
+        for cmd in ("gen-data", "quantize", "build-seqs"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0
+        seqs = tmp_path / "run" / "sequences.jsonl"
+        first = seqs.read_text().splitlines()[0]
+        seqs.write_text(first + "\n{not json\n")
+        capsys.readouterr()
+        assert run(["train", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "sequences.jsonl: line 2: malformed JSON" in err
+
+    def test_threads_key_is_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**MINI_CONFIG, "threads": 2}))
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert "unknown key(s) ['threads']" in capsys.readouterr().err
 
 
 class TestRunPipeline:
@@ -229,18 +241,32 @@ class TestHoldout:
         cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": 0.0}})
         data = str(tmp_path / "data")
         corp, log = pipeline.gen_data(cfg, data)
-        last = max(log, key=lambda r: r.request_id)
-        for e in last.events:  # the one held-out request engages with nothing
-            e["level"] = 0
         with pytest.raises(ValueError, match=r"eval\.holdout_frac=0\.0 of 80 requests"):
             pipeline.ablation_run(cfg, corp, log, [("l2", "l3")], ["capacity"])
 
-        save_interactions(log, os.path.join(data, "interactions.jsonl"))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**MINI_CONFIG, "eval": {"holdout_frac": 0.0}}))
         assert run(["ablate", "--config", str(cfg_path), "--data-dir", data,
                     "--out", str(tmp_path / "out"), "--chains", '[["l2","l3"]]',
                     "--methods", "capacity"]) == 1
+        assert "eval.holdout_frac" in capsys.readouterr().err
+
+    def test_holdout_rounds_down_and_zero_holds_out_nothing(self, tmp_path):
+        cfg = pipeline.load_config(MINI_CONFIG)
+        _, log = pipeline.gen_data(cfg, str(tmp_path / "data"))
+        ids = sorted(r.request_id for r in log)
+        assert pipeline.eval_request_ids(cfg, log) == set(ids[-8:])  # 0.10 of 80
+        for frac, n_eval in ((0.0, 0), (0.01, 0), (0.05, 4)):
+            cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": frac}})
+            assert pipeline.eval_request_ids(cfg, log) == set(ids[len(ids) - n_eval:])
+
+    @pytest.mark.parametrize("frac", [-0.1, 1.0, 1.5, float("nan")])
+    def test_holdout_frac_outside_unit_interval_is_rejected(self, tmp_path, frac, capsys):
+        with pytest.raises(pipeline.ConfigError, match=r"eval\.holdout_frac"):
+            pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": frac}})
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**MINI_CONFIG, "eval": {"holdout_frac": frac}}))
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert "eval.holdout_frac" in capsys.readouterr().err
 
 

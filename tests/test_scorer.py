@@ -30,6 +30,7 @@ from helpers import (
     finite_difference_grads,
     max_grad_rel_error,
     random_sample,
+    teacher_forced_batches,
     tiny_contexts,
     tiny_params,
     token_paths,
@@ -161,6 +162,26 @@ class TestStepLogits:
         cache = scorer._forward_sample(params, sample)
         for p in cache.probs:
             assert abs(p.sum() - 1.0) < 1e-12
+
+
+class TestTeacherForcedBatch:
+    @given(teacher_forced_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_one_sample_calls(self, drawn):
+        params, batch = drawn
+        cache = scorer._forward_batch(params, batch)
+        loss, grads = ntp_loss_and_grad(batch, params)
+        want_loss, want_grads = 0.0, scorer.zero_grads(params)
+        for sample, row in zip(batch, cache.target_logps):
+            one = scorer._forward_sample(params, sample)
+            np.testing.assert_allclose(row, one.target_logps, rtol=0, atol=1e-12)
+            sample_loss, sample_grads = ntp_loss_and_grad([sample], params)
+            want_loss += sample_loss
+            for name, g in sample_grads.items():
+                want_grads[name] += g
+        assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestNtpLoss:
