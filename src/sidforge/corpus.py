@@ -331,22 +331,24 @@ _INTERACTION_KEYS = {"request_id", "user_id", "scene", "objective", "events", "r
 _EVENT_KEYS = {"item_id", "level", "exposure_rank"}
 
 
-def _check_keys(obj: dict, allowed: set, lineno: int, what: str):
+def _check_keys(obj: dict, allowed: set, where: str, what: str):
     unknown = set(obj) - allowed
     if unknown:
-        raise CorpusFormatError(f"line {lineno}: unknown {what} field(s) {sorted(unknown)}")
+        raise CorpusFormatError(f"{where}: unknown {what} field(s) {sorted(unknown)}")
 
 
 def _read_jsonl(path):
+    """Yield ("<path>: line N", object) for each non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
-                yield lineno, json.loads(line)
+                yield where, json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+                raise CorpusFormatError(f"{where}: malformed JSON ({exc.msg})") from exc
 
 
 def save_items(corpus: ItemCorpus, path):
@@ -369,11 +371,11 @@ def save_items(corpus: ItemCorpus, path):
 def load_items(path) -> ItemCorpus:
     items = []
     d_emb = None
-    for lineno, obj in _read_jsonl(path):
-        _check_keys(obj, _ITEM_KEYS, lineno, "item")
+    for where, obj in _read_jsonl(path):
+        _check_keys(obj, _ITEM_KEYS, where, "item")
         missing = _ITEM_KEYS - set(obj)
         if missing:
-            raise CorpusFormatError(f"line {lineno}: missing item field(s) {sorted(missing)}")
+            raise CorpusFormatError(f"{where}: missing item field(s) {sorted(missing)}")
         try:
             item = Item(
                 item_id=obj["item_id"],
@@ -383,7 +385,7 @@ def load_items(path) -> ItemCorpus:
                 gmv=obj["gmv"],
             )
         except (TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+            raise CorpusFormatError(f"{where}: {exc}") from exc
         if d_emb is None:
             d_emb = item.embedding.shape[0]
         items.append(item)
@@ -410,20 +412,16 @@ def save_interactions(log: InteractionLog, path):
 
 def load_interactions(path) -> InteractionLog:
     interactions = []
-    for lineno, obj in _read_jsonl(path):
-        _check_keys(obj, _INTERACTION_KEYS, lineno, "interaction")
+    for where, obj in _read_jsonl(path):
+        _check_keys(obj, _INTERACTION_KEYS, where, "interaction")
         missing = _INTERACTION_KEYS - set(obj)
         if missing:
-            raise CorpusFormatError(
-                f"line {lineno}: missing interaction field(s) {sorted(missing)}"
-            )
+            raise CorpusFormatError(f"{where}: missing interaction field(s) {sorted(missing)}")
         for ev in obj["events"]:
-            _check_keys(ev, _EVENT_KEYS, lineno, "event")
+            _check_keys(ev, _EVENT_KEYS, where, "event")
             missing_ev = _EVENT_KEYS - set(ev)
             if missing_ev:
-                raise CorpusFormatError(
-                    f"line {lineno}: missing event field(s) {sorted(missing_ev)}"
-                )
+                raise CorpusFormatError(f"{where}: missing event field(s) {sorted(missing_ev)}")
         try:
             interactions.append(
                 Interaction(
@@ -436,5 +434,5 @@ def load_interactions(path) -> InteractionLog:
                 )
             )
         except (TypeError, ValueError, KeyError) as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+            raise CorpusFormatError(f"{where}: {exc}") from exc
     return InteractionLog(interactions)

@@ -9,9 +9,14 @@ under-capacity cluster, so no codebook entry monopolizes traffic.  With
 reduces to plain residual K-means.
 
 Determinism: assignment ties break toward the lowest cluster index, the
-repair pass is sequential, and items are processed in item_id order, so
-codes are invariant under permutation of the input corpus for a fixed
-seed (single-threaded).
+repair pass is sequential by definition (one member at a time against the
+current loads), and items are processed in item_id order, so codes are
+invariant under permutation of the input corpus for a fixed seed
+(single-threaded).  The repair pass finds targets for a run of members in
+one batched step and still makes exactly the sequential moves: while a
+cluster drains, every other cluster only gains load, so the set of
+clusters a member fits into only shrinks, and a target found earlier that
+still fits is still the nearest one.
 """
 
 from __future__ import annotations
@@ -131,12 +136,18 @@ def cluster_load(assignments, weights, n_clusters: int | None = None) -> np.ndar
     return np.bincount(z, weights=w, minlength=k)
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(N, K) squared Euclidean distances; clipped at 0 for fp safety."""
-    p2 = (points * points).sum(axis=1)[:, None]
+def _squared_distances(p2, twice_points, centroids, out):
+    """(N, K) squared Euclidean distances into ``out``; clipped at 0 for fp safety.
+
+    ``p2`` is the (N, 1) column of squared point norms and ``twice_points``
+    is ``2.0 * points``; a Lloyd run computes both once.  The result is
+    ``p2 - (2.0 * points) @ centroids.T + c2``, evaluated in that order.
+    """
     c2 = (centroids * centroids).sum(axis=1)[None, :]
-    d2 = p2 - 2.0 * points @ centroids.T + c2
-    return np.maximum(d2, 0.0)
+    np.matmul(twice_points, centroids.T, out=out)
+    np.subtract(p2, out, out=out)
+    np.add(out, c2, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _repair_pass(d2, weights, z, loads, cap, pinned, strict, layer, violations):
@@ -148,64 +159,108 @@ def _repair_pass(d2, weights, z, loads, cap, pinned, strict, layer, violations):
     A member with no feasible target is skipped while lighter members can
     still fix the cluster; only when the cluster stays overloaded do such
     members get force-placed (lenient) or raise (strict).
+
+    The walk holds the loads as Python floats and finds targets in
+    batches: one (members x K) pass gives the nearest feasible target of
+    each of the fewest next members whose weights cover the excess.  While
+    a cluster drains, every other cluster only gains load, so a member's
+    feasible set only shrinks: a batched target that still fits is still
+    the nearest one, and the walk re-batches from the first member whose
+    target has filled up since.  The moves are those of the one member at
+    a time definition, bit for bit.
     """
     overloaded = np.flatnonzero(loads > cap)
     order = overloaded[np.argsort(-(loads[overloaded] - cap), kind="stable")]
-    for k in order:
-        k = int(k)
-        if loads[k] <= cap:
+    load = loads.tolist()
+    for k in order.tolist():
+        if load[k] <= cap:
             continue
         members = np.flatnonzero(z == k)
         movable = members[~pinned[members]]
         # farthest from the centroid first
         movable = movable[np.argsort(-d2[movable, k], kind="stable")]
+        w_mov = weights[movable]
+        covered = np.cumsum(w_mov)
+        mov, w_list = movable.tolist(), w_mov.tolist()
         deferred = []
-        for i in movable:
-            if loads[k] <= cap:
-                break
-            i = int(i)
-            wi = weights[i]
-            feasible = loads + wi <= cap
-            if feasible.any():
-                dist_row = np.where(feasible, d2[i], np.inf)
-                k2 = int(np.argmin(dist_row))
+        start = 0
+        while start < len(mov) and load[k] > cap:
+            # nearest feasible target (-1: none) of each of the fewest
+            # further members whose weights cover the excess
+            before = covered[start - 1] if start else 0.0
+            stop = max(start + 1, int(np.searchsorted(covered, before + (load[k] - cap))) + 1)
+            feasible = np.asarray(load) + w_mov[start:stop, None] <= cap
+            targets = np.argmin(np.where(feasible, d2[movable[start:stop]], np.inf), axis=1)
+            targets[~feasible.any(axis=1)] = -1
+            for k2 in targets.tolist():
+                i, wi = mov[start], w_list[start]
+                if k2 >= 0 and load[k2] + wi > cap:
+                    break  # the target filled up: re-target from here on against the loads now
+                start += 1
+                if k2 < 0:
+                    deferred.append(i)
+                    continue
                 z[i] = k2
-                loads[k] -= wi
-                loads[k2] += wi
-            else:
-                deferred.append(i)
-        if loads[k] <= cap:
+                load[k] -= wi
+                load[k2] += wi
+                if load[k] <= cap:
+                    break
+        if load[k] <= cap:
             continue
         if strict:
             raise CapacityError(
                 f"layer {layer}: cluster {k} still overloaded after repair "
-                f"(load {loads[k]:.1f} > cap {cap:.1f}, "
+                f"(load {load[k]:.1f} > cap {cap:.1f}, "
                 f"{len(deferred)} member(s) found no feasible target)"
             )
         for i in deferred:
-            if loads[k] <= cap:
+            if load[k] <= cap:
                 break
-            wi = weights[i]
-            k2 = int(np.argmin(loads))
+            wi = float(weights[i])
+            k2 = int(np.argmin(load))
             z[i] = k2
-            loads[k] -= wi
-            loads[k2] += wi
+            load[k] -= wi
+            load[k2] += wi
             violations.append(
                 CapacityViolation(
                     layer=layer,
                     cluster=k2,
                     reason="no_feasible_target",
                     item_index=i,
-                    excess=float(loads[k2] - cap),
+                    excess=load[k2] - cap,
                 )
             )
-        if loads[k] > cap:
+        if load[k] > cap:
             violations.append(
                 CapacityViolation(
                     layer=layer, cluster=k, reason="residual_overload",
-                    excess=float(loads[k] - cap),
+                    excess=load[k] - cap,
                 )
             )
+    loads[:] = load
+
+
+def _update_centroids(pts, z, centroids):
+    """Move each non-empty cluster's centroid to the mean of its members.
+
+    ``np.bincount`` adds each cluster's members in index order, as
+    ``pts[members].mean(axis=0)`` does over two or more columns, so the
+    means are the same bits.  Over one column that mean is a pairwise sum,
+    so one-dimensional points take the per-cluster mean.  Empty clusters
+    keep their centroids.
+    """
+    k, d = centroids.shape
+    if d == 1:
+        for kk in range(k):
+            members = np.flatnonzero(z == kk)
+            if members.size:
+                centroids[kk] = pts[members].mean(axis=0)
+        return
+    counts = np.bincount(z, minlength=k)
+    sums = np.bincount((z[:, None] * d + np.arange(d)).ravel(), weights=pts.ravel(),
+                       minlength=k * d).reshape(k, d)
+    filled = counts > 0
+    centroids[filled] = sums[filled] / counts[filled, None]
 
 
 def _reseed_empty(d2, weights, z, loads, pinned):
@@ -275,20 +330,20 @@ def capacity_kmeans_layer(
                 )
 
     centroids = kmeanspp_init(pts, k, seed)
+    p2 = (pts * pts).sum(axis=1)[:, None]
+    twice_pts = 2.0 * pts
+    d2 = np.empty((n, k))
     prev_obj = math.inf
     z = np.zeros(n, dtype=np.int64)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = _squared_distances(pts, centroids)
+        _squared_distances(p2, twice_pts, centroids, out=d2)
         z = np.argmin(d2, axis=1)  # ties -> lowest index
         loads = np.bincount(z, weights=w, minlength=k)
         if not unbounded:
             _repair_pass(d2, w, z, loads, cap, pinned, strict, layer, violations)
         _reseed_empty(d2, w, z, loads, pinned)
-        for kk in range(k):
-            members = np.flatnonzero(z == kk)
-            if members.size:
-                centroids[kk] = pts[members].mean(axis=0)
+        _update_centroids(pts, z, centroids)
         obj = float(((pts - centroids[z]) ** 2).sum(axis=1).mean())
         if math.isfinite(prev_obj) and abs(prev_obj - obj) <= eps_conv * max(obj, 1e-30):
             prev_obj = obj
@@ -418,10 +473,10 @@ def load_sids(path) -> list:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+                raise ValueError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
             unknown = set(obj) - {"item_id", "sid"}
             if unknown:
-                raise ValueError(f"line {lineno}: unknown field(s) {sorted(unknown)}")
+                raise ValueError(f"{path}: line {lineno}: unknown field(s) {sorted(unknown)}")
             try:
                 out.append(SemanticId(obj["item_id"], tuple(obj["sid"])))
             except KeyError as exc:

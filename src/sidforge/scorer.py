@@ -532,17 +532,38 @@ class AdamW:
         self.v = {n: np.zeros_like(a) for n, a in self.m.items()}
 
     def step(self, params: ScorerParams, grads: dict):
+        """One update of every trainable tensor, in place.
+
+        The operations and their order are the textbook ones::
+
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            update = (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps) + wd * p
+            p -= lr * update
+
+        so the result is the same bits, with two temporaries per tensor.
+        """
         c = self.cfg
         self.step_count += 1
         t = self.step_count
-        for name in self.m:
-            g = grads[name]
-            self.m[name] = c.beta1 * self.m[name] + (1 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1 - c.beta2) * g * g
-            m_hat = self.m[name] / (1 - c.beta1**t)
-            v_hat = self.v[name] / (1 - c.beta2**t)
-            update = m_hat / (np.sqrt(v_hat) + c.eps) + c.weight_decay * params.tensors[name]
-            params.tensors[name] -= c.lr * update
+        for name, m in self.m.items():
+            g, v, p = grads[name], self.v[name], params.tensors[name]
+            a = np.multiply(g, 1 - c.beta1)
+            m *= c.beta1
+            m += a
+            np.multiply(g, 1 - c.beta2, out=a)
+            a *= g
+            v *= c.beta2
+            v += a
+            np.divide(m, 1 - c.beta1**t, out=a)
+            b = np.divide(v, 1 - c.beta2**t)
+            np.sqrt(b, out=b)
+            b += c.eps
+            a /= b
+            np.multiply(p, c.weight_decay, out=b)
+            a += b
+            a *= c.lr
+            p -= a
 
 
 def train_epoch(dataset, params: ScorerParams, opt_cfg: OptimizerConfig,

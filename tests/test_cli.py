@@ -202,6 +202,38 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "sequences.jsonl: line 2: malformed JSON" in err
 
+    @pytest.mark.parametrize("artifact", ["sids.jsonl", "items.jsonl"])
+    def test_malformed_jsonl_line_names_file_and_line(self, tmp_path, config_path, capsys,
+                                                      artifact):
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0
+        path = tmp_path / "run" / artifact
+        first = path.read_text().splitlines()[0]
+        path.write_text(first + "\n{bad\n")
+        capsys.readouterr()
+        assert run(["build-seqs", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{artifact}: line 2: malformed JSON" in err
+
+    def test_corpus_loaders_name_file_and_line(self, tmp_path):
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"item_id": 0, "color": 1}\n')
+        with pytest.raises(ValueError, match="items.jsonl: line 1: unknown item field"):
+            load_items(str(items))
+        items.write_text('{"item_id": 0}\n')
+        with pytest.raises(ValueError, match="items.jsonl: line 1: missing item field"):
+            load_items(str(items))
+        log = tmp_path / "interactions.jsonl"
+        log.write_text(json.dumps({"request_id": 0, "user_id": 0, "scene": "s", "objective": "o",
+                                   "reward_metrics": {}, "events": [{"item_id": 1}]}) + "\n")
+        with pytest.raises(ValueError, match="interactions.jsonl: line 1: missing event field"):
+            load_interactions(str(log))
+        sids = tmp_path / "sids.jsonl"
+        sids.write_text('{"item_id": 0, "sid": [1], "x": 2}\n')
+        with pytest.raises(ValueError, match="sids.jsonl: line 1: unknown field"):
+            load_sids(str(sids))
+
     def test_threads_key_is_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**MINI_CONFIG, "threads": 2}))

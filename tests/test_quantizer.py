@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidforge.corpus import (
     Item,
@@ -24,6 +26,8 @@ from sidforge.quantizer import (
     save_codebook,
     save_sids,
 )
+
+from helpers import capacity_inputs, reference_capacity_kmeans_layer
 
 
 def toy_corpus(points, weights, d):
@@ -142,6 +146,64 @@ class TestCapacityKmeansLayer:
             if not res.violations:
                 recount = np.bincount(res.assignments, weights=w, minlength=4)
                 assert recount.max() <= 1.2 * w.sum() / 4 + 1e-9
+
+
+def _layer_or_error(layer_fn, *args, **kwargs):
+    try:
+        return layer_fn(*args, **kwargs)
+    except CapacityError as exc:
+        return str(exc)
+
+
+class TestCapacityProperties:
+    @given(capacity_inputs(), st.sampled_from((1.0, 0.1, 1 / 3)))
+    @settings(max_examples=120, deadline=None)
+    def test_layer_equals_sequential_reference(self, inputs, scale):
+        # the batched repair pass, hoisted distances and bincount means give
+        # the one-member-at-a-time definition's result bit for bit; scaled
+        # weights make the load sums round
+        points, weights, k, tau, strict = inputs
+        args = (points, weights * scale, k, tau, 3)
+        kwargs = dict(max_iter=12, strict=strict, layer=1)
+        got = _layer_or_error(capacity_kmeans_layer, *args, **kwargs)
+        want = _layer_or_error(reference_capacity_kmeans_layer, *args, **kwargs)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert np.array_equal(got.assignments, want.assignments)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.loads.tobytes() == want.loads.tobytes()
+        assert got.objective == want.objective
+        assert got.n_iter == want.n_iter
+        assert got.violations == want.violations
+
+    @given(capacity_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_layer_within_cap_or_violation_recorded(self, inputs):
+        points, weights, k, tau, _ = inputs
+        corp = toy_corpus(points, weights, points.shape[1])
+        rq = capacity_constrained_rq(corp, 3, k, tau, seed=0, max_iter=8)
+        if tau is None:
+            assert not rq.violations
+            return
+        cap = tau * weights.sum() / k
+        codes = rq.codes_matrix()
+        for l, lr in enumerate(rq.layer_results):
+            loads = cluster_load(codes[:, l], weights, k)
+            covered = {v.cluster for v in lr.violations}
+            covered |= {int(codes[v.item_index, l]) for v in lr.violations
+                        if v.reason == "overweight_item"}
+            assert all(v.layer == l for v in lr.violations)
+            for c in np.flatnonzero(loads > cap):
+                assert int(c) in covered, (l, int(c), loads[c], cap)
+        # strict mode raises exactly where lenient mode records a violation
+        if rq.violations:
+            with pytest.raises(CapacityError, match=f"layer {rq.violations[0].layer}:"):
+                capacity_constrained_rq(corp, 3, k, tau, seed=0, max_iter=8, strict=True)
+        else:
+            strict = capacity_constrained_rq(corp, 3, k, tau, seed=0, max_iter=8, strict=True)
+            assert strict.sids == rq.sids
 
 
 @pytest.fixture(scope="module")

@@ -266,6 +266,34 @@ class TestTraining:
         assert t1 == t2
 
 
+class TestAdamW:
+    def test_in_place_step_equals_textbook_formula(self):
+        rng = np.random.default_rng(21)
+        params = tiny_params(rng, d_model=8)
+        cfg = OptimizerConfig(lr=3e-3, weight_decay=1e-2)
+        opt = scorer.AdamW(params, cfg)
+        names = list(opt.m)
+        ref_p = {n: params.tensors[n].copy() for n in names}
+        ref_m = {n: np.zeros_like(a) for n, a in ref_p.items()}
+        ref_v = {n: np.zeros_like(a) for n, a in ref_p.items()}
+        for t in range(1, 6):
+            grads = {n: rng.normal(scale=10.0 ** rng.uniform(-4, 1), size=a.shape)
+                     for n, a in ref_p.items()}
+            opt.step(params, grads)
+            for n in names:
+                g = grads[n]
+                ref_m[n] = cfg.beta1 * ref_m[n] + (1 - cfg.beta1) * g
+                ref_v[n] = cfg.beta2 * ref_v[n] + (1 - cfg.beta2) * g * g
+                m_hat = ref_m[n] / (1 - cfg.beta1**t)
+                v_hat = ref_v[n] / (1 - cfg.beta2**t)
+                update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * ref_p[n]
+                ref_p[n] = ref_p[n] - cfg.lr * update
+            for n in names:
+                assert params.tensors[n].tobytes() == ref_p[n].tobytes(), (t, n)
+                assert opt.m[n].tobytes() == ref_m[n].tobytes(), (t, n)
+                assert opt.v[n].tobytes() == ref_v[n].tobytes(), (t, n)
+
+
 class TestCountScorer:
     def test_repeated_sequence_logprob_zero(self):
         cs = CountScorer([(0, 1, 2)] * 5, vocab_sizes=(3, 3, 3))
