@@ -32,18 +32,6 @@ class AlignmentError(ValueError):
 @dataclass
 class RewardSpec:
     metric_weights: dict  # metric name -> weight
-    lam: float = 0.2  # reweighting strength (must keep 1 + lam*clip > 0)
-    c_clip: float = 3.0
-    eps: float = 1e-8
-    alpha_cap: float = 10.0
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.c_clip <= 0:
-            raise ValueError("c_clip must be > 0")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
 
 
 def composite_reward(metrics: dict, spec: RewardSpec) -> float:

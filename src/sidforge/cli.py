@@ -14,10 +14,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import corpus as corpus_mod, decoder, evaluation, pipeline, quantizer, scorer, tokenizer
-from .analysis import entropy_report, exposure_report
+from . import corpus as corpus_mod, decoder, pipeline, quantizer, scorer, tokenizer
 
 
 def _add_common(p):
@@ -31,6 +28,15 @@ def _resolve_config(args) -> pipeline.RunConfig:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
+
+
+def _with_flags(section, args, *names):
+    """``section`` with each field in ``names`` replaced by the flag of that name.
+
+    Override flags default to ``argparse.SUPPRESS``, so a flag that was not
+    given leaves no attribute and its field keeps the config value.
+    """
+    return dataclasses.replace(section, **{n: getattr(args, n) for n in names if hasattr(args, n)})
 
 
 def _data_dir(args):
@@ -62,14 +68,10 @@ def _cmd_gen_data(args):
 
 def _cmd_quantize(args):
     cfg = _resolve_config(args)
-    q = cfg.quantizer
-    if args.tau is not None:
-        q = dataclasses.replace(q, tau=None if args.tau in ("inf", "none") else float(args.tau))
-    if args.method:
-        q = dataclasses.replace(q, method=args.method)
-    if args.strict_capacity:
-        q = dataclasses.replace(q, strict=True)
-    cfg = dataclasses.replace(cfg, quantizer=q)
+    if hasattr(args, "tau"):
+        args.tau = None if args.tau in ("inf", "none") else float(args.tau)
+    cfg = dataclasses.replace(
+        cfg, quantizer=_with_flags(cfg.quantizer, args, "tau", "method", "strict"))
     corp, _ = _load_corpus_and_log(_data_dir(args))
     result = pipeline.run_quantizer(cfg, corp, args.out)
     loads = [lr.loads.max() for lr in result.layer_results]
@@ -83,26 +85,8 @@ def _cmd_analyze(args):
     data_dir = _data_dir(args)
     corp, _ = _load_corpus_and_log(data_dir)
     sids = quantizer.load_sids(os.path.join(data_dir, "sids.jsonl"))
-    by_id = corp.by_id()
-    order = sorted(s.item_id for s in sids)
-    sid_by_id = {s.item_id: s for s in sids}
-    codes = np.array([sid_by_id[i].codes for i in order])
-    weights = np.array([by_id[i].exposure_weight for i in order], dtype=np.float64)
-    attr_cols = []
-    for f in cfg.tokenizer.attr_chain:
-        vocab = corp.attr_vocabs[f]
-        attr_cols.append([vocab[by_id[i].attrs[f]] for i in order])
-    attrs = np.array(attr_cols).T if attr_cols else np.zeros((len(order), 0), dtype=int)
-    report = {
-        "exposure": exposure_report(codes, weights).as_dict(),
-        "entropy": entropy_report(codes, attrs, weights).as_dict(),
-        "meta": pipeline.artifact_meta(cfg),
-    }
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "analysis.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True)
-    print(f"wrote {out_path}")
+    pipeline.analyze(cfg, corp, sids, args.out)
+    print(f"wrote {os.path.join(args.out, 'analysis.json')}")
     return 0
 
 
@@ -135,21 +119,9 @@ def _cmd_train(args):
 
 def _cmd_align(args):
     cfg = _resolve_config(args)
-    a = cfg.align
-    overrides = {}
-    if args.lambda_rft is not None:
-        overrides["lambda_rft"] = args.lambda_rft
-    if args.lambda_dpo is not None:
-        overrides["lambda_dpo"] = args.lambda_dpo
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.c_clip is not None:
-        overrides["c_clip"] = args.c_clip
-    if args.pairs_per_request is not None:
-        overrides["pairs_per_request"] = args.pairs_per_request
-    if args.dpo_target is not None:
-        overrides["dpo_target"] = args.dpo_target
-    cfg = dataclasses.replace(cfg, align=dataclasses.replace(a, **overrides))
+    cfg = dataclasses.replace(cfg, align=_with_flags(
+        cfg.align, args, "lambda_rft", "lambda_dpo", "beta", "c_clip", "pairs_per_request",
+        "dpo_target"))
     data_dir = _data_dir(args)
     corp, log = _load_corpus_and_log(data_dir)
     space = _load_space(data_dir)
@@ -172,15 +144,10 @@ def _checkpoint_path(data_dir):
 
 def _cmd_decode(args):
     cfg = _resolve_config(args)
-    d = cfg.decode
-    if args.beam_width is not None:
-        d = dataclasses.replace(d, beam_width=args.beam_width)
-    if args.top_k is not None:
-        d = dataclasses.replace(d, top_k=args.top_k)
-    if args.task is not None:
-        objective, _, scene = args.task.partition(":")
-        d = dataclasses.replace(d, objective=objective, scene=scene)
-    cfg = dataclasses.replace(cfg, decode=d)
+    if hasattr(args, "task"):
+        args.objective, _, args.scene = args.task.partition(":")
+    cfg = dataclasses.replace(cfg, decode=_with_flags(
+        cfg.decode, args, "beam_width", "top_k", "objective", "scene"))
     data_dir = _data_dir(args)
     paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"))
     params = scorer.load_checkpoint(_checkpoint_path(data_dir))
@@ -197,15 +164,7 @@ def _cmd_eval(args):
     params = scorer.load_checkpoint(_checkpoint_path(data_dir))
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
-    trie = decoder.build_trie(paths)
-    report = evaluation.evaluate_model(
-        params, trie, eval_set, ks=cfg.eval.ks, beam_width=cfg.eval.beam_width,
-        metadata=pipeline.artifact_meta(cfg),
-    )
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "report.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, sort_keys=True)
+    report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)
     print(f"token HR@3 mean {report.token_hr3_mean:.3f}; "
           f"HR@{max(cfg.eval.ks)} {report.hr_at[max(cfg.eval.ks)]:.3f}")
     return 0
@@ -242,10 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="fit codebooks and item codes")
     _add_common(p)
     p.add_argument("--data-dir", help="directory with items.jsonl (default: --out)")
-    p.add_argument("--tau", help="capacity tolerance; 'inf' disables the cap")
-    p.add_argument("--method", choices=["capacity", "baseline"])
-    p.add_argument("--strict-capacity", action="store_true",
-                   help="fail instead of recording capacity violations")
+    p.add_argument("--tau", default=argparse.SUPPRESS,
+                   help="capacity tolerance; 'inf' disables the cap")
+    p.add_argument("--method", choices=["capacity", "baseline"], default=argparse.SUPPRESS)
+    p.add_argument("--strict-capacity", dest="strict", action="store_true",
+                   default=argparse.SUPPRESS, help="fail instead of recording capacity violations")
     p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("analyze", help="exposure concentration and entropy report")
@@ -266,20 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="advantage-reweighted + preference-pair tuning")
     _add_common(p)
     p.add_argument("--data-dir")
-    p.add_argument("--lambda-rft", type=float)
-    p.add_argument("--lambda-dpo", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c-clip", type=float)
-    p.add_argument("--pairs-per-request", type=int)
-    p.add_argument("--dpo-target", choices=["last-sid", "all"])
+    p.add_argument("--lambda-rft", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--lambda-dpo", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--c-clip", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--pairs-per-request", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--dpo-target", choices=["last-sid", "all"], default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("decode", help="trie-constrained beam search")
     _add_common(p)
     p.add_argument("--data-dir")
-    p.add_argument("--beam-width", type=int)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--task", help="objective:scene, e.g. click:main_feed")
+    p.add_argument("--beam-width", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--top-k", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--task", default=argparse.SUPPRESS,
+                   help="objective:scene, e.g. click:main_feed")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("eval", help="hit-ratio report on the holdout split")

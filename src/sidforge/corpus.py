@@ -337,8 +337,12 @@ def _check_keys(obj: dict, allowed: set, where: str, what: str):
         raise CorpusFormatError(f"{where}: unknown {what} field(s) {sorted(unknown)}")
 
 
-def _read_jsonl(path):
-    """Yield ("<path>: line N", object) for each non-blank line."""
+def read_jsonl(path):
+    """Yield ("<path>: line N", object) for each non-blank line.
+
+    A line that is not a JSON object raises ``CorpusFormatError`` naming
+    the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -346,9 +350,12 @@ def _read_jsonl(path):
                 continue
             where = f"{path}: line {lineno}"
             try:
-                yield where, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{where}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise CorpusFormatError(f"{where}: expected a JSON object")
+            yield where, obj
 
 
 def save_items(corpus: ItemCorpus, path):
@@ -371,7 +378,7 @@ def save_items(corpus: ItemCorpus, path):
 def load_items(path) -> ItemCorpus:
     items = []
     d_emb = None
-    for where, obj in _read_jsonl(path):
+    for where, obj in read_jsonl(path):
         _check_keys(obj, _ITEM_KEYS, where, "item")
         missing = _ITEM_KEYS - set(obj)
         if missing:
@@ -412,11 +419,14 @@ def save_interactions(log: InteractionLog, path):
 
 def load_interactions(path) -> InteractionLog:
     interactions = []
-    for where, obj in _read_jsonl(path):
+    for where, obj in read_jsonl(path):
         _check_keys(obj, _INTERACTION_KEYS, where, "interaction")
         missing = _INTERACTION_KEYS - set(obj)
         if missing:
             raise CorpusFormatError(f"{where}: missing interaction field(s) {sorted(missing)}")
+        if not isinstance(obj["events"], list) or \
+                not all(isinstance(ev, dict) for ev in obj["events"]):
+            raise CorpusFormatError(f"{where}: events must be a list of objects")
         for ev in obj["events"]:
             _check_keys(ev, _EVENT_KEYS, where, "event")
             missing_ev = _EVENT_KEYS - set(ev)

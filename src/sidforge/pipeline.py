@@ -12,11 +12,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import alignment, corpus as corpus_mod, decoder, evaluation, quantizer, scorer, tokenizer
+from .analysis import entropy_report, exposure_report
 
 
 class ConfigError(ValueError):
@@ -31,7 +33,13 @@ class QuantizerConfig:
     max_iter: int = 50
     eps_conv: float = 1e-6
     strict: bool = False
-    method: str = "capacity"  # "capacity" | "baseline"
+    method: str = "capacity"  # "capacity" | "baseline" (tau ignored: no cap)
+
+    def __post_init__(self):
+        if self.method not in ("capacity", "baseline"):
+            raise ConfigError(
+                f"quantizer.method must be 'capacity' or 'baseline', got {self.method!r}"
+            )
 
 
 @dataclass
@@ -64,7 +72,7 @@ class AlignConfig:
     epochs: int = 1
     lr: float = 1e-4
     batch_size: int = 64
-    lam: float = 0.2
+    lam: float = 0.2  # advantage reweighting strength
     c_clip: float = 3.0
     eps: float = 1e-8
     beta: float = 0.1
@@ -73,6 +81,14 @@ class AlignConfig:
     pairs_per_request: int = 4
     dpo_target: str = "last-sid"  # "last-sid" | "all"
     reward_weights: dict = field(default_factory=lambda: {"gmv": 0.7, "watch_time": 0.3})
+
+    def __post_init__(self):
+        if not self.lam >= 0:
+            raise ConfigError(f"align.lam must be >= 0, got {self.lam!r}")
+        if not self.c_clip > 0:
+            raise ConfigError(f"align.c_clip must be > 0, got {self.c_clip!r}")
+        if not self.eps > 0:
+            raise ConfigError(f"align.eps must be > 0, got {self.eps!r}")
 
 
 @dataclass
@@ -108,18 +124,19 @@ class RunConfig:
 
 
 def _build_section(cls, data, path):
+    """``cls`` from a JSON object: nested dataclass fields recurse, tuple fields get tuples."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        ftype = fields[name].type
-        if dataclasses.is_dataclass(_resolve_type(cls, name)):
-            kwargs[name] = _build_section(_resolve_type(cls, name), value, f"{path}.{name}")
-        elif isinstance(value, list) and "tuple" in str(ftype):
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[name] = _build_section(hint, value, f"{path}.{name}")
+        elif isinstance(value, list) and tuple in (hint, *typing.get_args(hint)):
             kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         else:
             kwargs[name] = value
@@ -129,20 +146,6 @@ def _build_section(cls, data, path):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _resolve_type(cls, name):
-    sections = {
-        "corpus": corpus_mod.SynthConfig,
-        "quantizer": QuantizerConfig,
-        "tokenizer": TokenizerConfig,
-        "scorer": ScorerSection,
-        "train": TrainConfig,
-        "align": AlignConfig,
-        "decode": DecodeConfig,
-        "eval": EvalConfig,
-    }
-    return sections.get(name)
 
 
 def load_config(path_or_dict) -> RunConfig:
@@ -197,18 +200,13 @@ def gen_data(cfg: RunConfig, out_dir):
 
 
 def run_quantizer(cfg: RunConfig, corp, out_dir=None):
+    """Item codes; ``method="baseline"`` runs with no capacity cap, whatever ``tau`` says."""
     q = cfg.quantizer
-    if q.method == "baseline":
-        result = quantizer.rq_kmeans_baseline(
-            corp, q.n_layers, q.k, cfg.seed, max_iter=q.max_iter, eps_conv=q.eps_conv
-        )
-    elif q.method == "capacity":
-        result = quantizer.capacity_constrained_rq(
-            corp, q.n_layers, q.k, q.tau, cfg.seed,
-            max_iter=q.max_iter, eps_conv=q.eps_conv, strict=q.strict,
-        )
-    else:
-        raise ConfigError(f"unknown quantizer method {q.method!r}")
+    tau = None if q.method == "baseline" else q.tau
+    result = quantizer.capacity_constrained_rq(
+        corp, q.n_layers, q.k, tau, cfg.seed,
+        max_iter=q.max_iter, eps_conv=q.eps_conv, strict=q.strict,
+    )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         cb_path = os.path.join(out_dir, "codebook.json")
@@ -254,49 +252,38 @@ def build_sequences(cfg: RunConfig, corp, sids, out_dir=None):
 
 def load_sequences(path) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
-            unknown = set(obj) - {"item_id", "path"}
-            if unknown:
-                raise ValueError(f"{path}: line {lineno}: unknown field(s) {sorted(unknown)}")
-            try:
-                out[obj["item_id"]] = tuple(obj["path"])
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc
+    for where, obj in corpus_mod.read_jsonl(path):
+        unknown = set(obj) - {"item_id", "path"}
+        if unknown:
+            raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
+        try:
+            out[obj["item_id"]] = tuple(obj["path"])
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return out
 
 
 def assemble_samples(cfg: RunConfig, corp, log, space, paths):
     """Engaged events become teacher-forcing samples; split by request order.
 
-    Behavior context is the user's previously engaged items (most recent
-    last, truncated).  The final ``holdout_frac`` of requests by
-    request_id order forms the eval split, disjoint from training.
+    Each sample's behavior and BOS come from ``request_contexts``.  The
+    final ``holdout_frac`` of requests by request_id order forms the eval
+    split, disjoint from training.
     """
     by_id = corp.by_id()
     mean_gmv = float(np.mean([it.gmv for it in corp.items]))
-    history = {}
+    contexts = request_contexts(cfg, log, space)
     samples = []
-    requests = sorted(log, key=lambda r: r.request_id)
-    max_len = cfg.scorer.max_behavior_len
-    for req in requests:
-        ctx = tokenizer.TaskContext(req.objective, req.scene)
-        bos = tokenizer.task_bos_token(ctx, space)
-        user_hist = history.setdefault(req.user_id, [])
-        engaged = [e for e in req.events if e["level"] >= corpus_mod.CLICK]
-        for e in engaged:
-            if e["item_id"] not in paths:
+    for req in sorted(log, key=lambda r: r.request_id):
+        behavior, bos = contexts[req.request_id]
+        for e in req.events:
+            if e["level"] < corpus_mod.CLICK or e["item_id"] not in paths:
                 continue
             samples.append(
                 scorer.Sample(
-                    behavior=tuple(user_hist[-max_len:]),
+                    behavior=behavior,
                     bos=bos,
                     tokens=paths[e["item_id"]],
                     alpha=alignment.engagement_alpha(
@@ -308,8 +295,6 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
                     request_id=req.request_id,
                 )
             )
-        for e in engaged:
-            user_hist.append(e["item_id"])
     held_out = eval_request_ids(cfg, log)
     train_set = [s for s in samples if s.request_id not in held_out]
     eval_set = [s for s in samples if s.request_id in held_out]
@@ -332,7 +317,11 @@ def require_eval_set(cfg: RunConfig, log, eval_set):
 
 
 def request_contexts(cfg: RunConfig, log, space):
-    """(behavior, bos) conditioning per request, mirroring assemble_samples."""
+    """(behavior, bos) conditioning per request id.
+
+    Behavior is the user's items engaged in earlier requests by request_id
+    order, most recent last, truncated to ``scorer.max_behavior_len``.
+    """
     history = {}
     contexts = {}
     max_len = cfg.scorer.max_behavior_len
@@ -384,9 +373,7 @@ def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     held_out = eval_request_ids(cfg, log)
     contexts = {r: c for r, c in request_contexts(cfg, log, space).items() if r not in held_out}
     pairs = alignment.build_dpo_pairs(log, paths, contexts, a.pairs_per_request, cfg.seed)
-    spec = alignment.RewardSpec(
-        metric_weights=a.reward_weights, lam=a.lam, c_clip=a.c_clip, eps=a.eps
-    )
+    spec = alignment.RewardSpec(metric_weights=a.reward_weights)
     opt = scorer.OptimizerConfig(lr=a.lr, weight_decay=cfg.train.weight_decay,
                                  batch_size=a.batch_size)
     optimizer = scorer.AdamW(params, opt)
@@ -433,8 +420,53 @@ def decode(cfg: RunConfig, params, trie, out_dir=None) -> list:
     return candidates
 
 
+def evaluate(cfg: RunConfig, params, trie, eval_set, out_dir=None) -> evaluation.EvalReport:
+    """Hit-ratio report on ``eval_set``; writes ``report.json`` when ``out_dir`` is given."""
+    report = evaluation.evaluate_model(
+        params, trie, eval_set,
+        ks=cfg.eval.ks, beam_width=cfg.eval.beam_width,
+        metadata=artifact_meta(cfg),
+    )
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+            json.dump(report.as_dict(), fh, sort_keys=True)
+    return report
+
+
+def analyze(cfg: RunConfig, corp, sids, out_dir) -> dict:
+    """Exposure-concentration and attribute-entropy report over the item codes.
+
+    Rows are items in item_id order; the attribute columns follow
+    ``tokenizer.attr_chain``.  Writes ``analysis.json``.
+    """
+    by_id = corp.by_id()
+    order = sorted(s.item_id for s in sids)
+    sid_by_id = {s.item_id: s for s in sids}
+    codes = np.array([sid_by_id[i].codes for i in order])
+    weights = np.array([by_id[i].exposure_weight for i in order], dtype=np.float64)
+    attr_cols = []
+    for f in cfg.tokenizer.attr_chain:
+        vocab = corp.attr_vocabs[f]
+        attr_cols.append([vocab[by_id[i].attrs[f]] for i in order])
+    attrs = np.array(attr_cols).T if attr_cols else np.zeros((len(order), 0), dtype=int)
+    report = {
+        "exposure": exposure_report(codes, weights).as_dict(),
+        "entropy": entropy_report(codes, attrs, weights).as_dict(),
+        "meta": artifact_meta(cfg),
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "analysis.json"), "w", encoding="utf-8") as fh:
+        json.dump(report, fh, sort_keys=True)
+    return report
+
+
 def run_pipeline(cfg: RunConfig, out_dir):
-    """gen-data -> quantize -> sequences -> train -> align -> eval -> decode."""
+    """gen-data -> quantize -> sequences -> train -> align -> eval -> decode.
+
+    Writes the artifacts of the CLI chain under the same names, except that
+    the aligned model is saved as ``checkpoint.json``.
+    """
     os.makedirs(out_dir, exist_ok=True)
     corp, log = gen_data(cfg, out_dir)
     rq = run_quantizer(cfg, corp, out_dir)
@@ -446,16 +478,8 @@ def run_pipeline(cfg: RunConfig, out_dir):
     params, align_trace = align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"),
                            meta=artifact_meta(cfg))
-
     trie = decoder.build_trie(paths)
-    report = evaluation.evaluate_model(
-        params, trie, eval_set,
-        ks=cfg.eval.ks, beam_width=cfg.eval.beam_width,
-        metadata=artifact_meta(cfg),
-    )
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, sort_keys=True)
-
+    report = evaluate(cfg, params, trie, eval_set, out_dir)
     decode(cfg, params, trie, out_dir)
     return report
 
@@ -464,7 +488,8 @@ def ablation_run(cfg: RunConfig, corp, log, attr_chains, quantizer_methods):
     """Train one arm per (attr_chain, quantizer method) with a shared budget.
 
     Every arm sees the same corpus, interaction log, seed, and epoch
-    budget; only the attribute chain and the quantizer differ.
+    budget; only the attribute chain and the quantizer differ.  Arms are
+    not aligned, and each report's metadata says so.
     """
     reports = {}
     for method in quantizer_methods:
@@ -482,11 +507,7 @@ def ablation_run(cfg: RunConfig, corp, log, attr_chains, quantizer_methods):
             require_eval_set(arm_cfg2, log, eval_set)
             params = init_model(arm_cfg2, corp, space)
             params, _ = train_model(arm_cfg2, params, train_set)
-            trie = decoder.build_trie(paths)
             name = f"{method}:{'>'.join(chain) if chain else 'direct-sid'}"
-            reports[name] = evaluation.evaluate_model(
-                params, trie, eval_set,
-                ks=arm_cfg2.eval.ks, beam_width=arm_cfg2.eval.beam_width,
-                metadata={"arm": name, **artifact_meta(arm_cfg2)},
-            )
+            reports[name] = evaluate(arm_cfg2, params, decoder.build_trie(paths), eval_set)
+            reports[name].metadata.update(arm=name, aligned=False)
     return reports

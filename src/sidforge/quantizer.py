@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import read_jsonl
+
 
 class CapacityError(ValueError):
     """Strict-mode capacity repair failed; the message names the culprit."""
@@ -465,20 +467,14 @@ def save_sids(sids, path):
 
 def load_sids(path) -> list:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
-            unknown = set(obj) - {"item_id", "sid"}
-            if unknown:
-                raise ValueError(f"{path}: line {lineno}: unknown field(s) {sorted(unknown)}")
-            try:
-                out.append(SemanticId(obj["item_id"], tuple(obj["sid"])))
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc
+    for where, obj in read_jsonl(path):
+        unknown = set(obj) - {"item_id", "sid"}
+        if unknown:
+            raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
+        try:
+            out.append(SemanticId(obj["item_id"], tuple(obj["sid"])))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return out

@@ -234,11 +234,87 @@ class TestCliErrors:
         with pytest.raises(ValueError, match="sids.jsonl: line 1: unknown field"):
             load_sids(str(sids))
 
+    @pytest.mark.parametrize("line", ["5", '["item_id", "sid", "path"]'])
+    @pytest.mark.parametrize("artifact, load", [
+        ("items.jsonl", load_items),
+        ("interactions.jsonl", load_interactions),
+        ("sids.jsonl", load_sids),
+        ("sequences.jsonl", pipeline.load_sequences),
+    ])
+    def test_line_that_is_not_an_object_names_file_and_line(self, tmp_path, artifact, load,
+                                                            line):
+        path = tmp_path / artifact
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"{artifact}: line 2: expected a JSON object"):
+            load(str(path))
+
+    @pytest.mark.parametrize("artifact, load, line, message", [
+        ("interactions.jsonl", load_interactions,
+         {"request_id": 0, "user_id": 0, "scene": "s", "objective": "o",
+          "reward_metrics": {}, "events": 3}, "events must be a list of objects"),
+        ("interactions.jsonl", load_interactions,
+         {"request_id": 0, "user_id": 0, "scene": "s", "objective": "o",
+          "reward_metrics": {}, "events": [3]}, "events must be a list of objects"),
+        ("sids.jsonl", load_sids, {"item_id": 0, "sid": 3}, "'int' object is not iterable"),
+        ("sequences.jsonl", pipeline.load_sequences, {"item_id": 0, "path": 3},
+         "'int' object is not iterable"),
+    ], ids=["events-int", "events-of-ints", "sid-int", "path-int"])
+    def test_field_of_the_wrong_shape_names_file_and_line(self, tmp_path, artifact, load, line,
+                                                          message):
+        path = tmp_path / artifact
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match=f"{artifact}: line 1: {message}"):
+            load(str(path))
+
+    def test_non_object_items_line_exits_1(self, tmp_path, config_path, capsys):
+        out = str(tmp_path / "run")
+        assert run(["gen-data", "--config", config_path, "--out", out]) == 0
+        items = tmp_path / "run" / "items.jsonl"
+        items.write_text(items.read_text().splitlines()[0] + "\n5\n")
+        capsys.readouterr()
+        assert run(["quantize", "--config", config_path, "--out", out]) == 1
+        assert "items.jsonl: line 2: expected a JSON object" in capsys.readouterr().err
+
+    def test_unknown_quantizer_method_is_a_config_error(self, tmp_path, capsys):
+        bad = {**MINI_CONFIG, "quantizer": {"method": "kmeans"}}
+        with pytest.raises(pipeline.ConfigError, match=r"quantizer\.method"):
+            pipeline.load_config(bad)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(bad))
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert "quantizer.method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("lam", -0.1), ("lam", float("nan")),
+                                            ("c_clip", 0.0), ("eps", 0.0)])
+    def test_bad_align_value_is_a_config_error(self, key, value):
+        with pytest.raises(pipeline.ConfigError, match=rf"align\.{key} must be"):
+            pipeline.load_config({**MINI_CONFIG, "align": {key: value}})
+
+    def test_bad_align_flag_exits_1_before_loading_data(self, tmp_path, config_path, capsys):
+        assert run(["align", "--config", config_path, "--out", str(tmp_path / "none"),
+                    "--c-clip", "0"]) == 1
+        assert "align.c_clip must be > 0" in capsys.readouterr().err
+
     def test_threads_key_is_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**MINI_CONFIG, "threads": 2}))
         assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert "unknown key(s) ['threads']" in capsys.readouterr().err
+
+
+class TestConfig:
+    def test_nested_lists_in_tuple_fields_become_tuples(self):
+        cfg = pipeline.load_config({**MINI_CONFIG, "tokenizer": {"pairs": [[1, 2], [2, 3]]}})
+        assert cfg.tokenizer.pairs == ((1, 2), (2, 3))
+        assert cfg.eval.ks == (1, 5)
+        assert isinstance(cfg.tokenizer.attr_chain, tuple)
+
+    def test_nested_unknown_key_names_its_path(self):
+        with pytest.raises(pipeline.ConfigError,
+                           match=r"config\.align: unknown key\(s\) \['lr2'\]"):
+            pipeline.load_config({**MINI_CONFIG, "align": {"lr2": 0.1}})
+        with pytest.raises(pipeline.ConfigError, match=r"config\.corpus: expected an object"):
+            pipeline.load_config({**MINI_CONFIG, "corpus": [1]})
 
 
 class TestRunPipeline:
@@ -249,6 +325,18 @@ class TestRunPipeline:
         for name in ("items.jsonl", "codebook.json", "checkpoint.json",
                      "report.json", "candidates.jsonl"):
             assert os.path.exists(os.path.join(str(tmp_path / "run"), name))
+
+    def test_run_pipeline_writes_the_cli_chain_artifacts(self, tmp_path, config_path):
+        cli_dir, pipe_dir = tmp_path / "cli", tmp_path / "pipe"
+        for cmd in ("gen-data", "quantize", "analyze", "build-seqs", "train", "align",
+                    "decode", "eval"):
+            assert run([cmd, "--config", config_path, "--out", str(cli_dir)]) == 0
+        pipeline.run_pipeline(pipeline.load_config(MINI_CONFIG), str(pipe_dir))
+        written = sorted(os.listdir(pipe_dir))
+        assert "report.json" in written and "candidates.jsonl.meta.json" in written
+        for name in written:
+            cli_name = "aligned_checkpoint.json" if name == "checkpoint.json" else name
+            assert (pipe_dir / name).read_bytes() == (cli_dir / cli_name).read_bytes(), name
 
 
 class TestHoldout:
@@ -311,3 +399,13 @@ class TestAblationHarness:
         (k1,), (k2,) = r1.keys(), r2.keys()
         assert k1 == k2
         assert r1[k1].as_dict() == r2[k2].as_dict()
+
+    def test_arm_metadata_says_the_arm_is_unaligned(self, tmp_path, config_path):
+        data = str(tmp_path / "data")
+        assert run(["gen-data", "--config", config_path, "--out", data]) == 0
+        out = tmp_path / "out"
+        assert run(["ablate", "--config", config_path, "--data-dir", data, "--out", str(out),
+                    "--chains", '[["l2","l3"]]', "--methods", "baseline"]) == 0
+        doc = json.loads((out / "ablation.json").read_text())
+        assert doc["baseline:l2>l3"]["metadata"]["arm"] == "baseline:l2>l3"
+        assert doc["baseline:l2>l3"]["metadata"]["aligned"] is False
