@@ -57,8 +57,6 @@ from .scorer import (
     Sample,
     ScorerConfig,
     ScorerParams,
-    encode_context,
-    gated_cross_attention,
     init_scorer,
     ntp_loss_and_grad,
     train_epoch,
@@ -69,7 +67,6 @@ from .tokenizer import (
     TaskContext,
     TokenSequence,
     build_sequence,
-    content_summary,
     hash_table_size,
     task_bos_token,
 )

@@ -51,12 +51,13 @@ def _load_corpus_and_log(data_dir):
 
 def _load_space(data_dir):
     path = os.path.join(data_dir, "space.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = corpus_mod.read_json_object(path)
     try:
         return tokenizer.SequenceSpace.from_dict(doc["space"])
     except KeyError as exc:
         raise tokenizer.TokenizerError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise tokenizer.TokenizerError(f"{path}: malformed space ({exc})") from exc
 
 
 def _cmd_gen_data(args):

@@ -358,6 +358,20 @@ def read_jsonl(path):
             yield where, obj
 
 
+def read_json_object(path) -> dict:
+    """The JSON object that is the whole of ``path``; malformed JSON, or a
+    document that is not an object, raises ``CorpusFormatError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            where = f"{path}: malformed JSON at line {exc.lineno}"
+            raise CorpusFormatError(f"{where} ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{path}: expected a JSON object")
+    return obj
+
+
 def save_items(corpus: ItemCorpus, path):
     with open(path, "w", encoding="utf-8") as fh:
         for it in corpus.items:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import read_jsonl
+from .corpus import read_json_object, read_jsonl
 
 
 class CapacityError(ValueError):
@@ -442,11 +442,10 @@ def save_codebook(codebook: Codebook, path, meta: dict | None = None):
 
 
 def load_codebook(path) -> Codebook:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path)
     unknown = set(doc) - _CODEBOOK_KEYS
     if unknown:
-        raise ValueError(f"unknown codebook field(s) {sorted(unknown)}")
+        raise ValueError(f"{path}: unknown codebook field(s) {sorted(unknown)}")
     try:
         return Codebook(
             layers=[np.asarray(layer, dtype=np.float64) for layer in doc["layers"]],
@@ -457,6 +456,8 @@ def load_codebook(path) -> Codebook:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_sids(sids, path):

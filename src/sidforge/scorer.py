@@ -6,6 +6,10 @@ head for step t is an affine map over x_t = [q_t | recent-prefix token
 embeddings | hashed content summary | mean-pooled behavior embedding]
 followed by a softmax over that step's vocabulary.
 
+Training and beam search share one step: :func:`_attend` over (C contexts,
+S queries, d) arrays, C = samples and S = steps in the forward, C = 1 and
+S = live beams in :class:`NeuralSequenceModel`; then :func:`_head_logprobs`.
+
 Attention projections and the gate are frozen at their random
 initialization; embeddings, the shared hash table, and the per-step rank
 heads train with analytic gradients (no autograd framework involved).
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .corpus import read_json_object
 from .tokenizer import HashSpec, SequenceSpace, content_summary_rows
 
 FROZEN_TENSORS = ("attn_wq", "attn_wk", "attn_wv", "attn_gamma")
@@ -73,41 +78,40 @@ class ScorerParams:
         d = self.config.d_model
         return d + self.config.prefix_window * d + self.hash_spec.output_dim + d
 
-    def frozen_names(self) -> tuple:
-        return FROZEN_TENSORS
-
     def trainable_names(self) -> list:
         return [n for n in self.tensors if n not in FROZEN_TENSORS]
 
 
+def _tensor_shapes(params: ScorerParams) -> dict:
+    """name -> shape of every tensor of ``params``' layout, in init order."""
+    space, hs, d = params.space, params.hash_spec, params.config.d_model
+    vocab = [space.step_vocab_size(t) for t in range(1, space.n_steps + 1)]
+    shapes = {"emb_bos": (space.n_task_tokens, d)}
+    shapes.update({f"emb_step_{t}": (v, d) for t, v in enumerate(vocab, start=1)})
+    shapes["emb_behavior"] = (params.n_behavior_tokens + 1, d)
+    shapes["emb_hash"] = (hs.table_rows, hs.d_hash)
+    for t, v in enumerate(vocab, start=1):
+        shapes[f"head_w_{t}"] = (v, params.x_dim)
+        shapes[f"head_b_{t}"] = (v,)
+    shapes.update({name: (d, d) for name in ("attn_wq", "attn_wk", "attn_wv")})
+    shapes["attn_gamma"] = ()
+    return shapes
+
+
 def init_scorer(space: SequenceSpace, hash_spec: HashSpec, n_behavior_tokens: int,
                 config: ScorerConfig) -> ScorerParams:
-    """Symmetric-uniform init scaled by 1/sqrt(fan_in); gate starts at 1."""
+    """Symmetric-uniform init scaled by 1/sqrt(fan_in), the last axis; head
+    biases start at 0 and the gate at 1."""
     rng = np.random.default_rng(config.seed)
-    d = config.d_model
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    tensors = {}
-    tensors["emb_bos"] = uniform((space.n_task_tokens, d), d)
-    for t in range(1, space.n_steps + 1):
-        tensors[f"emb_step_{t}"] = uniform((space.step_vocab_size(t), d), d)
-    tensors["emb_behavior"] = uniform((n_behavior_tokens + 1, d), d)
-    tensors["emb_hash"] = uniform((hash_spec.table_rows, hash_spec.d_hash), hash_spec.d_hash)
-
-    params = ScorerParams(config, space, hash_spec, n_behavior_tokens, tensors)
-    x_dim = params.x_dim
-    for t in range(1, space.n_steps + 1):
-        v = space.step_vocab_size(t)
-        tensors[f"head_w_{t}"] = uniform((v, x_dim), x_dim)
-        tensors[f"head_b_{t}"] = np.zeros(v)
-
-    tensors["attn_wq"] = uniform((d, d), d)
-    tensors["attn_wk"] = uniform((d, d), d)
-    tensors["attn_wv"] = uniform((d, d), d)
-    tensors["attn_gamma"] = np.array(1.0)
+    params = ScorerParams(config, space, hash_spec, n_behavior_tokens, {})
+    for name, shape in _tensor_shapes(params).items():
+        if name.startswith("head_b_"):
+            params.tensors[name] = np.zeros(shape)
+        elif name == "attn_gamma":
+            params.tensors[name] = np.array(1.0)
+        else:
+            bound = 1.0 / math.sqrt(shape[-1])
+            params.tensors[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -127,28 +131,6 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
         pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
         _PE_CACHE[key] = pe
     return _PE_CACHE[key]
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def gated_cross_attention(q, k, v, gamma, d_model) -> np.ndarray:
-    """gamma * softmax(q k^T / sqrt(d_model)) v, row-wise softmax."""
-    q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-    if q.shape[-1] != k.shape[-1] or k.shape[0] != v.shape[0]:
-        raise ScorerError(
-            f"attention dimension mismatch: q{q.shape} k{k.shape} v{v.shape}"
-        )
-    scores = q @ k.T / math.sqrt(d_model)
-    return float(gamma) * (_softmax_rows(scores) @ v)
 
 
 def _behavior_context(params: ScorerParams, behaviors):
@@ -176,11 +158,31 @@ def _behavior_context(params: ScorerParams, behaviors):
     return tokens, mask, keys, values, h_agg
 
 
-def encode_context(behavior_seq, params: ScorerParams):
-    """Projected behavior embeddings with positional encodings, plus the
-    position-free mean-pooled behavior embedding."""
-    _, _, keys, values, h_agg = _behavior_context(params, [behavior_seq])
-    return keys[0], values[0], h_agg[0]
+def _attend(params: ScorerParams, q_emb, steps, keys, values, mask):
+    """Gated cross-attention of S queries in each of C behavior contexts.
+
+    q_emb (C, S, d) embeds each query's last decoded token, the BOS at step 1.
+    ``steps`` holds each query's decoding step as an array, or one int for all.
+    Returns q_in (C, S, d), attn (C, S, T), zero on padding, and gamma * attn @ values.
+    """
+    tensors, d = params.tensors, params.config.d_model
+    q_in = (q_emb + sinusoidal_positions(params.space.n_steps, d)[steps - 1]) @ tensors["attn_wq"]
+    scores = q_in @ keys.transpose(0, 2, 1)
+    scores /= math.sqrt(d)
+    if not mask.all():  # padding gets zero weight; a one-row context has none
+        scores = np.where(mask[:, None, :], scores, -np.inf)
+    scores -= scores.max(axis=-1, keepdims=True)
+    attn = np.exp(scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    return q_in, attn, float(tensors["attn_gamma"]) * (attn @ values)
+
+
+def _check_tokens(space: SequenceSpace, tokens):
+    """Raise unless every column j of the (B, n) array is a step j+1 token."""
+    bad = (tokens < 0) | (tokens >= np.asarray(space.step_vocab_sizes[:tokens.shape[1]]))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ScorerError(f"token {tokens[i, j]} out of range at step {j + 1}")
 
 
 def _input_rows(params, paths, steps, q, h_agg):
@@ -194,7 +196,7 @@ def _input_rows(params, paths, steps, q, h_agg):
     space, cfg, tensors = params.space, params.config, params.tensors
     d, w = cfg.d_model, cfg.prefix_window
     b, n = paths.shape
-    x = np.zeros((b, params.x_dim))
+    x = np.empty((b, params.x_dim))  # every column is written below
     x[:, :d] = q
     # each row's token embeddings by step; column n stays zero as the window's padding
     emb = np.zeros((b, n + 1, d))
@@ -211,6 +213,17 @@ def _input_rows(params, paths, steps, q, h_agg):
     x[:, c_start:c_start + params.hash_spec.output_dim] = tensors["emb_hash"][rows].reshape(b, -1)
     x[:, -d:] = h_agg
     return x, rows
+
+
+def _head_logprobs(params: ScorerParams, x, t):
+    """log-softmax of step t's rank head over the (B, x_dim) inputs x."""
+    logits = x @ params.tensors[f"head_w_{t}"].T
+    logits += params.tensors[f"head_b_{t}"]
+    if not np.isfinite(logits).all():
+        raise ScorerError(f"non-finite logits in tensor head_w_{t} at step {t}")
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
 @dataclass
@@ -251,36 +264,26 @@ def _forward_batch(params: ScorerParams, samples, keep=True) -> _Cache:
                 f"sample has {len(sample.tokens)} tokens, space expects {n_steps}"
             )
     tokens = np.array([s.tokens for s in samples], dtype=np.int64)
-    bad = (tokens < 0) | (tokens >= space.step_vocab_sizes)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ScorerError(f"target token {tokens[i, j]} out of range at step {j + 1}")
+    _check_tokens(space, tokens)
     b = tokens.shape[0]
     bos = np.array([s.bos for s in samples], dtype=np.int64)
 
     beh_tokens, beh_mask, keys, values, h_agg = _behavior_context(
         params, [s.behavior for s in samples])
 
-    # query row j holds the token decoded at step j (row 0: the task BOS)
+    # query column j holds the token decoded at step j (column 0: the task BOS)
     q_emb = np.empty((b, n_steps, d))
     q_emb[:, 0] = tensors["emb_bos"][bos]
     for j in range(1, n_steps):
         q_emb[:, j] = tensors[f"emb_step_{j}"][tokens[:, j - 1]]
-    q_in = (q_emb + sinusoidal_positions(n_steps, d)) @ tensors["attn_wq"]
-
-    scores = q_in @ keys.transpose(0, 2, 1) / math.sqrt(d)
-    attn = _softmax_rows(np.where(beh_mask[:, None, :], scores, -np.inf))
-    ctx = float(tensors["attn_gamma"]) * (attn @ values)
+    q_in, attn, ctx = _attend(params, q_emb, np.arange(1, n_steps + 1), keys, values, beh_mask)
 
     cache = _Cache(tokens, bos, beh_tokens, beh_mask, keys, values, q_in, attn,
                    target_logps=np.empty((b, n_steps)))
     rows = np.arange(b)
     for t, kept in enumerate(np.broadcast_to(keep, n_steps).tolist(), start=1):
         x, hash_rows = _input_rows(params, tokens, np.full(b, t), ctx[:, t - 1], h_agg)
-        logits = x @ tensors[f"head_w_{t}"].T + tensors[f"head_b_{t}"]
-        if not np.isfinite(logits).all():
-            raise ScorerError(f"non-finite logits in tensor head_w_{t} at step {t}")
-        logp = _log_softmax(logits)
+        logp = _head_logprobs(params, x, t)
         cache.target_logps[:, t - 1] = logp[rows, tokens[:, t - 1]]
         cache.x_rows.append(x if kept else None)
         cache.probs.append(np.exp(logp) if kept else None)
@@ -405,21 +408,23 @@ def sequence_logprob(params: ScorerParams, sample: Sample) -> float:
 # ----------------------------------------------------------------------
 
 class NeuralSequenceModel:
-    """Step-by-step distributions for one fixed (behavior, task) context."""
+    """Step-by-step distributions for one fixed (behavior, task) context,
+    kept as a one-row :func:`_behavior_context` (C = 1 in :func:`_attend`)."""
 
     def __init__(self, params: ScorerParams, behavior, bos: int):
         self.params = params
         self.bos = bos
-        self.keys, self.values, self.h_agg = encode_context(behavior, params)
+        _, self.mask, self.keys, self.values, self.h_agg = _behavior_context(params, [behavior])
 
     def step_logprobs(self, prefix) -> np.ndarray:
         """log p(token | prefix) over the vocabulary of step t = len(prefix)+1.
 
         ``prefix`` may also be a (B, n) array of B prefixes of one length;
-        they are scored with one head matmul into a (B, V_t) array.
+        they are scored as the S = B queries of the one context, with one
+        head matmul into a (B, V_t) array.
         """
         params = self.params
-        space, tensors, d = params.space, params.tensors, params.config.d_model
+        space, tensors = params.space, params.tensors
         try:
             tokens = np.asarray(prefix, dtype=np.int64)
         except ValueError as exc:
@@ -434,22 +439,14 @@ class NeuralSequenceModel:
         if t > space.n_steps:
             raise ScorerError(f"prefix already complete: step {t} out of range "
                               f"1..{space.n_steps}")
-        bad = (tokens < 0) | (tokens >= space.step_vocab_sizes[:n])
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ScorerError(f"token {tokens[i, j]} out of range at step {j + 1}")
+        _check_tokens(space, tokens)
 
-        # gated attention query for each row's last decoded token (the BOS at step 1)
-        if n == 0:
-            last = tensors["emb_bos"][[self.bos]]
-        else:
-            last = tensors[f"emb_step_{n}"][tokens[:, -1]]
-        q_in = (last + sinusoidal_positions(space.n_steps, d)[n]) @ tensors["attn_wq"]
-        attn = _softmax_rows(q_in @ self.keys.T / math.sqrt(d))
-        q = float(tensors["attn_gamma"]) * (attn @ self.values)
-
-        x, _ = _input_rows(params, tokens, np.full(b, t), q, self.h_agg)
-        logp = _log_softmax(x @ tensors[f"head_w_{t}"].T + tensors[f"head_b_{t}"])
+        # each row's last decoded token (the BOS at step 1) queries the context
+        last = (tensors["emb_bos"][[self.bos]] if n == 0
+                else tensors[f"emb_step_{n}"][tokens[:, -1]])
+        ctx = _attend(params, last[None], t, self.keys, self.values, self.mask)[2][0]
+        x, _ = _input_rows(params, tokens, np.full(b, t), ctx, self.h_agg)
+        logp = _head_logprobs(params, x, t)
         return logp[0] if one else logp
 
 
@@ -634,8 +631,9 @@ def save_checkpoint(params: ScorerParams, path, meta: dict | None = None):
 
 
 def load_checkpoint(path) -> ScorerParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """A checkpoint whose tensors have the names and shapes of
+    :func:`_tensor_shapes`; any other document raises ``ScorerError``."""
+    doc = read_json_object(path)
     try:
         config = ScorerConfig(**doc["config"])
         space = SequenceSpace.from_dict(doc["space"])
@@ -648,13 +646,26 @@ def load_checkpoint(path) -> ScorerParams:
             p2=hs["p2"],
             d_hash=hs["d_hash"],
         )
+        params = ScorerParams(config, space, hash_spec, doc["n_behavior_tokens"], {})
+        shapes = _tensor_shapes(params)
         tensors = {n: np.asarray(a, dtype=np.float64) for n, a in doc["tensors"].items()}
-        params = ScorerParams(config, space, hash_spec, doc["n_behavior_tokens"], tensors)
-        for name, digest in doc["frozen_digests"].items():
-            if tensor_digest(tensors[name]) != digest:
-                raise ScorerError(f"frozen tensor {name} digest mismatch in checkpoint")
+        digests = {n: doc["frozen_digests"][n] for n in FROZEN_TENSORS}
     except KeyError as exc:
         raise ScorerError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScorerError(f"{path}: malformed checkpoint ({exc})") from exc
+    for what, names in (("missing", set(shapes) - set(tensors)),
+                        ("unknown", set(tensors) - set(shapes))):
+        if names:
+            raise ScorerError(f"{path}: {what} tensor(s) {sorted(names)}")
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise ScorerError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                              f"expected {shape}")
+        params.tensors[name] = tensors[name]
+    for name, digest in digests.items():
+        if tensor_digest(tensors[name]) != digest:
+            raise ScorerError(f"{path}: frozen tensor {name} digest mismatch")
     return params
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,11 +101,6 @@ class SequenceSpace:
         if t <= self.m:
             return self.attr_chain[t - 1]
         return f"s{t - self.m - 1}"
-
-    def global_index(self, t: int, local: int) -> int:
-        if not 0 <= local < self.step_vocab_size(t):
-            raise TokenizerError(f"token {local} out of range at step {t}")
-        return self.step_offsets[t - 1] + local
 
     def as_dict(self) -> dict:
         return {
@@ -231,6 +227,12 @@ class HashSpec:
     def output_dim(self) -> int:
         return self.m_hashes * len(self.pairs) * self.d_hash
 
+    @cached_property
+    def _pair_arrays(self):
+        """0-based pair positions (P, 2) and table sizes (P, 1), built once per spec."""
+        return (np.array(self.pairs, dtype=np.int64).reshape(-1, 2) - 1,
+                np.array(self.pair_sizes, dtype=np.int64)[:, None])
+
 
 DEFAULT_PAIR_LAYERS = (0, 1)  # SID layers crossed with each attribute position
 
@@ -270,48 +272,17 @@ def hash_rows(spec: HashSpec, pair_index: int, x: int, y: int):
     return (_hash_family(spec, x, y) % spec.pair_sizes[pair_index]).tolist()
 
 
-def content_summary(prefix_globals, spec: HashSpec, table: np.ndarray) -> np.ndarray:
-    """Concatenated hashed-pair embeddings for a partially decoded path.
+def content_summary_rows(prefix_globals, spec: HashSpec) -> np.ndarray:
+    """Hash-table rows of the content summaries of B partially decoded paths.
 
-    ``prefix_globals`` maps decoding step -> global token index, with None
-    (or absence) for steps not yet decoded; both positions of a pair must
-    be decoded for a real lookup, otherwise the NULL row is used for all
-    hashes of that pair.  Output length is fixed by the spec regardless of
-    how much of the path is decoded.
+    Entry [b, t-1] of the (B, n) array ``prefix_globals`` is the global index
+    of path b's token at step t, or -1 where that step is not decoded; n
+    covers every position in ``spec.pairs``.  A pair with an undecoded
+    position gets the NULL row for all its hashes, so each of the (B, n_pairs
+    * m_hashes) rows has the same width however much of the path is decoded.
     """
-    if table.shape != (spec.table_rows, spec.d_hash):
-        raise ValueError(
-            f"table shape {table.shape} does not match spec "
-            f"({spec.table_rows}, {spec.d_hash})"
-        )
-    rows = content_summary_rows(prefix_globals, spec)
-    return table[rows].reshape(-1)
-
-
-def content_summary_rows(prefix_globals, spec: HashSpec):
-    """Row indices (length m_hashes * n_pairs) backing :func:`content_summary`.
-
-    ``prefix_globals`` is one partially decoded path, in either form that
-    :func:`content_summary` takes, and gives a list.  A (B, n) integer
-    array scores B paths at once: entry [b, t-1] is the global index of
-    path b's token at step t, or -1 where that step is not decoded, and n
-    covers every position in ``spec.pairs``.  It gives a (B, n_pairs *
-    m_hashes) array, one row per path.
-    """
-    batch = isinstance(prefix_globals, np.ndarray) and prefix_globals.ndim == 2
-    if batch:
-        g = prefix_globals
-    else:
-        if not isinstance(prefix_globals, dict):
-            prefix_globals = dict(enumerate(prefix_globals, start=1))
-        decoded = {t: v for t, v in prefix_globals.items() if v is not None}
-        width = max([p for pair in spec.pairs for p in pair] + list(decoded))
-        g = np.full((1, width), -1, dtype=np.int64)
-        for t, v in decoded.items():
-            g[0, t - 1] = v
-    pos = np.array(spec.pairs, dtype=np.int64).reshape(-1, 2) - 1
-    x, y = g[:, pos[:, 0]], g[:, pos[:, 1]]
-    rows = _hash_family(spec, x, y) % np.array(spec.pair_sizes, dtype=np.int64)[:, None]
+    pos, sizes = spec._pair_arrays
+    x, y = prefix_globals[:, pos[:, 0]], prefix_globals[:, pos[:, 1]]
+    rows = _hash_family(spec, x, y) % sizes
     rows[np.minimum(x, y) < 0] = spec.null_row  # a position of the pair is not decoded
-    rows = rows.reshape(len(g), -1)
-    return rows if batch else rows[0].tolist()
+    return rows.reshape(len(prefix_globals), -1)

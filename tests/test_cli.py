@@ -170,6 +170,36 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "'space'" in err and "space.json" in err
 
+    def test_json_document_that_is_not_an_object_exits_1(self, tmp_path, config_path, capsys):
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "build-seqs", "train"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.json"
+        text = ckpt.read_text()
+        for body, want in (("[1]", "checkpoint.json: expected a JSON object"),
+                           (text[:len(text) // 2], "checkpoint.json: malformed JSON at line 1")):
+            ckpt.write_text(body)
+            for cmd in ("decode", "eval"):
+                capsys.readouterr()
+                assert run([cmd, "--config", config_path, "--out", out]) == 1
+                assert want in capsys.readouterr().err
+        space = tmp_path / "run" / "space.json"
+        for body, want in (("[1]", "space.json: expected a JSON object"),
+                           ('{"space": [1]}', "space.json: malformed space")):
+            space.write_text(body)
+            capsys.readouterr()
+            assert run(["train", "--config", config_path, "--out", out]) == 1
+            assert want in capsys.readouterr().err
+
+    def test_codebook_that_is_not_an_object_names_the_file(self, tmp_path):
+        codebook = tmp_path / "codebook.json"
+        for body, want in (("[1]", "expected a JSON object"), ('{"K": ', "malformed JSON"),
+                           ('{"K": 2, "L": 1, "tau": 1.0, "c_cap_per_layer": 3, "layers": []}',
+                            "not iterable")):
+            codebook.write_text(body)
+            with pytest.raises(ValueError, match=f"codebook.json: .*{want}"):
+                load_codebook(str(codebook))
+
     def test_sids_line_without_sid_key(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "run")
         for cmd in ("gen-data", "quantize"):

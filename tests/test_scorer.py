@@ -1,5 +1,6 @@
 """Forward-path, gradient, training, and count-model tests for the scorer."""
 
+import json
 import math
 
 import numpy as np
@@ -15,8 +16,6 @@ from sidforge.scorer import (
     Sample,
     ScorerConfig,
     ScorerError,
-    encode_context,
-    gated_cross_attention,
     init_scorer,
     load_checkpoint,
     ntp_loss_and_grad,
@@ -50,65 +49,99 @@ def params():
                        config=ScorerConfig(d_model=6, seed=11))
 
 
+def one_row_context(params, behavior):
+    """The (keys, values, h_agg) of the one-row context a model keeps."""
+    model = NeuralSequenceModel(params, behavior, bos=0)
+    assert model.keys.shape[0] == model.values.shape[0] == model.h_agg.shape[0] == 1
+    return model.keys[0], model.values[0], model.h_agg[0]
+
+
 class TestEncodeContext:
     def test_singleton_h_agg_is_embedding(self, params):
-        _, _, h = encode_context((3,), params)
+        _, _, h = one_row_context(params, (3,))
         np.testing.assert_array_equal(h, params.tensors["emb_behavior"][3])
 
     def test_permutation_changes_kv_not_h_agg(self, params):
-        k1, v1, h1 = encode_context((1, 2, 3), params)
-        k2, v2, h2 = encode_context((3, 1, 2), params)
+        k1, v1, h1 = one_row_context(params, (1, 2, 3))
+        k2, v2, h2 = one_row_context(params, (3, 1, 2))
         np.testing.assert_allclose(h1, h2, atol=1e-15)
         assert not np.allclose(k1, k2)
         assert not np.allclose(v1, v2)
 
     def test_bitwise_stable(self, params):
-        a = encode_context((1, 5), params)
-        b = encode_context((1, 5), params)
+        a = one_row_context(params, (1, 5))
+        b = one_row_context(params, (1, 5))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_empty_uses_padding_row(self, params):
-        _, _, h = encode_context((), params)
-        np.testing.assert_array_equal(h, params.tensors["emb_behavior"][params.pad_token])
+        model = NeuralSequenceModel(params, (), bos=0)
+        np.testing.assert_array_equal(model.h_agg[0],
+                                      params.tensors["emb_behavior"][params.pad_token])
+        assert model.mask.tolist() == [[True]]
 
     def test_unknown_token_errors(self, params):
         with pytest.raises(ScorerError):
-            encode_context((99,), params)
+            NeuralSequenceModel(params, (99,), bos=0)
+
+
+def dense_attention(params, q_emb, steps, keys, values, mask):
+    """Gated cross-attention by explicit loops over contexts, queries and keys."""
+    d = params.config.d_model
+    pe = scorer.sinusoidal_positions(params.space.n_steps, d)
+    wq, gamma = params.tensors["attn_wq"], float(params.tensors["attn_gamma"])
+    c, s_len, _ = q_emb.shape
+    out = np.zeros((c, s_len, d))
+    for ci in range(c):
+        for si in range(s_len):
+            q = (q_emb[ci, si] + pe[steps[si] - 1]) @ wq
+            real = [j for j in range(keys.shape[1]) if mask[ci, j]]
+            exps = [math.exp(float(q @ keys[ci, j]) / math.sqrt(d)) for j in real]
+            for j, e in zip(real, exps):
+                out[ci, si] += gamma * (e / sum(exps)) * values[ci, j]
+    return out
 
 
 class TestGatedCrossAttention:
-    def test_zero_gate_zero_output(self):
-        rng = np.random.default_rng(0)
-        out = gated_cross_attention(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)),
-                                    rng.normal(size=(3, 4)), 0.0, 4)
-        assert np.all(out == 0)
+    def draw(self, params, c, s_len, t_len, seed):
+        rng = np.random.default_rng(seed)
+        d = params.config.d_model
+        return (rng.normal(size=(c, s_len, d)), rng.normal(size=(c, t_len, d)),
+                rng.normal(size=(c, t_len, d)))
 
-    def test_single_key_returns_gated_value(self):
-        rng = np.random.default_rng(1)
-        q = rng.normal(size=(3, 4))
-        k = rng.normal(size=(1, 4))
-        v = rng.normal(size=(1, 4))
-        out = gated_cross_attention(q, k, v, 0.7, 4)
-        np.testing.assert_allclose(out, np.tile(0.7 * v, (3, 1)), atol=1e-14)
+    def test_zero_gate_zero_output(self, params):
+        q_emb, k, v = self.draw(params, 2, 2, 3, 0)
+        params.tensors["attn_gamma"] = np.array(0.0)
+        _, _, ctx = scorer._attend(params, q_emb, np.array([1, 2]), k, v, np.ones((2, 3), bool))
+        assert np.all(ctx == 0)
 
-    def test_matches_naive_dense_oracle(self):
-        rng = np.random.default_rng(2)
-        q, k, v = rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        gamma = 1.3
-        out = gated_cross_attention(q, k, v, gamma, 4)
-        oracle = np.zeros((2, 4))
-        for i in range(2):
-            scores = [float(q[i] @ k[j]) / math.sqrt(4) for j in range(3)]
-            exps = [math.exp(s) for s in scores]
-            total = sum(exps)
-            for j in range(3):
-                oracle[i] += gamma * (exps[j] / total) * v[j]
-        np.testing.assert_allclose(out, oracle, atol=1e-12)
+    def test_single_key_returns_gated_value(self, params):
+        q_emb, k, v = self.draw(params, 2, 3, 1, 1)
+        params.tensors["attn_gamma"] = np.array(0.7)
+        _, attn, ctx = scorer._attend(params, q_emb, 2, k, v, np.ones((2, 1), bool))
+        assert np.all(attn == 1.0)
+        np.testing.assert_allclose(ctx, np.repeat(0.7 * v, 3, axis=1), atol=1e-14)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ScorerError):
-            gated_cross_attention(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((3, 4)), 1, 4)
+    def test_matches_naive_dense_oracle(self, params):
+        q_emb, k, v = self.draw(params, 2, 4, 3, 2)
+        params.tensors["attn_gamma"] = np.array(1.3)
+        steps, mask = np.arange(1, 5), np.ones((2, 3), bool)
+        _, _, ctx = scorer._attend(params, q_emb, steps, k, v, mask)
+        np.testing.assert_allclose(ctx, dense_attention(params, q_emb, steps, k, v, mask),
+                                   atol=1e-12)
+
+    def test_masked_rows_match_oracle_and_unpadded_rows(self, params):
+        q_emb, k, v = self.draw(params, 3, 4, 5, 3)
+        steps = np.arange(1, 5)
+        mask = np.arange(5) < np.array([[5], [2], [1]])
+        _, attn, ctx = scorer._attend(params, q_emb, steps, k, v, mask)
+        assert np.all(attn[~np.broadcast_to(mask[:, None, :], attn.shape)] == 0.0)
+        np.testing.assert_allclose(ctx, dense_attention(params, q_emb, steps, k, v, mask),
+                                   atol=1e-12)
+        for c, length in ((1, 2), (2, 1)):  # the same context without its padding
+            _, _, alone = scorer._attend(params, q_emb[c:c + 1], steps, k[c:c + 1, :length],
+                                         v[c:c + 1, :length], np.ones((1, length), bool))
+            np.testing.assert_allclose(ctx[c], alone[0], rtol=0, atol=1e-15)
 
 
 class TestStepLogits:
@@ -156,6 +189,13 @@ class TestStepLogits:
             for path, row in zip(paths, batch):
                 cache = scorer._forward_sample(params, Sample(behavior, bos, path))
                 np.testing.assert_allclose(row, np.log(cache.probs[t - 1]), rtol=0, atol=1e-12)
+
+    def test_non_finite_head_raises(self, params):
+        params.tensors["head_w_2"][1, 0] = np.nan
+        model = NeuralSequenceModel(params, (1, 2), bos=0)
+        model.step_logprobs(())  # step 1 does not read head_w_2
+        with pytest.raises(ScorerError, match="head_w_2"):
+            model.step_logprobs([(0,), (2,)])
 
     def test_softmax_normalization(self, params):
         sample = Sample(behavior=(1,), bos=0, tokens=(1, 2, 3, 4))
@@ -326,18 +366,39 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(params, path, meta={"note": "test"})
         loaded = load_checkpoint(path)
-        assert set(loaded.tensors) == set(params.tensors)
+        assert list(loaded.tensors) == list(params.tensors)
         for name in params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
         assert loaded.space.as_dict() == params.space.as_dict()
 
     def test_frozen_digest_mismatch_detected(self, params, tmp_path):
-        import json
-
         path = tmp_path / "checkpoint.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
         doc["tensors"]["attn_gamma"] = 2.0
         path.write_text(json.dumps(doc))
         with pytest.raises(ScorerError, match="attn_gamma"):
+            load_checkpoint(path)
+
+    def test_init_builds_the_checked_layout(self, params):
+        shapes = {name: a.shape for name, a in params.tensors.items()}
+        assert list(shapes.items()) == list(scorer._tensor_shapes(params).items())
+
+    @pytest.mark.parametrize("edit, want", [
+        (lambda d: d["tensors"].pop("head_w_2"), r"missing tensor\(s\) \['head_w_2'\]"),
+        (lambda d: d["tensors"].update(head_w_2=d["tensors"]["head_w_2"][:-1]),
+         r"tensor 'head_w_2' has shape \(3, \d+\), expected \(4, \d+\)"),
+        (lambda d: d["tensors"].update(head_w_9=[0.0]),
+         r"unknown tensor\(s\) \['head_w_9'\]"),
+        (lambda d: d["tensors"].update(emb_hash=[[0.0], [0.0, 1.0]]),
+         "malformed checkpoint"),
+        (lambda d: d.update(config=[1]), "malformed checkpoint"),
+    ], ids=["missing", "short", "unknown", "ragged", "config-not-an-object"])
+    def test_tensor_names_and_shapes_are_checked(self, params, tmp_path, edit, want):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScorerError, match=f"checkpoint.json: {want}"):
             load_checkpoint(path)

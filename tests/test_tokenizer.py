@@ -11,7 +11,6 @@ from sidforge.tokenizer import (
     TaskContext,
     TokenizerError,
     build_sequence,
-    content_summary,
     content_summary_rows,
     hash_rows,
     hash_spec_for_space,
@@ -147,32 +146,31 @@ class TestContentSummary:
 
     def test_empty_prefix_all_null(self):
         spec, table = self.spec_and_table()
-        out = content_summary({}, spec, table)
-        assert out.shape == (spec.m_hashes * 1 * 4,)
-        expected = np.tile(table[spec.null_row], spec.m_hashes)
-        np.testing.assert_array_equal(out, expected)
+        rows = content_summary_rows(np.full((2, 3), -1), spec)
+        assert rows.shape == (2, spec.m_hashes)
+        assert np.all(rows == spec.null_row)
+        np.testing.assert_array_equal(table[rows[0]].reshape(-1),
+                                      np.tile(table[spec.null_row], spec.m_hashes))
 
     def test_deterministic(self):
-        spec, table = self.spec_and_table()
-        prefix = {1: 5, 3: 7}
-        np.testing.assert_array_equal(
-            content_summary(prefix, spec, table), content_summary(prefix, spec, table)
-        )
+        spec, _ = self.spec_and_table()
+        paths = np.array([[5, -1, 7]])
+        np.testing.assert_array_equal(content_summary_rows(paths, spec),
+                                      content_summary_rows(paths, spec))
 
     def test_hand_evaluated_rows(self):
         # pair (x=5, y=7), p1=31, p2=37, S=101:
         #   H1 = 5+7 = 12; H2 = 5*7 = 35; H3 = 31*5 + 37*7 = 414, 414 % 101 = 10
-        spec, table = self.spec_and_table()
-        rows = content_summary_rows({1: 5, 3: 7}, spec)
-        assert rows == [12, 35, 10]
+        spec, _ = self.spec_and_table()
+        assert content_summary_rows(np.array([[5, -1, 7]]), spec).tolist() == [[12, 35, 10]]
         assert hash_rows(spec, 0, 5, 7) == [12, 35, 10]
 
     def test_output_dim_constant_across_prefix_lengths(self):
         spec, table = self.spec_and_table(pair_sizes=(101, 55), pairs=((1, 3), (2, 3)))
-        dims = set()
-        for prefix in ({}, {1: 4}, {1: 4, 2: 9}, {1: 4, 2: 9, 3: 2}):
-            dims.add(content_summary(prefix, spec, table).shape)
-        assert dims == {(spec.output_dim,)}
+        paths = np.array([[-1, -1, -1], [4, -1, -1], [4, 9, -1], [4, 9, 2]])
+        rows = content_summary_rows(paths, spec)
+        assert table[rows].reshape(len(paths), -1).shape == (len(paths), spec.output_dim)
+        assert np.all(rows[:3] == spec.null_row) and np.all(rows[3] != spec.null_row)
 
     def test_array_of_paths_matches_per_pair_hashes(self, corpus_and_space):
         _, space = corpus_and_space
@@ -188,12 +186,6 @@ class TestContentSummary:
                     expect += (hash_rows(spec, j, x, y) if min(x, y) >= 0
                                else [spec.null_row] * spec.m_hashes)
                 assert row == expect
-                assert content_summary_rows([g if g >= 0 else None for g in path], spec) == expect
-
-    def test_dimension_mismatch_errors(self):
-        spec, _ = self.spec_and_table()
-        with pytest.raises(ValueError):
-            content_summary({}, spec, np.zeros((3, 4)))
 
     def test_simultaneous_collision_rate_is_bloom_small(self):
         # frequency of two random DISTINCT pairs sharing all 3 hash rows
