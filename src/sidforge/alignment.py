@@ -205,11 +205,9 @@ def dpo_loss_and_grad(pairs, params, reference, beta: float, stop_grad: bool = T
     if not pairs:
         raise AlignmentError("no preference pairs")
     n_steps = params.space.n_steps
-    coeff_mask = np.zeros(n_steps)
+    coeff_mask = np.ones(n_steps)
     if stop_grad:
-        coeff_mask[-1] = 1.0
-    else:
-        coeff_mask[:] = 1.0
+        coeff_mask[:-1] = 0.0
 
     winners = [Sample(behavior=p.behavior, bos=p.bos, tokens=p.winner) for p in pairs]
     losers = [Sample(behavior=p.behavior, bos=p.bos, tokens=p.loser) for p in pairs]

@@ -118,6 +118,16 @@ def conditional_entropy(targets, weights, conditions=None) -> float:
     return float(np.sum((wp / total) * np.log2(wc / wp)))
 
 
+def _layer_entropies(codes, attrs, weights, layer: int):
+    """H(s_l | s_<l) and H(s_l | attrs, s_<l) in bits."""
+    prefix = codes[:, :layer]
+    attrs = np.asarray(attrs)
+    if attrs.ndim == 1:
+        attrs = attrs[:, None]
+    return (conditional_entropy(codes[:, layer], weights, prefix),
+            conditional_entropy(codes[:, layer], weights, np.concatenate([attrs, prefix], axis=1)))
+
+
 def entropy_reduction(codes, attrs, weights, layer: int) -> float:
     """H(s_l | s_<l) minus H(s_l | attrs, s_<l), in bits.
 
@@ -127,14 +137,7 @@ def entropy_reduction(codes, attrs, weights, layer: int) -> float:
     codes = np.asarray(codes, dtype=np.int64)
     if not 0 <= layer < codes.shape[1]:
         raise ValueError("layer out of range")
-    prefix = codes[:, :layer]
-    without = conditional_entropy(codes[:, layer], weights, prefix)
-    attrs = np.asarray(attrs)
-    if attrs.ndim == 1:
-        attrs = attrs[:, None]
-    with_attrs = conditional_entropy(
-        codes[:, layer], weights, np.concatenate([attrs, prefix], axis=1)
-    )
+    without, with_attrs = _layer_entropies(codes, attrs, weights, layer)
     return without - with_attrs
 
 
@@ -148,16 +151,9 @@ class EntropyReport:
 
 def entropy_report(codes, attrs, weights) -> EntropyReport:
     codes = np.asarray(codes, dtype=np.int64)
-    attrs = np.asarray(attrs)
-    if attrs.ndim == 1:
-        attrs = attrs[:, None]
     rows = []
     for l in range(codes.shape[1]):
-        prefix = codes[:, :l]
-        h0 = conditional_entropy(codes[:, l], weights, prefix)
-        h1 = conditional_entropy(
-            codes[:, l], weights, np.concatenate([attrs, prefix], axis=1)
-        )
+        h0, h1 = _layer_entropies(codes, attrs, weights, l)
         rows.append({"layer": l, "h_prefix": h0, "h_prefix_attrs": h1, "delta": h0 - h1})
     return EntropyReport(per_layer=rows)
 

@@ -9,6 +9,7 @@ diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -17,10 +18,16 @@ import sys
 from . import corpus as corpus_mod, decoder, pipeline, quantizer, scorer, tokenizer
 
 
-def _add_common(p):
+def _command(sub, name, func, help_text, data_dir=True):
+    """Subcommand ``name`` running ``func``, with the flags every command takes."""
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="JSON run config; defaults apply when omitted")
     p.add_argument("--seed", type=int, help="override the global seed")
     p.add_argument("--out", default="run", help="run directory (default: run)")
+    if data_dir:
+        p.add_argument("--data-dir", help="directory of the input artifacts (default: --out)")
+    p.set_defaults(func=func)
+    return p
 
 
 def _resolve_config(args) -> pipeline.RunConfig:
@@ -43,10 +50,31 @@ def _data_dir(args):
     return args.data_dir if getattr(args, "data_dir", None) else args.out
 
 
-def _load_corpus_and_log(data_dir):
-    corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
-    log = corpus_mod.load_interactions(os.path.join(data_dir, "interactions.jsonl"))
+def _load_corpus_and_log(data_dir, metrics=()):
+    """items.jsonl and interactions.jsonl, whose events must name corpus items
+    and whose requests must each carry the reward ``metrics``."""
+    items_path = os.path.join(data_dir, "items.jsonl")
+    log_path = os.path.join(data_dir, "interactions.jsonl")
+    corp = corpus_mod.load_items(items_path)
+    log = corpus_mod.load_interactions(log_path)
+    by_id = corp.by_id()
+    for r in log:
+        bad = [f"item_id {e['item_id']} is not in {items_path}"
+               for e in r.events if e["item_id"] not in by_id]
+        bad += [f"missing reward metric {m!r}" for m in metrics if m not in r.reward_metrics]
+        if bad:
+            raise corpus_mod.CorpusFormatError(f"{log_path}: request {r.request_id!r}: {bad[0]}")
     return corp, log
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix ``path`` to a ValueError raised inside: the stage found records
+    of that file that do not fit the other, already checked, inputs."""
+    try:
+        yield
+    except ValueError as exc:
+        raise corpus_mod.CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def _load_space(data_dir):
@@ -73,8 +101,10 @@ def _cmd_quantize(args):
         args.tau = None if args.tau in ("inf", "none") else float(args.tau)
     cfg = dataclasses.replace(
         cfg, quantizer=_with_flags(cfg.quantizer, args, "tau", "method", "strict"))
-    corp, _ = _load_corpus_and_log(_data_dir(args))
-    result = pipeline.run_quantizer(cfg, corp, args.out)
+    items_path = os.path.join(_data_dir(args), "items.jsonl")
+    corp = corpus_mod.load_items(items_path)
+    with _naming(items_path):
+        result = pipeline.run_quantizer(cfg, corp, args.out)
     loads = [lr.loads.max() for lr in result.layer_results]
     print(f"quantized {len(corp)} items; max layer loads {['%.1f' % v for v in loads]}; "
           f"{len(result.violations)} violation(s)")
@@ -84,9 +114,10 @@ def _cmd_quantize(args):
 def _cmd_analyze(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
-    corp, _ = _load_corpus_and_log(data_dir)
+    corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
     sids = quantizer.load_sids(os.path.join(data_dir, "sids.jsonl"))
-    pipeline.analyze(cfg, corp, sids, args.out)
+    with _naming(os.path.join(data_dir, "sids.jsonl")):
+        pipeline.analyze(cfg, corp, sids, args.out)
     print(f"wrote {os.path.join(args.out, 'analysis.json')}")
     return 0
 
@@ -94,9 +125,10 @@ def _cmd_analyze(args):
 def _cmd_build_seqs(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
-    corp, _ = _load_corpus_and_log(data_dir)
+    corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
     sids = quantizer.load_sids(os.path.join(data_dir, "sids.jsonl"))
-    space, paths = pipeline.build_sequences(cfg, corp, sids, args.out)
+    with _naming(os.path.join(data_dir, "sids.jsonl")):
+        space, paths = pipeline.build_sequences(cfg, corp, sids, args.out)
     print(f"wrote {len(paths)} sequences over {space.n_steps} steps")
     return 0
 
@@ -106,7 +138,7 @@ def _cmd_train(args):
     data_dir = _data_dir(args)
     corp, log = _load_corpus_and_log(data_dir)
     space = _load_space(data_dir)
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"))
+    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
     train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
     params = pipeline.init_model(cfg, corp, space)
     params, trace = pipeline.train_model(cfg, params, train_set)
@@ -124,9 +156,9 @@ def _cmd_align(args):
         cfg.align, args, "lambda_rft", "lambda_dpo", "beta", "c_clip", "pairs_per_request",
         "dpo_target"))
     data_dir = _data_dir(args)
-    corp, log = _load_corpus_and_log(data_dir)
+    corp, log = _load_corpus_and_log(data_dir, cfg.align.reward_weights)
     space = _load_space(data_dir)
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"))
+    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
     train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
     params = scorer.load_checkpoint(os.path.join(data_dir, "checkpoint.json"))
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
@@ -150,8 +182,9 @@ def _cmd_decode(args):
     cfg = dataclasses.replace(cfg, decode=_with_flags(
         cfg.decode, args, "beam_width", "top_k", "objective", "scene"))
     data_dir = _data_dir(args)
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"))
     params = scorer.load_checkpoint(_checkpoint_path(data_dir))
+    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
+                                     params.space)
     candidates = pipeline.decode(cfg, params, decoder.build_trie(paths), args.out)
     print(f"wrote {len(candidates)} candidates to {os.path.join(args.out, 'candidates.jsonl')}")
     return 0
@@ -161,8 +194,9 @@ def _cmd_eval(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
     corp, log = _load_corpus_and_log(data_dir)
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"))
     params = scorer.load_checkpoint(_checkpoint_path(data_dir))
+    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
+                                     params.space)
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
     report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)
@@ -171,12 +205,22 @@ def _cmd_eval(args):
     return 0
 
 
+def _parse_chains(text) -> list:
+    """``--chains``: a JSON list of lists of attribute names."""
+    with contextlib.suppress(ValueError):
+        chains = json.loads(text)
+        if isinstance(chains, list) and all(isinstance(c, list) and all(
+                f in corpus_mod.ATTR_FIELDS for f in c) for c in chains):
+            return [tuple(c) for c in chains]
+    raise ValueError(f"--chains must be a JSON list of lists of attribute names "
+                     f"{list(corpus_mod.ATTR_FIELDS)}, got {text!r}")
+
+
 def _cmd_ablate(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
+    chains = _parse_chains(args.chains) if args.chains else [(), ("l2", "l3")]
     corp, log = _load_corpus_and_log(data_dir)
-    chains = [tuple(c) for c in json.loads(args.chains)] if args.chains else \
-        [(), ("l2", "l3")]
     methods = args.methods.split(",") if args.methods else ["capacity", "baseline"]
     reports = pipeline.ablation_run(cfg, corp, log, chains, methods)
     os.makedirs(args.out, exist_ok=True)
@@ -194,67 +238,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="capacity-balanced semantic IDs with attribute-prefixed decoding",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "gen-data", _cmd_gen_data, "generate items.jsonl and interactions.jsonl",
+             data_dir=False)
 
-    p = sub.add_parser("gen-data", help="generate items.jsonl and interactions.jsonl")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("quantize", help="fit codebooks and item codes")
-    _add_common(p)
-    p.add_argument("--data-dir", help="directory with items.jsonl (default: --out)")
+    p = _command(sub, "quantize", _cmd_quantize, "fit codebooks and item codes")
     p.add_argument("--tau", default=argparse.SUPPRESS,
                    help="capacity tolerance; 'inf' disables the cap")
     p.add_argument("--method", choices=["capacity", "baseline"], default=argparse.SUPPRESS)
     p.add_argument("--strict-capacity", dest="strict", action="store_true",
                    default=argparse.SUPPRESS, help="fail instead of recording capacity violations")
-    p.set_defaults(func=_cmd_quantize)
 
-    p = sub.add_parser("analyze", help="exposure concentration and entropy report")
-    _add_common(p)
-    p.add_argument("--data-dir")
-    p.set_defaults(func=_cmd_analyze)
+    _command(sub, "analyze", _cmd_analyze, "exposure concentration and entropy report")
+    _command(sub, "build-seqs", _cmd_build_seqs, "attribute+SID token paths per item")
+    _command(sub, "train", _cmd_train, "next-token training of the scorer")
 
-    p = sub.add_parser("build-seqs", help="attribute+SID token paths per item")
-    _add_common(p)
-    p.add_argument("--data-dir")
-    p.set_defaults(func=_cmd_build_seqs)
-
-    p = sub.add_parser("train", help="next-token training of the scorer")
-    _add_common(p)
-    p.add_argument("--data-dir")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("align", help="advantage-reweighted + preference-pair tuning")
-    _add_common(p)
-    p.add_argument("--data-dir")
+    p = _command(sub, "align", _cmd_align, "advantage-reweighted + preference-pair tuning")
     p.add_argument("--lambda-rft", type=float, default=argparse.SUPPRESS)
     p.add_argument("--lambda-dpo", type=float, default=argparse.SUPPRESS)
     p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
     p.add_argument("--c-clip", type=float, default=argparse.SUPPRESS)
     p.add_argument("--pairs-per-request", type=int, default=argparse.SUPPRESS)
     p.add_argument("--dpo-target", choices=["last-sid", "all"], default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_align)
 
-    p = sub.add_parser("decode", help="trie-constrained beam search")
-    _add_common(p)
-    p.add_argument("--data-dir")
+    p = _command(sub, "decode", _cmd_decode, "trie-constrained beam search")
     p.add_argument("--beam-width", type=int, default=argparse.SUPPRESS)
     p.add_argument("--top-k", type=int, default=argparse.SUPPRESS)
     p.add_argument("--task", default=argparse.SUPPRESS,
                    help="objective:scene, e.g. click:main_feed")
-    p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("eval", help="hit-ratio report on the holdout split")
-    _add_common(p)
-    p.add_argument("--data-dir")
-    p.set_defaults(func=_cmd_eval)
+    _command(sub, "eval", _cmd_eval, "hit-ratio report on the holdout split")
 
-    p = sub.add_parser("ablate", help="attribute-chain x quantizer grid")
-    _add_common(p)
-    p.add_argument("--data-dir")
+    p = _command(sub, "ablate", _cmd_ablate, "attribute-chain x quantizer grid")
     p.add_argument("--chains", help='JSON list of chains, e.g. [[],["l2","l3"]]')
     p.add_argument("--methods", help="comma-separated: capacity,baseline")
-    p.set_defaults(func=_cmd_ablate)
     return parser
 
 

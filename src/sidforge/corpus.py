@@ -13,6 +13,7 @@ config, so every artifact is bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,7 @@ class Item:
 class ItemCorpus:
     items: list
     d_emb: int
-    attr_vocabs: dict = field(default_factory=dict)
+    attr_vocabs: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         ids = [it.item_id for it in self.items]
@@ -98,11 +99,6 @@ class ItemCorpus:
 
     def __len__(self):
         return len(self.items)
-
-    def __eq__(self, other):
-        if not isinstance(other, ItemCorpus):
-            return NotImplemented
-        return self.d_emb == other.d_emb and self.items == other.items
 
     def embeddings(self) -> np.ndarray:
         """(N, d_emb) matrix in item order."""
@@ -134,6 +130,9 @@ class Interaction:
     reward_metrics: dict
 
     def __post_init__(self):
+        if self.scene not in SCENES or self.objective not in OBJECTIVES:
+            raise ValueError(f"request {self.request_id}: unknown task "
+                             f"{self.objective!r}:{self.scene!r}")
         ranks = [e["exposure_rank"] for e in self.events]
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"request {self.request_id}: duplicate exposure_ranks")
@@ -153,11 +152,6 @@ class InteractionLog:
 
     def __iter__(self):
         return iter(self.interactions)
-
-    def __eq__(self, other):
-        if not isinstance(other, InteractionLog):
-            return NotImplemented
-        return self.interactions == other.interactions
 
 
 @dataclass
@@ -323,18 +317,35 @@ def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> InteractionLo
 
 
 # ----------------------------------------------------------------------
-# persistence: JSON-lines for items/interactions (greppable, diffable)
+# persistence: JSON-lines artifacts (greppable, diffable)
 # ----------------------------------------------------------------------
 
-_ITEM_KEYS = {"item_id", "embedding", "exposure_weight", "attrs", "gmv"}
-_INTERACTION_KEYS = {"request_id", "user_id", "scene", "objective", "events", "reward_metrics"}
-_EVENT_KEYS = {"item_id", "level", "exposure_rank"}
+_ITEM_FIELDS = {"item_id", "embedding", "exposure_weight", "attrs", "gmv"}
+_INTERACTION_FIELDS = {"request_id", "user_id", "scene", "objective", "events", "reward_metrics"}
+_EVENT_FIELDS = {"item_id", "level", "exposure_rank"}
+
+_JSON_KINDS = {"integer": ((int,), "an integer"), "number": ((int, float), "a finite number"),
+               "string": ((str,), "a string"), "object": ((dict,), "an object")}
 
 
-def _check_keys(obj: dict, allowed: set, where: str, what: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise CorpusFormatError(f"{where}: unknown {what} field(s) {sorted(unknown)}")
+def expect(kind: str, name: str, value):
+    """``value`` if it is a JSON ``kind``: "integer", "string", "object" or a
+    finite "number", never a boolean; otherwise ``ValueError`` naming ``name``."""
+    types, phrase = _JSON_KINDS[kind]
+    if type(value) not in types or (kind == "number" and not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be {phrase}, got {value!r}")
+    return value
+
+
+def write_jsonl(path, records, meta: dict | None = None):
+    """One ``json.dumps(record)`` line per record; ``meta``, when given, goes
+    to the ``<path>.meta.json`` sidecar with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+    if meta is not None:
+        with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, sort_keys=True)
 
 
 def read_jsonl(path):
@@ -351,11 +362,33 @@ def read_jsonl(path):
             where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: malformed JSON ({exc.msg})") from exc
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
+                raise CorpusFormatError(
+                    f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(obj, dict):
                 raise CorpusFormatError(f"{where}: expected a JSON object")
             yield where, obj
+
+
+def check_fields(obj: dict, fields: set, what: str):
+    """Raise ``CorpusFormatError`` unless the keys of ``obj`` are exactly ``fields``."""
+    for wording, keys in (("unknown", set(obj) - fields), ("missing", fields - set(obj))):
+        if keys:
+            raise CorpusFormatError(f"{wording} {what} field(s) {sorted(keys)}")
+
+
+def read_records(path, what: str, fields: set, build) -> list:
+    """``build(obj)`` for each line of ``path``; a line whose keys are not
+    exactly ``fields``, or whose ``build`` raises ``KeyError``, ``TypeError``
+    or ``ValueError``, raises ``CorpusFormatError`` naming the file and line."""
+    out = []
+    for where, obj in read_jsonl(path):
+        try:
+            check_fields(obj, fields, what)
+            out.append(build(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from exc
+    return out
 
 
 def read_json_object(path) -> dict:
@@ -372,91 +405,50 @@ def read_json_object(path) -> dict:
     return obj
 
 
-def save_items(corpus: ItemCorpus, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for it in corpus.items:
-            fh.write(
-                json.dumps(
-                    {
-                        "item_id": it.item_id,
-                        "embedding": it.embedding.tolist(),
-                        "exposure_weight": it.exposure_weight,
-                        "attrs": it.attrs,
-                        "gmv": it.gmv,
-                    }
-                )
-                + "\n"
-            )
+def save_items(corpus: ItemCorpus, path, meta: dict | None = None):
+    write_jsonl(path, ({**vars(it), "embedding": it.embedding.tolist()} for it in corpus.items),
+                meta)
+
+
+def _item(obj) -> Item:
+    return Item(
+        item_id=expect("integer", "item_id", obj["item_id"]),
+        embedding=[expect("number", "embedding value", v) for v in obj["embedding"]],
+        exposure_weight=expect("integer", "exposure_weight", obj["exposure_weight"]),
+        attrs={f: expect("string", f"attribute {f!r}", v)
+               for f, v in expect("object", "attrs", obj["attrs"]).items()},
+        gmv=expect("number", "gmv", obj["gmv"]),
+    )
 
 
 def load_items(path) -> ItemCorpus:
-    items = []
-    d_emb = None
-    for where, obj in read_jsonl(path):
-        _check_keys(obj, _ITEM_KEYS, where, "item")
-        missing = _ITEM_KEYS - set(obj)
-        if missing:
-            raise CorpusFormatError(f"{where}: missing item field(s) {sorted(missing)}")
-        try:
-            item = Item(
-                item_id=obj["item_id"],
-                embedding=np.asarray(obj["embedding"], dtype=np.float64),
-                exposure_weight=obj["exposure_weight"],
-                attrs=dict(obj["attrs"]),
-                gmv=obj["gmv"],
-            )
-        except (TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{where}: {exc}") from exc
-        if d_emb is None:
-            d_emb = item.embedding.shape[0]
-        items.append(item)
-    return ItemCorpus(items=items, d_emb=d_emb if d_emb is not None else 0)
+    """items.jsonl; a fault of the whole corpus (a duplicate item_id, an
+    embedding of another width, a broken taxonomy) names the file."""
+    items = read_records(path, "item", _ITEM_FIELDS, _item)
+    try:
+        return ItemCorpus(items=items, d_emb=items[0].embedding.shape[0] if items else 0)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
-def save_interactions(log: InteractionLog, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in log:
-            fh.write(
-                json.dumps(
-                    {
-                        "request_id": r.request_id,
-                        "user_id": r.user_id,
-                        "scene": r.scene,
-                        "objective": r.objective,
-                        "events": r.events,
-                        "reward_metrics": r.reward_metrics,
-                    }
-                )
-                + "\n"
-            )
+def save_interactions(log: InteractionLog, path, meta: dict | None = None):
+    write_jsonl(path, map(vars, log), meta)
+
+
+def _interaction(obj) -> Interaction:
+    events = obj["events"]
+    if not isinstance(events, list) or not all(isinstance(ev, dict) for ev in events):
+        raise ValueError("events must be a list of objects")
+    for ev in events:
+        check_fields(ev, _EVENT_FIELDS, "event")
+        for key, value in ev.items():
+            expect("integer", f"event {key}", value)
+    for name, value in expect("object", "reward_metrics", obj["reward_metrics"]).items():
+        expect("number", f"reward metric {name!r}", value)
+    for key in ("request_id", "user_id", "scene", "objective"):
+        expect("string", key, obj[key])
+    return Interaction(**obj)
 
 
 def load_interactions(path) -> InteractionLog:
-    interactions = []
-    for where, obj in read_jsonl(path):
-        _check_keys(obj, _INTERACTION_KEYS, where, "interaction")
-        missing = _INTERACTION_KEYS - set(obj)
-        if missing:
-            raise CorpusFormatError(f"{where}: missing interaction field(s) {sorted(missing)}")
-        if not isinstance(obj["events"], list) or \
-                not all(isinstance(ev, dict) for ev in obj["events"]):
-            raise CorpusFormatError(f"{where}: events must be a list of objects")
-        for ev in obj["events"]:
-            _check_keys(ev, _EVENT_KEYS, where, "event")
-            missing_ev = _EVENT_KEYS - set(ev)
-            if missing_ev:
-                raise CorpusFormatError(f"{where}: missing event field(s) {sorted(missing_ev)}")
-        try:
-            interactions.append(
-                Interaction(
-                    request_id=obj["request_id"],
-                    user_id=obj["user_id"],
-                    scene=obj["scene"],
-                    objective=obj["objective"],
-                    events=[dict(e) for e in obj["events"]],
-                    reward_metrics=dict(obj["reward_metrics"]),
-                )
-            )
-        except (TypeError, ValueError, KeyError) as exc:
-            raise CorpusFormatError(f"{where}: {exc}") from exc
-    return InteractionLog(interactions)
+    return InteractionLog(read_records(path, "interaction", _INTERACTION_FIELDS, _interaction))

@@ -22,15 +22,8 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "token_hr3": self.token_hr3,
-            "token_hr3_mean": self.token_hr3_mean,
-            "hr_at": {str(k): v for k, v in self.hr_at.items()},
-            "hr_at_orders": {str(k): v for k, v in self.hr_at_orders.items()},
-            "n_samples": self.n_samples,
-            "n_order_samples": self.n_order_samples,
-            "metadata": self.metadata,
-        }
+        return {**vars(self), "hr_at": {str(k): v for k, v in self.hr_at.items()},
+                "hr_at_orders": {str(k): v for k, v in self.hr_at_orders.items()}}
 
 
 # token_hr3 forwards the eval set in slices of this many samples, which

@@ -51,6 +51,12 @@ class TokenizerConfig:
     p2: int = 37
     pairs: tuple | None = None  # default: attrs crossed with first two SID layers
 
+    def __post_init__(self):
+        unknown = [f for f in self.attr_chain if f not in corpus_mod.ATTR_FIELDS]
+        if unknown:
+            raise ConfigError(f"tokenizer.attr_chain: unknown attribute(s) {unknown}; "
+                              f"choose from {list(corpus_mod.ATTR_FIELDS)}")
+
 
 @dataclass
 class ScorerSection:
@@ -89,6 +95,9 @@ class AlignConfig:
             raise ConfigError(f"align.c_clip must be > 0, got {self.c_clip!r}")
         if not self.eps > 0:
             raise ConfigError(f"align.eps must be > 0, got {self.eps!r}")
+        if self.dpo_target not in ("last-sid", "all"):
+            raise ConfigError(
+                f"align.dpo_target must be 'last-sid' or 'all', got {self.dpo_target!r}")
 
 
 @dataclass
@@ -108,6 +117,9 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 <= self.holdout_frac < 1.0:
             raise ConfigError(f"eval.holdout_frac must be in [0, 1), got {self.holdout_frac!r}")
+        if not self.ks or not all(1 <= k <= self.beam_width for k in self.ks):
+            raise ConfigError(f"eval.ks must be non-empty and lie in [1, eval.beam_width = "
+                              f"{self.beam_width}], got {list(self.ks)}")
 
 
 @dataclass
@@ -149,13 +161,19 @@ def _build_section(cls, data, path):
 
 
 def load_config(path_or_dict) -> RunConfig:
-    """Build a RunConfig from a JSON file or dict; unknown keys are errors."""
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
-        with open(path_or_dict, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    return _build_section(RunConfig, data, "config")
+    """Build a RunConfig from a JSON file or dict; unknown keys are errors.
+
+    ``gen_data`` seeds the corpus with the top-level seed, so a
+    ``corpus.seed`` other than 0 or that seed would be recorded but never
+    read, and is an error too.
+    """
+    data = (path_or_dict if isinstance(path_or_dict, dict)
+            else corpus_mod.read_json_object(path_or_dict))
+    cfg = _build_section(RunConfig, data, "config")
+    if cfg.corpus.seed not in (0, cfg.seed):
+        raise ConfigError(f"corpus.seed {cfg.corpus.seed} is never read: gen-data uses the "
+                          f"top-level seed {cfg.seed}; leave corpus.seed out")
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -165,11 +183,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def config_digest(cfg: RunConfig) -> str:
     canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _write_meta(path, cfg: RunConfig):
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(artifact_meta(cfg), fh, sort_keys=True)
 
 
 def artifact_meta(cfg: RunConfig) -> dict:
@@ -190,12 +203,9 @@ def gen_data(cfg: RunConfig, out_dir):
     synth = dataclasses.replace(cfg.corpus, seed=cfg.seed)
     corp = corpus_mod.generate_corpus(synth)
     log = corpus_mod.generate_interactions(corp, synth)
-    items_path = os.path.join(out_dir, "items.jsonl")
-    inter_path = os.path.join(out_dir, "interactions.jsonl")
-    corpus_mod.save_items(corp, items_path)
-    corpus_mod.save_interactions(log, inter_path)
-    _write_meta(items_path, cfg)
-    _write_meta(inter_path, cfg)
+    corpus_mod.save_items(corp, os.path.join(out_dir, "items.jsonl"), artifact_meta(cfg))
+    corpus_mod.save_interactions(log, os.path.join(out_dir, "interactions.jsonl"),
+                                 artifact_meta(cfg))
     return corp, log
 
 
@@ -209,11 +219,9 @@ def run_quantizer(cfg: RunConfig, corp, out_dir=None):
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        cb_path = os.path.join(out_dir, "codebook.json")
-        sid_path = os.path.join(out_dir, "sids.jsonl")
-        quantizer.save_codebook(result.codebook, cb_path, meta=artifact_meta(cfg))
-        quantizer.save_sids(result.sids, sid_path)
-        _write_meta(sid_path, cfg)
+        quantizer.save_codebook(result.codebook, os.path.join(out_dir, "codebook.json"),
+                                meta=artifact_meta(cfg))
+        quantizer.save_sids(result.sids, os.path.join(out_dir, "sids.jsonl"), artifact_meta(cfg))
     return result
 
 
@@ -232,37 +240,39 @@ def build_sequences(cfg: RunConfig, corp, sids, out_dir=None):
     store only the decoded path.
     """
     space = build_space(cfg, corp)
-    by_id = corp.by_id()
     default_ctx = tokenizer.TaskContext(cfg.decode.objective, cfg.decode.scene)
     paths = {}
-    for sid in sids:
-        seq = tokenizer.build_sequence(by_id[sid.item_id], sid, default_ctx, space)
-        paths[sid.item_id] = seq.path
+    for sid, item in zip(sids, _items_of(corp, sids)):
+        paths[sid.item_id] = tokenizer.build_sequence(item, sid, default_ctx, space).path
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        seq_path = os.path.join(out_dir, "sequences.jsonl")
-        with open(seq_path, "w", encoding="utf-8") as fh:
-            for item_id in sorted(paths):
-                fh.write(json.dumps({"item_id": item_id, "path": list(paths[item_id])}) + "\n")
-        _write_meta(seq_path, cfg)
+        corpus_mod.write_jsonl(
+            os.path.join(out_dir, "sequences.jsonl"),
+            ({"item_id": item_id, "path": list(paths[item_id])} for item_id in sorted(paths)),
+            artifact_meta(cfg))
         with open(os.path.join(out_dir, "space.json"), "w", encoding="utf-8") as fh:
             json.dump({"space": space.as_dict(), "meta": artifact_meta(cfg)}, fh)
     return space, paths
 
 
-def load_sequences(path) -> dict:
-    out = {}
-    for where, obj in corpus_mod.read_jsonl(path):
-        unknown = set(obj) - {"item_id", "path"}
-        if unknown:
-            raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
-        try:
-            out[obj["item_id"]] = tuple(obj["path"])
-        except KeyError as exc:
-            raise ValueError(f"{where}: missing key {exc.args[0]!r}") from exc
-        except TypeError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    return out
+def _items_of(corp, sids) -> list:
+    """The corpus item of each SID; an item_id the corpus lacks raises ValueError."""
+    by_id = corp.by_id()
+    try:
+        return [by_id[s.item_id] for s in sids]
+    except KeyError as exc:
+        raise ValueError(f"item_id {exc.args[0]!r} has a SID but is not in the corpus") from exc
+
+
+def load_sequences(path, space=None) -> dict:
+    """item_id -> token path; given ``space``, every path must fit its steps."""
+    def build(obj):
+        tokens = tuple(corpus_mod.expect("integer", "path token", t) for t in obj["path"])
+        if space is not None:
+            space.check_path(tokens)
+        return corpus_mod.expect("integer", "item_id", obj["item_id"]), tokens
+
+    return dict(corpus_mod.read_records(path, "sequence", {"item_id", "path"}, build))
 
 
 def assemble_samples(cfg: RunConfig, corp, log, space, paths):
@@ -410,13 +420,11 @@ def decode(cfg: RunConfig, params, trie, out_dir=None) -> list:
     candidates = decoder.beam_search(model, trie, cfg.decode.beam_width, cfg.decode.top_k)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        cand_path = os.path.join(out_dir, "candidates.jsonl")
-        with open(cand_path, "w", encoding="utf-8") as fh:
-            for c in candidates:
-                fh.write(json.dumps(
-                    {"path": list(c.path), "logprob": c.logprob, "item_ids": list(c.item_ids)}
-                ) + "\n")
-        _write_meta(cand_path, cfg)
+        corpus_mod.write_jsonl(
+            os.path.join(out_dir, "candidates.jsonl"),
+            ({"path": list(c.path), "logprob": c.logprob, "item_ids": list(c.item_ids)}
+             for c in candidates),
+            artifact_meta(cfg))
     return candidates
 
 
@@ -440,16 +448,13 @@ def analyze(cfg: RunConfig, corp, sids, out_dir) -> dict:
     Rows are items in item_id order; the attribute columns follow
     ``tokenizer.attr_chain``.  Writes ``analysis.json``.
     """
-    by_id = corp.by_id()
-    order = sorted(s.item_id for s in sids)
-    sid_by_id = {s.item_id: s for s in sids}
-    codes = np.array([sid_by_id[i].codes for i in order])
-    weights = np.array([by_id[i].exposure_weight for i in order], dtype=np.float64)
-    attr_cols = []
-    for f in cfg.tokenizer.attr_chain:
-        vocab = corp.attr_vocabs[f]
-        attr_cols.append([vocab[by_id[i].attrs[f]] for i in order])
-    attrs = np.array(attr_cols).T if attr_cols else np.zeros((len(order), 0), dtype=int)
+    sids = sorted(sids, key=lambda s: s.item_id)
+    items = _items_of(corp, sids)
+    codes = np.array([s.codes for s in sids])
+    weights = np.array([it.exposure_weight for it in items], dtype=np.float64)
+    attr_cols = [[corp.attr_vocabs[f][it.attrs[f]] for it in items]
+                 for f in cfg.tokenizer.attr_chain]
+    attrs = np.array(attr_cols).T if attr_cols else np.zeros((len(sids), 0), dtype=int)
     report = {
         "exposure": exposure_report(codes, weights).as_dict(),
         "entropy": entropy_report(codes, attrs, weights).as_dict(),

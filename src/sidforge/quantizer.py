@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import read_json_object, read_jsonl
+from .corpus import expect, read_json_object, read_records, write_jsonl
 
 
 class CapacityError(ValueError):
@@ -460,22 +460,14 @@ def load_codebook(path) -> Codebook:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def save_sids(sids, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sids:
-            fh.write(json.dumps({"item_id": s.item_id, "sid": list(s.codes)}) + "\n")
+def save_sids(sids, path, meta: dict | None = None):
+    write_jsonl(path, ({"item_id": s.item_id, "sid": list(s.codes)} for s in sids), meta)
+
+
+def _semantic_id(obj) -> SemanticId:
+    return SemanticId(expect("integer", "item_id", obj["item_id"]),
+                      tuple(expect("integer", "sid code", c) for c in obj["sid"]))
 
 
 def load_sids(path) -> list:
-    out = []
-    for where, obj in read_jsonl(path):
-        unknown = set(obj) - {"item_id", "sid"}
-        if unknown:
-            raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
-        try:
-            out.append(SemanticId(obj["item_id"], tuple(obj["sid"])))
-        except KeyError as exc:
-            raise ValueError(f"{where}: missing key {exc.args[0]!r}") from exc
-        except TypeError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    return out
+    return read_records(path, "sid", {"item_id", "sid"}, _semantic_id)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -185,6 +185,13 @@ def _check_tokens(space: SequenceSpace, tokens):
         raise ScorerError(f"token {tokens[i, j]} out of range at step {j + 1}")
 
 
+def _check_bos(space: SequenceSpace, bos):
+    """Raise unless every token of the sequence ``bos`` is a task BOS of ``space``."""
+    bad = [b for b in bos if not 0 <= b < space.n_task_tokens]
+    if bad:
+        raise ScorerError(f"task BOS {bad[0]} out of range 0..{space.n_task_tokens - 1}")
+
+
 def _input_rows(params, paths, steps, q, h_agg):
     """Scorer inputs x = [q | prefix window | content summary | h_agg].
 
@@ -266,7 +273,9 @@ def _forward_batch(params: ScorerParams, samples, keep=True) -> _Cache:
     tokens = np.array([s.tokens for s in samples], dtype=np.int64)
     _check_tokens(space, tokens)
     b = tokens.shape[0]
-    bos = np.array([s.bos for s in samples], dtype=np.int64)
+    bos = [s.bos for s in samples]
+    _check_bos(space, bos)
+    bos = np.array(bos, dtype=np.int64)
 
     beh_tokens, beh_mask, keys, values, h_agg = _behavior_context(
         params, [s.behavior for s in samples])
@@ -412,6 +421,7 @@ class NeuralSequenceModel:
     kept as a one-row :func:`_behavior_context` (C = 1 in :func:`_attend`)."""
 
     def __init__(self, params: ScorerParams, behavior, bos: int):
+        _check_bos(params.space, [bos])
         self.params = params
         self.bos = bos
         _, self.mask, self.keys, self.values, self.h_agg = _behavior_context(params, [behavior])
@@ -606,20 +616,9 @@ def tensor_digest(arr: np.ndarray) -> str:
 
 def save_checkpoint(params: ScorerParams, path, meta: dict | None = None):
     doc = {
-        "config": {
-            "d_model": params.config.d_model,
-            "prefix_window": params.config.prefix_window,
-            "seed": params.config.seed,
-        },
+        "config": asdict(params.config),
         "space": params.space.as_dict(),
-        "hash_spec": {
-            "pairs": [list(p) for p in params.hash_spec.pairs],
-            "pair_sizes": list(params.hash_spec.pair_sizes),
-            "m_hashes": params.hash_spec.m_hashes,
-            "p1": params.hash_spec.p1,
-            "p2": params.hash_spec.p2,
-            "d_hash": params.hash_spec.d_hash,
-        },
+        "hash_spec": asdict(params.hash_spec),
         "n_behavior_tokens": params.n_behavior_tokens,
         "frozen": list(FROZEN_TENSORS),
         "frozen_digests": {n: tensor_digest(params.tensors[n]) for n in FROZEN_TENSORS},

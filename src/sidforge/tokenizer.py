@@ -97,6 +97,14 @@ class SequenceSpace:
             raise TokenizerError(f"step {t} out of range 1..{self.n_steps}")
         return self.step_vocab_sizes[t - 1]
 
+    def check_path(self, path):
+        """Raise ``TokenizerError`` unless ``path`` holds one in-vocabulary token per step."""
+        if len(path) != self.n_steps:
+            raise TokenizerError(f"path has {len(path)} tokens, space expects {self.n_steps}")
+        for t, (token, size) in enumerate(zip(path, self.step_vocab_sizes), start=1):
+            if not 0 <= token < size:
+                raise TokenizerError(f"token {token} out of range at step {t}")
+
     def step_name(self, t: int) -> str:
         if t <= self.m:
             return self.attr_chain[t - 1]

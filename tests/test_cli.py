@@ -1,10 +1,14 @@
 """End-to-end CLI subcommand tests on a miniature run configuration."""
 
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sidforge import alignment, pipeline
 from sidforge.cli import main
@@ -208,12 +212,13 @@ class TestCliErrors:
         capsys.readouterr()
         assert run(["build-seqs", "--config", config_path, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert "sids.jsonl: line 1: missing key 'sid'" in err
+        assert "sids.jsonl: line 1: missing sid field(s) ['sid']" in err
 
     def test_sequence_and_codebook_loaders_name_the_missing_key(self, tmp_path):
         seqs = tmp_path / "sequences.jsonl"
         seqs.write_text('{"item_id": 3, "path": [0, 1]}\n{"item_id": 4}\n')
-        with pytest.raises(ValueError, match="sequences.jsonl: line 2: missing key 'path'"):
+        with pytest.raises(ValueError, match=r"sequences.jsonl: line 2: "
+                                             r"missing sequence field\(s\) \['path'\]"):
             pipeline.load_sequences(str(seqs))
         codebook = tmp_path / "codebook.json"
         codebook.write_text('{"layers": []}')
@@ -261,7 +266,8 @@ class TestCliErrors:
             load_interactions(str(log))
         sids = tmp_path / "sids.jsonl"
         sids.write_text('{"item_id": 0, "sid": [1], "x": 2}\n')
-        with pytest.raises(ValueError, match="sids.jsonl: line 1: unknown field"):
+        with pytest.raises(ValueError,
+                           match=r"sids.jsonl: line 1: unknown sid field\(s\) \['x'\]"):
             load_sids(str(sids))
 
     @pytest.mark.parametrize("line", ["5", '["item_id", "sid", "path"]'])
@@ -345,6 +351,39 @@ class TestConfig:
             pipeline.load_config({**MINI_CONFIG, "align": {"lr2": 0.1}})
         with pytest.raises(pipeline.ConfigError, match=r"config\.corpus: expected an object"):
             pipeline.load_config({**MINI_CONFIG, "corpus": [1]})
+
+    def test_valid_configs_keep_their_digest(self):
+        assert pipeline.config_digest(pipeline.RunConfig()) == (
+            "d1093d57ccd482cc33d9b135a6ad316d49e120deda4e7f06b96942c6e30fe5eb")
+        assert pipeline.config_digest(pipeline.load_config(MINI_CONFIG)) == (
+            "5cef30a35f714d2c54fcc889b3de528ce3ec3031e3209175bca085564162563b")
+
+    @pytest.mark.parametrize("section, value, match", [
+        ("align", {"dpo_target": "last_sid"}, r"align\.dpo_target must be 'last-sid' or 'all'"),
+        ("eval", {"ks": [5, 64]}, r"eval\.ks must .* \[1, eval\.beam_width = 8\], got \[5, 64\]"),
+        ("eval", {"ks": [0, 5]}, r"eval\.ks must .* got \[0, 5\]"),
+        ("eval", {"ks": []}, r"eval\.ks must be non-empty"),
+        ("corpus", {"seed": 3}, r"corpus\.seed 3 is never read"),
+        ("tokenizer", {"attr_chain": ["l2", "colour"]},
+         r"tokenizer\.attr_chain: unknown attribute\(s\) \['colour'\]"),
+    ], ids=["dpo-target", "ks-above-width", "ks-zero", "ks-empty", "corpus-seed", "attr-chain"])
+    def test_values_that_would_pass_silently_are_config_errors(self, section, value, match):
+        with pytest.raises(pipeline.ConfigError, match=match):
+            pipeline.load_config({**MINI_CONFIG, section: {**MINI_CONFIG[section], **value}})
+
+    def test_corpus_seed_may_be_zero_or_the_run_seed(self):
+        for seed in (0, MINI_CONFIG["seed"]):
+            cfg = pipeline.load_config({**MINI_CONFIG, "corpus": {**MINI_CONFIG["corpus"],
+                                                                  "seed": seed}})
+            assert cfg.corpus.seed == seed
+
+    @pytest.mark.parametrize("body, want", [('{"seed": ', "malformed JSON at line 1"),
+                                            ("[1]", "expected a JSON object")])
+    def test_malformed_config_file_names_the_file(self, tmp_path, capsys, body, want):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert f"bad.json: {want}" in capsys.readouterr().err
 
 
 class TestRunPipeline:
@@ -439,3 +478,124 @@ class TestAblationHarness:
         doc = json.loads((out / "ablation.json").read_text())
         assert doc["baseline:l2>l3"]["metadata"]["arm"] == "baseline:l2>l3"
         assert doc["baseline:l2>l3"]["metadata"]["aligned"] is False
+
+    @pytest.mark.parametrize("chains", ["[1]", '"l2"', '[["l2", 3]]', '[["colour"]]', "[[",
+                                        '{"l2": []}'])
+    def test_chains_must_be_a_list_of_lists_of_attribute_names(self, tmp_path, config_path,
+                                                               capsys, chains):
+        data = str(tmp_path / "data")
+        assert run(["gen-data", "--config", config_path, "--out", data]) == 0
+        capsys.readouterr()
+        assert run(["ablate", "--config", config_path, "--data-dir", data,
+                    "--out", str(tmp_path / "out"), "--chains", chains]) == 1
+        assert "--chains must be a JSON list of lists of attribute names" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# the CLI command that reads each JSONL artifact, in a run directory that
+# has every input of all four
+READERS = {"items.jsonl": "quantize", "interactions.jsonl": "align",
+           "sids.jsonl": "build-seqs", "sequences.jsonl": "train"}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=5), inner,
+                                                               max_size=3),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def read_run(tmp_path_factory):
+    """(config path, data dir, out dir) of a MINI_CONFIG run through train."""
+    base = tmp_path_factory.mktemp("read-run")
+    config = base / "config.json"
+    config.write_text(json.dumps(MINI_CONFIG))
+    data = str(base / "data")
+    for cmd in ("gen-data", "quantize", "build-seqs", "train"):
+        assert run([cmd, "--config", str(config), "--out", data]) == 0
+    return str(config), data, str(base / "out")
+
+
+def run_on_edited_line(read_run, artifact, line_no, edit):
+    """Run the reader of ``artifact`` with ``edit(obj)`` applied to line ``line_no``
+    (0-based); the file is restored afterwards.  Returns (exit status, stderr)."""
+    config, data, out = read_run
+    path = os.path.join(data, artifact)
+    with open(path, encoding="utf-8") as fh:
+        original = fh.read()
+    lines = original.splitlines()
+    obj = json.loads(lines[line_no])
+    edit(obj)
+    lines[line_no] = json.dumps(obj)
+    err = io.StringIO()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run([READERS[artifact], "--config", config, "--data-dir", data, "--out", out])
+    finally:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(original)
+    return rc, err.getvalue()
+
+
+class TestJsonlReaders:
+    @pytest.mark.parametrize("artifact, key, value, message", [
+        ("sids.jsonl", "sid", ["a", 1, 2], "line 2: sid code must be an integer, got 'a'"),
+        ("sids.jsonl", "item_id", "x", "line 2: item_id must be an integer, got 'x'"),
+        ("sids.jsonl", "item_id", 99999, "item_id 99999 has a SID but is not in the corpus"),
+        ("interactions.jsonl", "request_id", 5, "line 2: request_id must be a string, got 5"),
+        ("interactions.jsonl", "reward_metrics", {"gmv": "x", "watch_time": 1.0},
+         "line 2: reward metric 'gmv' must be a finite number, got 'x'"),
+        ("interactions.jsonl", "reward_metrics", {"gmv": 1.0},
+         "request 'r000001': missing reward metric 'watch_time'"),
+        ("interactions.jsonl", "scene", "nowhere", "line 2: request r000001: unknown task"),
+        ("items.jsonl", "item_id", 0.5, "line 2: item_id must be an integer, got 0.5"),
+        ("sequences.jsonl", "path", ["a", "b", 1, 2, 3],
+         "line 2: path token must be an integer, got 'a'"),
+        ("sequences.jsonl", "path", [0, 0, 0, 0, 0],
+         "line 2: path has 5 tokens, space expects 4"),
+        ("sequences.jsonl", "path", [0, 0, 9, 0], "line 2: token 9 out of range at step 3"),
+    ])
+    def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, key, value, message):
+        rc, err = run_on_edited_line(read_run, artifact, 1, lambda obj: obj.update({key: value}))
+        assert rc == 1
+        assert f"{artifact}: {message}" in err
+
+    def test_integer_too_long_to_parse_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sids.jsonl"
+        path.write_text('{"item_id": 0, "sid": [1]}\n{"item_id": ' + "9" * 5000 + "}\n")
+        with pytest.raises(ValueError, match="sids.jsonl: line 2: malformed JSON"):
+            load_sids(str(path))
+
+    def test_event_item_outside_the_corpus_names_the_request(self, read_run):
+        def edit(obj):
+            obj["events"][0]["item_id"] = 99999
+
+        rc, err = run_on_edited_line(read_run, "interactions.jsonl", 1, edit)
+        assert rc == 1
+        assert "interactions.jsonl: request 'r000001': item_id 99999 is not in " in err
+        assert err.rstrip().endswith("items.jsonl")
+
+    @pytest.mark.parametrize("artifact", sorted(READERS))
+    def test_any_one_replaced_field_exits_0_or_1_naming_the_file(self, read_run, artifact):
+        with open(os.path.join(read_run[1], artifact), encoding="utf-8") as fh:
+            n_lines = len(fh.read().splitlines())
+
+        @settings(max_examples=100, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.data())
+        def replace_one_field(data):
+            line_no = data.draw(st.integers(0, n_lines - 1))
+            value = data.draw(json_values)
+
+            def edit(obj):
+                obj[data.draw(st.sampled_from(sorted(obj)))] = value
+
+            rc, err = run_on_edited_line(read_run, artifact, line_no, edit)
+            assert rc in (0, 1)
+            if rc == 1:
+                assert artifact in err
+
+        replace_one_field()

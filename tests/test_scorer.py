@@ -197,6 +197,22 @@ class TestStepLogits:
         with pytest.raises(ScorerError, match="head_w_2"):
             model.step_logprobs([(0,), (2,)])
 
+    @pytest.mark.parametrize("end", ["below", "above"])
+    def test_task_bos_outside_the_task_tokens_raises(self, params, end):
+        n_task = params.space.n_task_tokens
+        bos = -1 if end == "below" else n_task
+        with pytest.raises(ScorerError, match=f"task BOS {bos} out of range 0..{n_task - 1}"):
+            NeuralSequenceModel(params, (1, 2), bos=bos)
+        sample = Sample(behavior=(1,), bos=bos, tokens=(1, 2, 3, 4))
+        with pytest.raises(ScorerError, match=f"task BOS {bos} out of range"):
+            sequence_logprob(params, sample)
+        with pytest.raises(ScorerError, match=f"task BOS {bos} out of range"):
+            ntp_loss_and_grad([Sample(behavior=(1,), bos=0, tokens=(1, 2, 3, 4)), sample],
+                              params)
+        for edge in (0, n_task - 1):  # both ends of the range still score
+            NeuralSequenceModel(params, (1, 2), bos=edge).step_logprobs(())
+            sequence_logprob(params, Sample(behavior=(1,), bos=edge, tokens=(1, 2, 3, 4)))
+
     def test_softmax_normalization(self, params):
         sample = Sample(behavior=(1,), bos=0, tokens=(1, 2, 3, 4))
         cache = scorer._forward_sample(params, sample)
