@@ -21,8 +21,7 @@ for rho in (0.9, 0.5, 0.0):
     vocab = corp.attr_vocabs
     attrs = np.array([[vocab["l2"][it.attrs["l2"]], vocab["l3"][it.attrs["l3"]]]
                       for it in items])
-    rep = entropy_report(run.codes_matrix(), attrs, w)
-    r0 = rep.per_layer[0]
+    r0 = entropy_report(run.codes_matrix(), attrs, w)[0]
     print(f"rho={rho}: H(s0) = {r0['h_prefix']:.3f} bits, "
           f"H(s0 | l2,l3) = {r0['h_prefix_attrs']:.3f} bits, "
           f"reduction {r0['delta']:.3f} bits")

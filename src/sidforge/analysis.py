@@ -50,20 +50,9 @@ def exposure_concentration(codes, weights, depth: int, top_frac: float) -> float
     return float(group_w[:n_top].sum() / group_w.sum())
 
 
-@dataclass
-class ExposureReport:
-    """Per-depth sorted group shares and cumulative shares at headline fractions."""
-
-    depths: dict  # depth -> {"shares": [...], "top": {frac: share}}
-
-    def as_dict(self) -> dict:
-        return {
-            str(d): {"shares": v["shares"], "top": {str(f): s for f, s in v["top"].items()}}
-            for d, v in self.depths.items()
-        }
-
-
-def exposure_report(codes, weights, fracs=(0.01, 0.05, 0.10)) -> ExposureReport:
+def exposure_report(codes, weights, fracs=(0.01, 0.05, 0.10)) -> dict:
+    """Per depth (a string key) the sorted group shares and, per headline
+    fraction (a string key), the cumulative share of its heaviest groups."""
     codes = _as_codes(codes)
     w = np.asarray(weights, dtype=np.float64)
     depths = {}
@@ -71,11 +60,12 @@ def exposure_report(codes, weights, fracs=(0.01, 0.05, 0.10)) -> ExposureReport:
         _, inverse = np.unique(codes[:, :depth], axis=0, return_inverse=True)
         group_w = np.bincount(inverse, weights=w)
         shares = np.sort(group_w)[::-1] / group_w.sum()
-        depths[depth] = {
+        depths[str(depth)] = {
             "shares": shares.tolist(),
-            "top": {f: float(shares[: math.ceil(f * shares.shape[0])].sum()) for f in fracs},
+            "top": {str(f): float(shares[: math.ceil(f * shares.shape[0])].sum())
+                    for f in fracs},
         }
-    return ExposureReport(depths=depths)
+    return depths
 
 
 # ----------------------------------------------------------------------
@@ -141,21 +131,14 @@ def entropy_reduction(codes, attrs, weights, layer: int) -> float:
     return without - with_attrs
 
 
-@dataclass
-class EntropyReport:
-    per_layer: list  # of dicts {layer, h_prefix, h_prefix_attrs, delta}
-
-    def as_dict(self) -> dict:
-        return {"per_layer": self.per_layer}
-
-
-def entropy_report(codes, attrs, weights) -> EntropyReport:
+def entropy_report(codes, attrs, weights) -> list:
+    """One row {layer, h_prefix, h_prefix_attrs, delta} per code layer."""
     codes = np.asarray(codes, dtype=np.int64)
     rows = []
     for l in range(codes.shape[1]):
         h0, h1 = _layer_entropies(codes, attrs, weights, l)
         rows.append({"layer": l, "h_prefix": h0, "h_prefix_attrs": h1, "delta": h0 - h1})
-    return EntropyReport(per_layer=rows)
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import corpus as corpus_mod, decoder, pipeline, quantizer, scorer, tokenizer
+from . import corpus as corpus_mod, decoder, pipeline, quantizer, scorer
 
 
 def _command(sub, name, func, help_text, data_dir=True):
@@ -77,17 +77,6 @@ def _naming(path):
         raise corpus_mod.CorpusFormatError(f"{path}: {exc}") from exc
 
 
-def _load_space(data_dir):
-    path = os.path.join(data_dir, "space.json")
-    doc = corpus_mod.read_json_object(path)
-    try:
-        return tokenizer.SequenceSpace.from_dict(doc["space"])
-    except KeyError as exc:
-        raise tokenizer.TokenizerError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError) as exc:
-        raise tokenizer.TokenizerError(f"{path}: malformed space ({exc})") from exc
-
-
 def _cmd_gen_data(args):
     cfg = _resolve_config(args)
     corp, log = pipeline.gen_data(cfg, args.out)
@@ -137,12 +126,11 @@ def _cmd_train(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
     corp, log = _load_corpus_and_log(data_dir)
-    space = _load_space(data_dir)
+    space = pipeline.load_space(os.path.join(data_dir, "space.json"))
     paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
     train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
     params = pipeline.init_model(cfg, corp, space)
     params, trace = pipeline.train_model(cfg, params, train_set)
-    os.makedirs(args.out, exist_ok=True)
     scorer.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"),
                            meta=pipeline.artifact_meta(cfg))
     print(f"trained on {len(train_set)} samples; "
@@ -157,12 +145,11 @@ def _cmd_align(args):
         "dpo_target"))
     data_dir = _data_dir(args)
     corp, log = _load_corpus_and_log(data_dir, cfg.align.reward_weights)
-    space = _load_space(data_dir)
+    space = pipeline.load_space(os.path.join(data_dir, "space.json"))
     paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
     train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
     params = scorer.load_checkpoint(os.path.join(data_dir, "checkpoint.json"))
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
-    os.makedirs(args.out, exist_ok=True)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),
                            meta=pipeline.artifact_meta(cfg))
     print(f"aligned over {len(trace)} batches; final joint loss {trace[-1]:.4f}"
@@ -170,9 +157,13 @@ def _cmd_align(args):
     return 0
 
 
-def _checkpoint_path(data_dir):
+def _model_and_paths(data_dir):
+    """The aligned checkpoint, else the trained one, and the sequences that fit its space."""
     aligned = os.path.join(data_dir, "aligned_checkpoint.json")
-    return aligned if os.path.exists(aligned) else os.path.join(data_dir, "checkpoint.json")
+    params = scorer.load_checkpoint(
+        aligned if os.path.exists(aligned) else os.path.join(data_dir, "checkpoint.json"))
+    return params, pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
+                                           params.space)
 
 
 def _cmd_decode(args):
@@ -181,10 +172,7 @@ def _cmd_decode(args):
         args.objective, _, args.scene = args.task.partition(":")
     cfg = dataclasses.replace(cfg, decode=_with_flags(
         cfg.decode, args, "beam_width", "top_k", "objective", "scene"))
-    data_dir = _data_dir(args)
-    params = scorer.load_checkpoint(_checkpoint_path(data_dir))
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
-                                     params.space)
+    params, paths = _model_and_paths(_data_dir(args))
     candidates = pipeline.decode(cfg, params, decoder.build_trie(paths), args.out)
     print(f"wrote {len(candidates)} candidates to {os.path.join(args.out, 'candidates.jsonl')}")
     return 0
@@ -194,9 +182,7 @@ def _cmd_eval(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
     corp, log = _load_corpus_and_log(data_dir)
-    params = scorer.load_checkpoint(_checkpoint_path(data_dir))
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
-                                     params.space)
+    params, paths = _model_and_paths(data_dir)
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
     report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)
@@ -223,10 +209,8 @@ def _cmd_ablate(args):
     corp, log = _load_corpus_and_log(data_dir)
     methods = args.methods.split(",") if args.methods else ["capacity", "baseline"]
     reports = pipeline.ablation_run(cfg, corp, log, chains, methods)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "ablation.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({name: r.as_dict() for name, r in reports.items()}, fh, sort_keys=True)
+    corpus_mod.write_json(os.path.join(args.out, "ablation.json"),
+                          {name: r.as_dict() for name, r in reports.items()})
     for name, r in reports.items():
         print(f"{name}: token HR@3 mean {r.token_hr3_mean:.3f}")
     return 0

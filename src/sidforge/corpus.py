@@ -13,6 +13,7 @@ config, so every artifact is bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -337,37 +338,48 @@ def expect(kind: str, name: str, value):
     return value
 
 
+def _create(path):
+    """``path`` opened for writing, its directory made first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8")
+
+
+def write_json(path, doc: dict):
+    """The one writer of a JSON document: ``doc`` with sorted keys."""
+    with _create(path) as fh:
+        json.dump(doc, fh, sort_keys=True)
+
+
 def write_jsonl(path, records, meta: dict | None = None):
     """One ``json.dumps(record)`` line per record; ``meta``, when given, goes
-    to the ``<path>.meta.json`` sidecar with sorted keys."""
-    with open(path, "w", encoding="utf-8") as fh:
+    to the ``<path>.meta.json`` sidecar."""
+    with _create(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
     if meta is not None:
-        with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True)
+        write_json(str(path) + ".meta.json", meta)
+
+
+def _parse(text: str, where: str, whole_file: bool) -> dict:
+    """The JSON object ``text``; malformed JSON (an over-long integer literal
+    included) or another value raises ``CorpusFormatError`` naming ``where``."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        at = f" at line {exc.lineno}" if whole_file and hasattr(exc, "lineno") else ""
+        raise CorpusFormatError(
+            f"{where}: malformed JSON{at} ({getattr(exc, 'msg', exc)})") from exc
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{where}: expected a JSON object")
+    return obj
 
 
 def read_jsonl(path):
-    """Yield ("<path>: line N", object) for each non-blank line.
-
-    A line that is not a JSON object raises ``CorpusFormatError`` naming
-    the file and the line.
-    """
+    """Yield ("<path>: line N", object) for each non-blank line of ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
-                raise CorpusFormatError(
-                    f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})") from exc
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"{where}: expected a JSON object")
-            yield where, obj
+            if line.strip():
+                yield f"{path}: line {lineno}", _parse(line, f"{path}: line {lineno}", False)
 
 
 def check_fields(obj: dict, fields: set, what: str):
@@ -377,32 +389,56 @@ def check_fields(obj: dict, fields: set, what: str):
             raise CorpusFormatError(f"{wording} {what} field(s) {sorted(keys)}")
 
 
-def read_records(path, what: str, fields: set, build) -> list:
-    """``build(obj)`` for each line of ``path``; a line whose keys are not
-    exactly ``fields``, or whose ``build`` raises ``KeyError``, ``TypeError``
-    or ``ValueError``, raises ``CorpusFormatError`` naming the file and line."""
-    out = []
+def expect_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array if it is a rectangular nest of finite numbers
+    (no booleans, strings or nulls), in one vectorized pass; else ``ValueError``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be a rectangular array of finite numbers")
+    return arr.astype(np.float64, copy=False)
+
+
+def _checked(where: str, obj: dict, fields: set, what: str, build, reason="{}"):
+    """``build(obj)`` once the keys of ``obj`` are exactly ``fields``; a failure
+    raises ``CorpusFormatError`` naming ``where``, and a failure other than a
+    ``CorpusFormatError`` is formatted into ``reason``."""
+    try:
+        check_fields(obj, fields, what)
+        return build(obj)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{where}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{where}: " + reason.format(exc)) from exc
+
+
+def read_records(path, what: str, fields: set, build, unique: str | None = None) -> list:
+    """``build(obj)`` for each line of ``path``; keys other than ``fields``, a
+    ``KeyError``, ``TypeError`` or ``ValueError`` from ``build``, or a repeated
+    ``unique`` field raises ``CorpusFormatError`` naming the file and line."""
+    out, seen = [], set()
     for where, obj in read_jsonl(path):
-        try:
-            check_fields(obj, fields, what)
-            out.append(build(obj))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{where}: {exc}") from exc
+        out.append(_checked(where, obj, fields, what, build))
+        if unique is not None and obj[unique] in seen:
+            raise CorpusFormatError(f"{where}: repeated {unique} {obj[unique]}")
+        seen.add(obj.get(unique))
     return out
 
 
 def read_json_object(path) -> dict:
-    """The JSON object that is the whole of ``path``; malformed JSON, or a
-    document that is not an object, raises ``CorpusFormatError`` naming the file."""
+    """The JSON object that is the whole of ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            where = f"{path}: malformed JSON at line {exc.lineno}"
-            raise CorpusFormatError(f"{where} ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{path}: expected a JSON object")
-    return obj
+        return _parse(fh.read(), str(path), True)
+
+
+def read_document(path, what: str, fields: set, build):
+    """``build(doc)`` for the JSON object ``doc`` that is ``path``, checked as a
+    line of :func:`read_records`; a failure of ``build`` other than a
+    ``CorpusFormatError`` reads ``<path>: malformed <what> (<reason>)``."""
+    return _checked(str(path), read_json_object(path), fields, what, build,
+                    f"malformed {what} ({{}})")
 
 
 def save_items(corpus: ItemCorpus, path, meta: dict | None = None):

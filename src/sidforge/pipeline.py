@@ -199,7 +199,6 @@ def gen_data(cfg: RunConfig, out_dir):
     The global seed governs every pipeline stage, so it supersedes the
     corpus section's own seed field here.
     """
-    os.makedirs(out_dir, exist_ok=True)
     synth = dataclasses.replace(cfg.corpus, seed=cfg.seed)
     corp = corpus_mod.generate_corpus(synth)
     log = corpus_mod.generate_interactions(corp, synth)
@@ -218,7 +217,6 @@ def run_quantizer(cfg: RunConfig, corp, out_dir=None):
         max_iter=q.max_iter, eps_conv=q.eps_conv, strict=q.strict,
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         quantizer.save_codebook(result.codebook, os.path.join(out_dir, "codebook.json"),
                                 meta=artifact_meta(cfg))
         quantizer.save_sids(result.sids, os.path.join(out_dir, "sids.jsonl"), artifact_meta(cfg))
@@ -245,14 +243,19 @@ def build_sequences(cfg: RunConfig, corp, sids, out_dir=None):
     for sid, item in zip(sids, _items_of(corp, sids)):
         paths[sid.item_id] = tokenizer.build_sequence(item, sid, default_ctx, space).path
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         corpus_mod.write_jsonl(
             os.path.join(out_dir, "sequences.jsonl"),
             ({"item_id": item_id, "path": list(paths[item_id])} for item_id in sorted(paths)),
             artifact_meta(cfg))
-        with open(os.path.join(out_dir, "space.json"), "w", encoding="utf-8") as fh:
-            json.dump({"space": space.as_dict(), "meta": artifact_meta(cfg)}, fh)
+        corpus_mod.write_json(os.path.join(out_dir, "space.json"),
+                              {"space": space.as_dict(), "meta": artifact_meta(cfg)})
     return space, paths
+
+
+def load_space(path) -> tokenizer.SequenceSpace:
+    """space.json, as :func:`build_sequences` writes it."""
+    return corpus_mod.read_document(path, "space", {"space", "meta"},
+                                    lambda doc: tokenizer.SequenceSpace.from_dict(doc["space"]))
 
 
 def _items_of(corp, sids) -> list:
@@ -272,7 +275,8 @@ def load_sequences(path, space=None) -> dict:
             space.check_path(tokens)
         return corpus_mod.expect("integer", "item_id", obj["item_id"]), tokens
 
-    return dict(corpus_mod.read_records(path, "sequence", {"item_id", "path"}, build))
+    return dict(corpus_mod.read_records(path, "sequence", {"item_id", "path"}, build,
+                                        unique="item_id"))
 
 
 def assemble_samples(cfg: RunConfig, corp, log, space, paths):
@@ -419,7 +423,6 @@ def decode(cfg: RunConfig, params, trie, out_dir=None) -> list:
     model = scorer.NeuralSequenceModel(params, (), bos)
     candidates = decoder.beam_search(model, trie, cfg.decode.beam_width, cfg.decode.top_k)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         corpus_mod.write_jsonl(
             os.path.join(out_dir, "candidates.jsonl"),
             ({"path": list(c.path), "logprob": c.logprob, "item_ids": list(c.item_ids)}
@@ -436,9 +439,7 @@ def evaluate(cfg: RunConfig, params, trie, eval_set, out_dir=None) -> evaluation
         metadata=artifact_meta(cfg),
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, sort_keys=True)
+        corpus_mod.write_json(os.path.join(out_dir, "report.json"), report.as_dict())
     return report
 
 
@@ -456,13 +457,11 @@ def analyze(cfg: RunConfig, corp, sids, out_dir) -> dict:
                  for f in cfg.tokenizer.attr_chain]
     attrs = np.array(attr_cols).T if attr_cols else np.zeros((len(sids), 0), dtype=int)
     report = {
-        "exposure": exposure_report(codes, weights).as_dict(),
-        "entropy": entropy_report(codes, attrs, weights).as_dict(),
+        "exposure": exposure_report(codes, weights),
+        "entropy": {"per_layer": entropy_report(codes, attrs, weights)},
         "meta": artifact_meta(cfg),
     }
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "analysis.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True)
+    corpus_mod.write_json(os.path.join(out_dir, "analysis.json"), report)
     return report
 
 
@@ -472,7 +471,6 @@ def run_pipeline(cfg: RunConfig, out_dir):
     Writes the artifacts of the CLI chain under the same names, except that
     the aligned model is saved as ``checkpoint.json``.
     """
-    os.makedirs(out_dir, exist_ok=True)
     corp, log = gen_data(cfg, out_dir)
     rq = run_quantizer(cfg, corp, out_dir)
     space, paths = build_sequences(cfg, corp, rq.sids, out_dir)

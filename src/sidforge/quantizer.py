@@ -21,13 +21,12 @@ still fits is still the nearest one.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .corpus import expect, read_json_object, read_records, write_jsonl
+from .corpus import expect, expect_array, read_document, read_records, write_json, write_jsonl
 
 
 class CapacityError(ValueError):
@@ -54,11 +53,10 @@ class Codebook:
     def __post_init__(self):
         if self.tau is not None and self.tau < 1.0:
             raise ValueError("tau must be >= 1")
-        if len(self.layers) != self.L:
-            raise ValueError("layer count mismatch")
-        for l, tab in enumerate(self.layers):
-            if tab.shape[0] != self.K:
-                raise ValueError(f"layer {l} has {tab.shape[0]} centroids, expected {self.K}")
+        shape = np.shape(self.layers)  # raises ValueError for layers of different widths
+        if len(shape) != 3 or shape[:2] != (self.L, self.K) or len(self.c_cap_per_layer) != self.L:
+            raise ValueError(f"layers of shape {shape} and {len(self.c_cap_per_layer)} "
+                             f"capacities do not fit L={self.L}, K={self.K}")
 
     def __eq__(self, other):
         if not isinstance(other, Codebook):
@@ -383,6 +381,13 @@ def capacity_constrained_rq(
     items = sorted(corpus.items, key=lambda it: it.item_id)
     emb = np.array([it.embedding for it in items])
     w = np.array([it.exposure_weight for it in items], dtype=np.float64)
+    # residual coordinates at most double per layer, so with every |value|
+    # below the bound each layer's summed squared distances stay finite
+    bound = math.sqrt(np.finfo(np.float64).max / max(emb.size, 1) / 4 ** (n_layers + 1))
+    too_large = np.abs(emb).max(axis=1, initial=0.0) > bound
+    if too_large.any():
+        raise ValueError(f"item_id {items[int(too_large.argmax())].item_id}: embedding values "
+                         f"above {bound:.3g} overflow the squared distances")
 
     residual = emb.copy()
     codes = np.empty((len(items), n_layers), dtype=np.int64)
@@ -425,39 +430,22 @@ def reconstruction_error(corpus, sids, codebook) -> float:
 # persistence: single JSON document for codebooks, JSONL for codes
 # ----------------------------------------------------------------------
 
-_CODEBOOK_KEYS = {"L", "K", "tau", "c_cap_per_layer", "layers", "meta"}
-
-
 def save_codebook(codebook: Codebook, path, meta: dict | None = None):
-    doc = {
-        "L": codebook.L,
-        "K": codebook.K,
-        "tau": codebook.tau,
-        "c_cap_per_layer": codebook.c_cap_per_layer,
-        "layers": [layer.tolist() for layer in codebook.layers],
-        "meta": meta or {},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_json(path, {**vars(codebook), "layers": [layer.tolist() for layer in codebook.layers],
+                      "meta": meta or {}})
+
+
+def _codebook(doc) -> Codebook:
+    return Codebook(layers=list(expect_array("layers", doc["layers"])),
+                    K=expect("integer", "K", doc["K"]), L=expect("integer", "L", doc["L"]),
+                    tau=None if doc["tau"] is None else expect("number", "tau", doc["tau"]),
+                    c_cap_per_layer=expect_array("c_cap_per_layer",
+                                                 doc["c_cap_per_layer"]).tolist())
 
 
 def load_codebook(path) -> Codebook:
-    doc = read_json_object(path)
-    unknown = set(doc) - _CODEBOOK_KEYS
-    if unknown:
-        raise ValueError(f"{path}: unknown codebook field(s) {sorted(unknown)}")
-    try:
-        return Codebook(
-            layers=[np.asarray(layer, dtype=np.float64) for layer in doc["layers"]],
-            K=doc["K"],
-            L=doc["L"],
-            tau=doc["tau"],
-            c_cap_per_layer=list(doc["c_cap_per_layer"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_document(path, "codebook", {f.name for f in fields(Codebook)} | {"meta"},
+                         _codebook)
 
 
 def save_sids(sids, path, meta: dict | None = None):
@@ -470,4 +458,4 @@ def _semantic_id(obj) -> SemanticId:
 
 
 def load_sids(path) -> list:
-    return read_records(path, "sid", {"item_id", "sid"}, _semantic_id)
+    return read_records(path, "sid", {"item_id", "sid"}, _semantic_id, unique="item_id")

@@ -18,14 +18,14 @@ heads train with analytic gradients (no autograd framework involved).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .corpus import read_json_object
-from .tokenizer import HashSpec, SequenceSpace, content_summary_rows
+from .corpus import (CorpusFormatError, check_fields, expect, expect_array, read_document,
+                     write_json)
+from .tokenizer import HashSpec, SequenceSpace, content_summary_rows, hash_spec_for_space
 
 FROZEN_TENSORS = ("attn_wq", "attn_wk", "attn_wv", "attn_gamma")
 
@@ -615,7 +615,7 @@ def tensor_digest(arr: np.ndarray) -> str:
 
 
 def save_checkpoint(params: ScorerParams, path, meta: dict | None = None):
-    doc = {
+    write_json(path, {
         "config": asdict(params.config),
         "space": params.space.as_dict(),
         "hash_spec": asdict(params.hash_spec),
@@ -624,48 +624,55 @@ def save_checkpoint(params: ScorerParams, path, meta: dict | None = None):
         "frozen_digests": {n: tensor_digest(params.tensors[n]) for n in FROZEN_TENSORS},
         "tensors": {n: a.tolist() for n, a in params.tensors.items()},
         "meta": meta or {},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    })
+
+
+def _hash_spec(obj, space: SequenceSpace) -> HashSpec:
+    """The stored spec, whose table sizes must be those its pairs get over ``space``."""
+    check_fields(expect("object", "hash_spec", obj), {f.name for f in fields(HashSpec)},
+                 "hash_spec")
+    pairs = [tuple(expect("integer", "hash pair step", t) for t in p) for p in obj["pairs"]]
+    spec = hash_spec_for_space(space, pairs, *(expect("integer", f"hash_spec.{k}", obj[k])
+                                               for k in ("m_hashes", "p1", "p2", "d_hash")))
+    if list(spec.pair_sizes) != obj["pair_sizes"]:
+        raise ValueError(f"hash_spec.pair_sizes must be {list(spec.pair_sizes)} for its pairs")
+    return spec
+
+
+_CHECKPOINT_FIELDS = {"config", "space", "hash_spec", "n_behavior_tokens", "frozen",
+                      "frozen_digests", "tensors", "meta"}
+
+
+def _checkpoint(doc) -> ScorerParams:
+    cfg = expect("object", "config", doc["config"])
+    check_fields(cfg, {f.name for f in fields(ScorerConfig)}, "config")
+    config = ScorerConfig(**{k: expect("integer", f"config.{k}", v) for k, v in cfg.items()})
+    space = SequenceSpace.from_dict(doc["space"])
+    params = ScorerParams(config, space, _hash_spec(doc["hash_spec"], space),
+                          expect("integer", "n_behavior_tokens", doc["n_behavior_tokens"]), {})
+    digests = expect("object", "frozen_digests", doc["frozen_digests"])
+    check_fields(digests, set(FROZEN_TENSORS), "frozen_digests")
+    tensors = expect("object", "tensors", doc["tensors"])
+    shapes = _tensor_shapes(params)
+    for what, names in (("missing", set(shapes) - set(tensors)),
+                        ("unknown", set(tensors) - set(shapes))):
+        if names:
+            raise CorpusFormatError(f"{what} tensor(s) {sorted(names)}")
+    for name, shape in shapes.items():
+        params.tensors[name] = expect_array(f"tensor {name!r}", tensors[name])
+        if params.tensors[name].shape != shape:
+            raise CorpusFormatError(f"tensor {name!r} has shape {params.tensors[name].shape}, "
+                                    f"expected {shape}")
+    for name, digest in digests.items():
+        if tensor_digest(params.tensors[name]) != digest:
+            raise CorpusFormatError(f"frozen tensor {name} digest mismatch")
+    return params
 
 
 def load_checkpoint(path) -> ScorerParams:
     """A checkpoint whose tensors have the names and shapes of
-    :func:`_tensor_shapes`; any other document raises ``ScorerError``."""
-    doc = read_json_object(path)
-    try:
-        config = ScorerConfig(**doc["config"])
-        space = SequenceSpace.from_dict(doc["space"])
-        hs = doc["hash_spec"]
-        hash_spec = HashSpec(
-            pairs=tuple(tuple(p) for p in hs["pairs"]),
-            pair_sizes=tuple(hs["pair_sizes"]),
-            m_hashes=hs["m_hashes"],
-            p1=hs["p1"],
-            p2=hs["p2"],
-            d_hash=hs["d_hash"],
-        )
-        params = ScorerParams(config, space, hash_spec, doc["n_behavior_tokens"], {})
-        shapes = _tensor_shapes(params)
-        tensors = {n: np.asarray(a, dtype=np.float64) for n, a in doc["tensors"].items()}
-        digests = {n: doc["frozen_digests"][n] for n in FROZEN_TENSORS}
-    except KeyError as exc:
-        raise ScorerError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ScorerError(f"{path}: malformed checkpoint ({exc})") from exc
-    for what, names in (("missing", set(shapes) - set(tensors)),
-                        ("unknown", set(tensors) - set(shapes))):
-        if names:
-            raise ScorerError(f"{path}: {what} tensor(s) {sorted(names)}")
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
-            raise ScorerError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                              f"expected {shape}")
-        params.tensors[name] = tensors[name]
-    for name, digest in digests.items():
-        if tensor_digest(tensors[name]) != digest:
-            raise ScorerError(f"{path}: frozen tensor {name} digest mismatch")
-    return params
+    :func:`_tensor_shapes`; any other document raises ``CorpusFormatError``."""
+    return read_document(path, "checkpoint", _CHECKPOINT_FIELDS, _checkpoint)
 
 
 def clone_params(params: ScorerParams) -> ScorerParams:

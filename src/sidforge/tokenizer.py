@@ -15,11 +15,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import OBJECTIVES, SCENES
+from .corpus import OBJECTIVES, SCENES, check_fields, expect
 
 
 class TokenizerError(ValueError):
     pass
+
+
+_SPACE_FIELDS = {"attr_chain", "attr_vocabs", "sid_sizes", "objectives", "scenes"}
 
 
 @dataclass(frozen=True)
@@ -111,25 +114,25 @@ class SequenceSpace:
         return f"s{t - self.m - 1}"
 
     def as_dict(self) -> dict:
-        return {
-            "attr_chain": list(self.attr_chain),
-            "attr_vocabs": {f: dict(v) for f, v in self.attr_vocabs.items()},
-            "sid_sizes": list(self.sid_sizes),
-            "objectives": list(self.objectives),
-            "scenes": list(self.scenes),
-        }
+        return {f: getattr(self, f) for f in _SPACE_FIELDS}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SequenceSpace":
-        return cls(
-            attr_chain=tuple(d["attr_chain"]),
-            attr_vocabs={f: dict(v) for f, v in d["attr_vocabs"].items()},
-            sid_sizes=tuple(d["sid_sizes"]),
-            objectives=tuple(d["objectives"]),
-            scenes=tuple(d["scenes"]),
-        )
-
-
+    def from_dict(cls, d) -> "SequenceSpace":
+        """The inverse of :meth:`as_dict`: vocabularies number their values 0..n-1, SID
+        sizes are positive, tasks are :mod:`corpus`'s and token indices fit in 31 bits."""
+        check_fields(expect("object", "space", d), _SPACE_FIELDS, "space")
+        vocabs = expect("object", "attr_vocabs", d["attr_vocabs"])
+        for f, vocab in vocabs.items():
+            if sorted(expect("object", f"{f} vocabulary", vocab).values()) != [*range(len(vocab))]:
+                raise ValueError(f"{f} vocabulary must number its values 0..{len(vocab) - 1}")
+        if (tuple(d["objectives"]), tuple(d["scenes"])) != (OBJECTIVES, SCENES):
+            raise ValueError(f"the task registry must be {list(OBJECTIVES)} x {list(SCENES)}")
+        space = cls(tuple(expect("string", "attr_chain field", f) for f in d["attr_chain"]),
+                    vocabs, tuple(expect("integer", "sid size", k) for k in d["sid_sizes"]))
+        if min(space.sid_sizes, default=1) < 1 or sum(space.step_vocab_sizes) >= 2**31:
+            raise ValueError(f"sid_sizes must be positive and all steps hold < 2**31 tokens, "
+                             f"got {list(space.sid_sizes)}")
+        return space
 def task_bos_token(ctx: TaskContext, space: SequenceSpace) -> int:
     """Unique token per registered (objective, scene) pair."""
     if ctx.objective not in space.objectives:
@@ -220,8 +223,8 @@ class HashSpec:
             raise ValueError("need one table size per pair")
         if any(s < 1 for s in self.pair_sizes):
             raise ValueError("pair table sizes must be >= 1")
-        if self.p1 == self.p2:
-            raise ValueError("p1 and p2 must differ")
+        if self.p1 == self.p2 or not (0 < self.p1 < 2**31 and 0 < self.p2 < 2**31):
+            raise ValueError("p1 and p2 must differ and lie in 1..2**31 - 1")
 
     @property
     def table_rows(self) -> int:

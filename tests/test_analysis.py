@@ -45,8 +45,8 @@ class TestExposureConcentration:
         rng = np.random.default_rng(1)
         codes = rng.integers(0, 4, size=(50, 2))
         rep = exposure_report(codes, np.ones(50))
-        assert set(rep.depths) == {1, 2}
-        for d in rep.depths.values():
+        assert set(rep) == {"1", "2"}
+        for d in rep.values():
             assert sum(d["shares"]) == pytest.approx(1.0)
 
     def test_empty_corpus_error(self):

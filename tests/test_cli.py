@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from hypothesis import strategies as st
 from sidforge import alignment, pipeline
 from sidforge.cli import main
 from sidforge.corpus import (
+    CorpusFormatError,
     Item,
     ItemCorpus,
     load_interactions,
     load_items,
     save_items,
+    write_json,
 )
-from sidforge.quantizer import load_codebook, load_sids
+from sidforge.quantizer import load_codebook, load_sids, save_codebook
+from sidforge.scorer import load_checkpoint, save_checkpoint
 
 MINI_CONFIG = {
     "seed": 5,
@@ -189,7 +193,7 @@ class TestCliErrors:
                 assert want in capsys.readouterr().err
         space = tmp_path / "run" / "space.json"
         for body, want in (("[1]", "space.json: expected a JSON object"),
-                           ('{"space": [1]}', "space.json: malformed space")):
+                           ('{"space": [1], "meta": {}}', "space.json: malformed space")):
             space.write_text(body)
             capsys.readouterr()
             assert run(["train", "--config", config_path, "--out", out]) == 1
@@ -198,8 +202,8 @@ class TestCliErrors:
     def test_codebook_that_is_not_an_object_names_the_file(self, tmp_path):
         codebook = tmp_path / "codebook.json"
         for body, want in (("[1]", "expected a JSON object"), ('{"K": ', "malformed JSON"),
-                           ('{"K": 2, "L": 1, "tau": 1.0, "c_cap_per_layer": 3, "layers": []}',
-                            "not iterable")):
+                           ('{"K": 2, "L": 1, "tau": 1.0, "c_cap_per_layer": 3, "layers": [], '
+                            '"meta": {}}', "malformed codebook")):
             codebook.write_text(body)
             with pytest.raises(ValueError, match=f"codebook.json: .*{want}"):
                 load_codebook(str(codebook))
@@ -222,7 +226,7 @@ class TestCliErrors:
             pipeline.load_sequences(str(seqs))
         codebook = tmp_path / "codebook.json"
         codebook.write_text('{"layers": []}')
-        with pytest.raises(ValueError, match="codebook.json: missing key 'K'"):
+        with pytest.raises(ValueError, match=r"codebook.json: missing codebook field\(s\) \['K'"):
             load_codebook(str(codebook))
 
     def test_malformed_sequences_line_names_file_and_line(self, tmp_path, config_path, capsys):
@@ -594,6 +598,170 @@ class TestJsonlReaders:
                 obj[data.draw(st.sampled_from(sorted(obj)))] = value
 
             rc, err = run_on_edited_line(read_run, artifact, line_no, edit)
+            assert rc in (0, 1)
+            if rc == 1:
+                assert artifact in err
+
+        replace_one_field()
+
+
+DOCUMENT_READERS = {"checkpoint.json": "decode", "space.json": "train"}
+
+
+def run_on_edited_document(read_run, artifact, edit):
+    """Read ``artifact`` of the read run after ``edit(doc)``: with its CLI reader,
+    or with ``load_codebook`` for the codebook, which no command reads (exit 1
+    for a ``CorpusFormatError``).  The file is restored afterwards.  Returns
+    (exit status, stderr)."""
+    config, data, out = read_run
+    path = os.path.join(data, artifact)
+    with open(path, encoding="utf-8") as fh:
+        original = fh.read()
+    doc = json.loads(original)
+    edit(doc)
+    err = io.StringIO()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        if artifact == "codebook.json":
+            try:
+                load_codebook(path)
+                rc = 0
+            except CorpusFormatError as exc:
+                rc = 1
+                err.write(str(exc))
+        else:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = run([DOCUMENT_READERS[artifact], "--config", config, "--data-dir", data,
+                          "--out", out])
+    finally:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(original)
+    return rc, err.getvalue()
+
+
+def _set(path, value):
+    """An edit that sets the field at the key ``path`` of a document to ``value``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+# the fields whose own fields (or, for a list, entries) the fuzz also replaces
+NESTED = {"checkpoint.json": ("config", "space", "hash_spec", "tensors"),
+          "codebook.json": ("layers",), "space.json": ()}
+
+
+class TestJsonDocuments:
+    def test_every_document_has_sorted_keys_and_loads_back(self, tmp_path, config_path):
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "analyze", "build-seqs", "train", "align", "decode",
+                    "eval", "ablate"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0, cmd
+        pipeline.run_pipeline(pipeline.load_config(MINI_CONFIG), str(tmp_path / "pipeline"))
+        found = set()
+        for run_dir in (out, str(tmp_path / "pipeline")):
+            for name in sorted(os.listdir(run_dir)):
+                if not name.endswith(".json"):
+                    continue
+                found.add(name)
+                path = os.path.join(run_dir, name)
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                doc = json.loads(text)
+                assert text == json.dumps(doc, sort_keys=True), name
+                again = str(tmp_path / "again.json")
+                if name.endswith("checkpoint.json"):
+                    save_checkpoint(load_checkpoint(path), again, meta=doc["meta"])
+                elif name == "codebook.json":
+                    save_codebook(load_codebook(path), again, meta=doc["meta"])
+                elif name == "space.json":
+                    write_json(again, {"space": pipeline.load_space(path).as_dict(),
+                                       "meta": doc["meta"]})
+                else:
+                    continue
+                with open(again, encoding="utf-8") as fh:
+                    assert fh.read() == text, name
+        assert found >= {"codebook.json", "space.json", "checkpoint.json",
+                         "aligned_checkpoint.json", "report.json", "analysis.json",
+                         "ablation.json", "items.jsonl.meta.json", "sids.jsonl.meta.json",
+                         "sequences.jsonl.meta.json", "candidates.jsonl.meta.json"}
+
+    @pytest.mark.parametrize("artifact, path, value, message", [
+        ("codebook.json", ("tau",), 0.5, "malformed codebook (tau must be >= 1)"),
+        ("codebook.json", ("layers",), [[[0.0, 0.0]] * 4, [[0.0]] * 4],
+         "malformed codebook (layers must be a rectangular array of finite numbers)"),
+        ("codebook.json", ("c_cap_per_layer",), "ab",
+         "malformed codebook (c_cap_per_layer must be a rectangular array of finite numbers)"),
+        ("checkpoint.json", ("x",), 1, "unknown checkpoint field(s) ['x']"),
+        ("checkpoint.json", ("config", "seed"), "x",
+         "malformed checkpoint (config.seed must be an integer, got 'x')"),
+        ("checkpoint.json", ("hash_spec", "pairs"), [[1, 9]],
+         "malformed checkpoint (step 9 out of range 1..4)"),
+        ("checkpoint.json", ("hash_spec", "p1"), 10**30,
+         "malformed checkpoint (p1 and p2 must differ and lie in 1..2**31 - 1)"),
+        ("checkpoint.json", ("tensors", "attn_wq"), [[1.0, None]],
+         "malformed checkpoint (tensor 'attn_wq' must be a rectangular array of finite numbers)"),
+        ("space.json", ("x",), 1, "unknown space field(s) ['x']"),
+        ("space.json", ("space", "attr_vocabs", "l2"), {"a": 0, "b": 0},
+         "malformed space (l2 vocabulary must number its values 0..1)"),
+        ("space.json", ("space", "objectives"), ["click"], "malformed space (the task registry"),
+    ])
+    def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, path, value, message):
+        rc, err = run_on_edited_document(read_run, artifact, _set(path, value))
+        assert rc == 1
+        assert f"{artifact}: {message}" in err
+
+    def test_integer_too_long_to_parse_names_the_file(self, read_run, tmp_path, capsys):
+        config, data, out = read_run
+        path = os.path.join(data, "checkpoint.json")
+        with open(path, encoding="utf-8") as fh:
+            original = fh.read()
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(original.replace('"seed": 5', '"seed": ' + "9" * 5000, 1))
+            capsys.readouterr()
+            assert run(["decode", "--config", config, "--data-dir", data, "--out", out]) == 1
+            assert "checkpoint.json: malformed JSON (Exceeds the limit" in capsys.readouterr().err
+        finally:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(original)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": ' + "9" * 5000 + "}")
+        assert run(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "bad.json: malformed JSON (Exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact", ["sids.jsonl", "sequences.jsonl"])
+    def test_repeated_item_id_names_file_and_line(self, read_run, artifact):
+        rc, err = run_on_edited_line(read_run, artifact, 1, lambda obj: obj.update(item_id=0))
+        assert rc == 1
+        assert f"{artifact}: line 2: repeated item_id 0" in err
+
+    def test_embedding_whose_distances_overflow_names_the_item(self, read_run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run_on_edited_line(read_run, "items.jsonl", 1,
+                                         lambda obj: obj.update(embedding=[1e308] * 6))
+        assert rc == 1
+        assert "items.jsonl: item_id 1: embedding values above " in err
+
+    @pytest.mark.parametrize("artifact", sorted(NESTED))
+    def test_any_one_replaced_field_exits_0_or_1_naming_the_file(self, read_run, artifact):
+        with open(os.path.join(read_run[1], artifact), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        paths = [(key,) for key in sorted(doc)]
+        for key in NESTED[artifact]:
+            inner = doc[key]
+            paths += [(key, k) for k in (sorted(inner) if isinstance(inner, dict)
+                                          else range(len(inner)))]
+
+        @settings(max_examples=50, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.sampled_from(paths), json_values)
+        def replace_one_field(path, value):
+            rc, err = run_on_edited_document(read_run, artifact, _set(path, value))
             assert rc in (0, 1)
             if rc == 1:
                 assert artifact in err

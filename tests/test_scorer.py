@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidforge import scorer, tokenizer
+from sidforge.corpus import CorpusFormatError
 from sidforge.scorer import (
     CountScorer,
     NeuralSequenceModel,
@@ -393,7 +394,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["tensors"]["attn_gamma"] = 2.0
         path.write_text(json.dumps(doc))
-        with pytest.raises(ScorerError, match="attn_gamma"):
+        with pytest.raises(CorpusFormatError, match="attn_gamma"):
             load_checkpoint(path)
 
     def test_init_builds_the_checked_layout(self, params):
@@ -416,5 +417,5 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ScorerError, match=f"checkpoint.json: {want}"):
+        with pytest.raises(CorpusFormatError, match=f"checkpoint.json: {want}"):
             load_checkpoint(path)
