@@ -65,7 +65,6 @@ from .tokenizer import (
     HashSpec,
     SequenceSpace,
     TaskContext,
-    TokenSequence,
     build_sequence,
     hash_table_size,
     task_bos_token,

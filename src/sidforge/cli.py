@@ -67,6 +67,23 @@ def _load_corpus_and_log(data_dir, metrics=()):
     return corp, log
 
 
+def _training_inputs(cfg, data_dir, metrics=()):
+    """Corpus, log, space, paths and training split of ``data_dir``; space.json must
+    be the space that ``cfg`` and items.jsonl give, since it sizes the model."""
+    corp, log = _load_corpus_and_log(data_dir, metrics)
+    space_path = os.path.join(data_dir, "space.json")
+    space, expected = pipeline.load_space(space_path), pipeline.build_space(cfg, corp)
+    for f in dataclasses.fields(space):
+        got, want = getattr(space, f.name), getattr(expected, f.name)
+        if got != want:
+            raise corpus_mod.CorpusFormatError(
+                f"{space_path}: {f.name} {got!r:.80} is not the {want!r:.80} "
+                f"that the config and items.jsonl give")
+    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
+    train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
+    return corp, log, space, paths, train_set
+
+
 @contextlib.contextmanager
 def _naming(path):
     """Prefix ``path`` to a ValueError raised inside: the stage found records
@@ -124,11 +141,7 @@ def _cmd_build_seqs(args):
 
 def _cmd_train(args):
     cfg = _resolve_config(args)
-    data_dir = _data_dir(args)
-    corp, log = _load_corpus_and_log(data_dir)
-    space = pipeline.load_space(os.path.join(data_dir, "space.json"))
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
-    train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
+    corp, _, space, _, train_set = _training_inputs(cfg, _data_dir(args))
     params = pipeline.init_model(cfg, corp, space)
     params, trace = pipeline.train_model(cfg, params, train_set)
     scorer.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"),
@@ -144,10 +157,7 @@ def _cmd_align(args):
         cfg.align, args, "lambda_rft", "lambda_dpo", "beta", "c_clip", "pairs_per_request",
         "dpo_target"))
     data_dir = _data_dir(args)
-    corp, log = _load_corpus_and_log(data_dir, cfg.align.reward_weights)
-    space = pipeline.load_space(os.path.join(data_dir, "space.json"))
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
-    train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
+    _, log, space, paths, train_set = _training_inputs(cfg, data_dir, cfg.align.reward_weights)
     params = scorer.load_checkpoint(os.path.join(data_dir, "checkpoint.json"))
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),

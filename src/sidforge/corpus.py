@@ -458,9 +458,13 @@ def _item(obj) -> Item:
 
 
 def load_items(path) -> ItemCorpus:
-    """items.jsonl; a fault of the whole corpus (a duplicate item_id, an
-    embedding of another width, a broken taxonomy) names the file."""
+    """items.jsonl; a fault of the whole corpus (ids that do not number the
+    items 0..N-1, an embedding of another width, a broken taxonomy) names the file."""
     items = read_records(path, "item", _ITEM_FIELDS, _item)
+    outside = next((it.item_id for it in items if not 0 <= it.item_id < len(items)), None)
+    if outside is not None:
+        raise CorpusFormatError(f"{path}: item_id {outside} is outside 0..{len(items) - 1}; "
+                                f"the ids must number the items")
     try:
         return ItemCorpus(items=items, d_emb=items[0].embedding.shape[0] if items else 0)
     except ValueError as exc:

@@ -9,7 +9,7 @@ tie-breaks for determinism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,80 +18,54 @@ class DecoderError(ValueError):
     pass
 
 
-@dataclass
-class _TrieNode:
-    children: dict = field(default_factory=dict)
-    items: set = field(default_factory=set)  # non-empty only at leaves
-
-
 class PathTrie:
-    """Layered prefix tree mapping full token paths to item-id sets."""
+    """Prefix table over full token paths of one length, built once.
 
-    def __init__(self, n_steps: int):
+    ``_children`` maps every prefix of a path, the empty one included, to
+    the sorted tuple of its next tokens; ``_items`` maps every full path,
+    in lexicographic order, to the sorted tuple of its item ids.
+    """
+
+    def __init__(self, n_steps: int, children: dict, items: dict):
         self.n_steps = n_steps
-        self.root = _TrieNode()
-        self.n_paths = 0
-        self.total_items = 0
+        self.n_paths = len(items)
+        self._children = children
+        self._items = items
 
-    def insert(self, path, item_id: int):
-        path = tuple(path)
-        if len(path) != self.n_steps:
-            raise DecoderError(
-                f"path length {len(path)} inconsistent with trie depth {self.n_steps}"
-            )
-        node = self.root
-        for tok in path:
-            node = node.children.setdefault(int(tok), _TrieNode())
-        if not node.items:
-            self.n_paths += 1
-        node.items.add(item_id)
-        self.total_items += 1
-
-    def children(self, prefix) -> list:
+    def children(self, prefix) -> tuple:
         """Sorted valid continuations of a prefix (empty if prefix absent)."""
-        node = self._node(prefix)
-        return sorted(node.children) if node is not None else []
+        return self._children.get(tuple(prefix), ())
 
-    def items_at(self, path) -> set:
-        node = self._node(path)
-        if node is None or not node.items:
-            raise DecoderError(f"path {tuple(path)} not in trie")
-        return set(node.items)
+    def items_at(self, path) -> tuple:
+        try:
+            return self._items[tuple(path)]
+        except KeyError:
+            raise DecoderError(f"path {tuple(path)} not in trie") from None
 
-    def paths(self):
+    def paths(self) -> list:
         """All full paths, lexicographic order."""
-        out = []
-
-        def walk(node, prefix):
-            if len(prefix) == self.n_steps:
-                out.append(prefix)
-                return
-            for tok in sorted(node.children):
-                walk(node.children[tok], prefix + (tok,))
-
-        walk(self.root, ())
-        return out
-
-    def _node(self, prefix):
-        node = self.root
-        for tok in prefix:
-            node = node.children.get(int(tok))
-            if node is None:
-                return None
-        return node
+        return list(self._items)
 
 
 def build_trie(sequences_by_item: dict) -> PathTrie:
-    """Trie over item paths; SID collisions accumulate in leaf item sets."""
+    """Prefix table over item paths; SID collisions share one path's item tuple."""
     if not sequences_by_item:
         raise DecoderError("no sequences to index")
     lengths = {len(p) for p in sequences_by_item.values()}
     if len(lengths) != 1:
         raise DecoderError(f"inconsistent sequence lengths {sorted(lengths)}")
-    trie = PathTrie(n_steps=lengths.pop())
-    for item_id in sorted(sequences_by_item):
-        trie.insert(sequences_by_item[item_id], item_id)
-    return trie
+    n_steps = lengths.pop()
+    # paths sharing a prefix are adjacent in sorted order and list its next
+    # tokens in ascending order, so a token is new unless it repeats the last
+    children, items = {}, {}
+    for path, item_id in sorted((tuple(map(int, p)), i) for i, p in sequences_by_item.items()):
+        for t in range(n_steps):
+            nxt = children.setdefault(path[:t], [])
+            if not nxt or nxt[-1] != path[t]:
+                nxt.append(path[t])
+        items.setdefault(path, []).append(item_id)
+    return PathTrie(n_steps, {p: tuple(toks) for p, toks in children.items()},
+                    {p: tuple(ids) for p, ids in items.items()})
 
 
 @dataclass(frozen=True)
@@ -112,8 +86,6 @@ def beam_search(model, trie: PathTrie, beam_width: int, top_k: int) -> list:
     """
     if top_k < 1 or beam_width < top_k:
         raise DecoderError("need beam_width >= top_k >= 1")
-    if not trie.root.children:
-        raise DecoderError("empty trie")
 
     # live beams in lexicographic path order, so that expanding them in
     # order lists the expanded paths in lexicographic order too
@@ -137,6 +109,6 @@ def beam_search(model, trie: PathTrie, beam_width: int, top_k: int) -> list:
     ranked = np.argsort(-scores, kind="stable")[:top_k].tolist()
     return [
         Candidate(path=paths[i], logprob=float(scores[i]),
-                  item_ids=tuple(sorted(trie.items_at(paths[i]))))
+                  item_ids=trie.items_at(paths[i]))
         for i in ranked
     ]

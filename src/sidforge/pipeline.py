@@ -238,10 +238,8 @@ def build_sequences(cfg: RunConfig, corp, sids, out_dir=None):
     store only the decoded path.
     """
     space = build_space(cfg, corp)
-    default_ctx = tokenizer.TaskContext(cfg.decode.objective, cfg.decode.scene)
-    paths = {}
-    for sid, item in zip(sids, _items_of(corp, sids)):
-        paths[sid.item_id] = tokenizer.build_sequence(item, sid, default_ctx, space).path
+    paths = {sid.item_id: tokenizer.build_sequence(item, sid, space)
+             for sid, item in zip(sids, _items_of(corp, sids))}
     if out_dir is not None:
         corpus_mod.write_jsonl(
             os.path.join(out_dir, "sequences.jsonl"),

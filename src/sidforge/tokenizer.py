@@ -31,23 +31,6 @@ class TaskContext:
     scene: str
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """One decoding path: [task BOS, attribute tokens, SID tokens]."""
-
-    bos: int
-    attrs: tuple
-    sids: tuple
-
-    def __len__(self):
-        return 1 + len(self.attrs) + len(self.sids)
-
-    @property
-    def path(self) -> tuple:
-        """Decoded tokens only (no BOS) — the trie / scorer path."""
-        return self.attrs + self.sids
-
-
 @dataclass
 class SequenceSpace:
     """Per-position vocabularies for the m+L decoding steps.
@@ -144,9 +127,11 @@ def task_bos_token(ctx: TaskContext, space: SequenceSpace) -> int:
     )
 
 
-def build_sequence(item, sid, ctx: TaskContext, space: SequenceSpace) -> TokenSequence:
-    """[task BOS, attribute tokens in chain order, SID codes]."""
-    bos = task_bos_token(ctx, space)
+def build_sequence(item, sid, space: SequenceSpace) -> tuple:
+    """The decoded path: attribute tokens in chain order, then SID codes.
+
+    The task BOS is not part of it; each sample attaches its own.
+    """
     attrs = []
     for f in space.attr_chain:
         if f not in item.attrs:
@@ -163,7 +148,7 @@ def build_sequence(item, sid, ctx: TaskContext, space: SequenceSpace) -> TokenSe
     for l, c in enumerate(sid.codes):
         if not 0 <= c < space.sid_sizes[l]:
             raise TokenizerError(f"sid code {c} out of range at layer {l}")
-    return TokenSequence(bos=bos, attrs=tuple(attrs), sids=tuple(sid.codes))
+    return tuple(attrs) + tuple(sid.codes)
 
 
 # ----------------------------------------------------------------------

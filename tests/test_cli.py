@@ -315,6 +315,13 @@ class TestCliErrors:
         assert run(["quantize", "--config", config_path, "--out", out]) == 1
         assert "items.jsonl: line 2: expected a JSON object" in capsys.readouterr().err
 
+    def test_build_seqs_does_not_read_the_decode_task(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**MINI_CONFIG, "decode": {"objective": "nope"}}))
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "build-seqs"):
+            assert run([cmd, "--config", str(config), "--out", out]) == 0, cmd
+
     def test_unknown_quantizer_method_is_a_config_error(self, tmp_path, capsys):
         bad = {**MINI_CONFIG, "quantizer": {"method": "kmeans"}}
         with pytest.raises(pipeline.ConfigError, match=r"quantizer\.method"):
@@ -561,6 +568,8 @@ class TestJsonlReaders:
         ("sequences.jsonl", "path", [0, 0, 0, 0, 0],
          "line 2: path has 5 tokens, space expects 4"),
         ("sequences.jsonl", "path", [0, 0, 9, 0], "line 2: token 9 out of range at step 3"),
+        ("items.jsonl", "item_id", 100000,
+         "item_id 100000 is outside 0..59; the ids must number the items"),
     ])
     def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, key, value, message):
         rc, err = run_on_edited_line(read_run, artifact, 1, lambda obj: obj.update({key: value}))
@@ -708,6 +717,9 @@ class TestJsonDocuments:
         ("space.json", ("space", "attr_vocabs", "l2"), {"a": 0, "b": 0},
          "malformed space (l2 vocabulary must number its values 0..1)"),
         ("space.json", ("space", "objectives"), ["click"], "malformed space (the task registry"),
+        ("space.json", ("space", "sid_sizes"), [4, 20000],
+         "sid_sizes (4, 20000) is not the (4, 4) that the config and items.jsonl give"),
+        ("space.json", ("space", "attr_chain"), ["l3"], "attr_chain ('l3',) is not the"),
     ])
     def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, path, value, message):
         rc, err = run_on_edited_document(read_run, artifact, _set(path, value))

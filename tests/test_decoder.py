@@ -31,16 +31,45 @@ class RandomLogitModel:
         return self.tables[tuple(prefix)]
 
 
+@st.composite
+def item_paths(draw):
+    """item id -> token path, every path of one length over a small vocabulary."""
+    n_steps, vocab = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    path = st.tuples(*[st.integers(0, vocab - 1)] * n_steps)
+    return draw(st.dictionaries(st.integers(0, 50), path, min_size=1, max_size=20))
+
+
 class TestBuildTrie:
+    @given(item_paths(), st.lists(st.lists(st.integers(0, 5), max_size=4).map(tuple), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_table_matches_brute_force(self, seqs, probes):
+        trie = build_trie(seqs)
+        full = set(seqs.values())
+        n = len(next(iter(full)))
+
+        def next_tokens(prefix):
+            t = len(prefix)
+            return tuple(sorted({q[t] for q in full if t < n and q[:t] == prefix}))
+
+        for prefix in {q[:t] for q in full for t in range(n + 1)} | set(probes):
+            assert trie.children(prefix) == next_tokens(prefix)
+        for q in full:
+            assert trie.items_at(q) == tuple(sorted(i for i, r in seqs.items() if r == q))
+        for absent in set(probes) - full:
+            with pytest.raises(DecoderError):
+                trie.items_at(absent)
+        assert trie.paths() == sorted(full)
+        assert (trie.n_paths, trie.n_steps) == (len(full), n)
+
     def test_single_item(self):
         trie = build_trie({7: (1, 2, 3)})
         assert trie.n_paths == 1
-        assert trie.items_at((1, 2, 3)) == {7}
+        assert trie.items_at((1, 2, 3)) == (7,)
 
     def test_colliding_items_share_leaf(self):
         trie = build_trie({1: (0, 1), 2: (0, 1)})
         assert trie.n_paths == 1
-        assert trie.items_at((0, 1)) == {1, 2}
+        assert trie.items_at((0, 1)) == (1, 2)
 
     def test_conservation_over_many_items(self):
         rng = np.random.default_rng(0)
@@ -160,7 +189,5 @@ class TestBeamSearch:
         trie = build_trie({0: (0,)})
         with pytest.raises(DecoderError):
             beam_search(model, trie, beam_width=1, top_k=2)
-        empty = build_trie({0: (0,)})
-        empty.root.children.clear()
         with pytest.raises(DecoderError):
-            beam_search(model, empty, beam_width=2, top_k=1)
+            build_trie({})

@@ -60,28 +60,25 @@ class TestBuildSequence:
         corp, _ = corpus_and_space
         space = SequenceSpace(attr_chain=(), attr_vocabs=corp.attr_vocabs,
                               sid_sizes=(16, 16, 16))
-        seq = build_sequence(corp.items[0], SemanticId(0, (1, 2, 3)),
-                             TaskContext("click", "search"), space)
-        assert len(seq) == 1 + 0 + 3
-        assert seq.attrs == ()
+        path = build_sequence(corp.items[0], SemanticId(0, (1, 2, 3)), space)
+        assert path == (1, 2, 3)
 
     def test_chain_order(self, corpus_and_space):
         corp, space = corpus_and_space
         item = corp.items[5]
-        seq = build_sequence(item, SemanticId(5, (0, 1, 2)),
-                             TaskContext("click", "search"), space)
-        assert len(seq) == 1 + 2 + 3
-        assert seq.attrs[0] == space.attr_vocabs["l2"][item.attrs["l2"]]
-        assert seq.attrs[1] == space.attr_vocabs["l3"][item.attrs["l3"]]
+        path = build_sequence(item, SemanticId(5, (0, 1, 2)), space)
+        assert len(path) == 2 + 3
+        assert path[0] == space.attr_vocabs["l2"][item.attrs["l2"]]
+        assert path[1] == space.attr_vocabs["l3"][item.attrs["l3"]]
+        assert path[2:] == (0, 1, 2)
 
     def test_tokens_round_trip_vocab(self, corpus_and_space):
         corp, space = corpus_and_space
         item = corp.items[0]
-        seq = build_sequence(item, SemanticId(0, (3, 4, 5)),
-                             TaskContext("purchase", "flash_sale"), space)
+        path = build_sequence(item, SemanticId(0, (3, 4, 5)), space)
         inv_l2 = {v: k for k, v in space.attr_vocabs["l2"].items()}
-        assert inv_l2[seq.attrs[0]] == item.attrs["l2"]
-        for t, tok in enumerate(seq.path, start=1):
+        assert inv_l2[path[0]] == item.attrs["l2"]
+        for t, tok in enumerate(path, start=1):
             assert 0 <= tok < space.step_vocab_size(t)
 
     def test_missing_attribute_errors(self, corpus_and_space):
@@ -93,8 +90,7 @@ class TestBuildSequence:
                             exposure_weight=1, attrs=dict(item.attrs), gmv=0.0)
         broken.attrs["l2"] = "unseen-species"
         with pytest.raises(TokenizerError):
-            build_sequence(broken, SemanticId(999, (0, 0, 0)),
-                           TaskContext("click", "search"), space)
+            build_sequence(broken, SemanticId(999, (0, 0, 0)), space)
 
 
 class TestHashTableSize:
