@@ -107,7 +107,7 @@ def rft_loss_and_grad(batch, advantages: AdvantageBatch, lam: float, params):
 
 def preference_level(event) -> int:
     """Behavioral level of an interaction event: purchase 2, click 1, exposure 0."""
-    level = event["level"] if isinstance(event, dict) else event.level
+    level = event["level"]
     if level not in (EXPOSURE, CLICK, PURCHASE):
         raise AlignmentError(f"invalid preference level {level!r}")
     return level

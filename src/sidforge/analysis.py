@@ -22,44 +22,34 @@ class ZeroNormalizerError(ValueError):
 # exposure concentration (Matthew effect)
 # ----------------------------------------------------------------------
 
-def _as_codes(codes):
-    """Accept an (N, L) int array or a sequence of objects with .codes."""
-    if len(codes) and hasattr(codes[0], "codes"):
-        return np.array([s.codes for s in codes], dtype=np.int64)
-    return np.asarray(codes)
+def _group_shares(codes, weights, depth: int) -> np.ndarray:
+    """Weight shares of the items' depth-prefix code groups, heaviest first."""
+    _, inverse = np.unique(codes[:, :depth], axis=0, return_inverse=True)
+    group_w = np.bincount(inverse, weights=np.asarray(weights, dtype=np.float64))
+    return np.sort(group_w)[::-1] / group_w.sum()
 
 
 def exposure_concentration(codes, weights, depth: int, top_frac: float) -> float:
-    """Weight share of the heaviest ceil(top_frac * G) code-prefix groups.
-
-    Items are grouped by their depth-prefix code tuple; group weights are
-    sorted descending and the top fraction (by group count) is summed.
-    """
-    codes = _as_codes(codes)
-    w = np.asarray(weights, dtype=np.float64)
+    """Weight share of the heaviest ceil(top_frac * G) of the G groups of
+    items that share their (N, L) code array's depth-prefix."""
+    codes = np.asarray(codes)
     if codes.shape[0] == 0:
         raise ValueError("empty corpus")
     if not 1 <= depth <= codes.shape[1]:
         raise ValueError(f"depth must lie in [1, {codes.shape[1]}]")
     if not 0.0 < top_frac <= 1.0:
         raise ValueError("top_frac must lie in (0, 1]")
-    _, inverse = np.unique(codes[:, :depth], axis=0, return_inverse=True)
-    group_w = np.bincount(inverse, weights=w)
-    group_w = np.sort(group_w)[::-1]
-    n_top = math.ceil(top_frac * group_w.shape[0])
-    return float(group_w[:n_top].sum() / group_w.sum())
+    shares = _group_shares(codes, weights, depth)
+    return float(shares[:math.ceil(top_frac * shares.shape[0])].sum())
 
 
 def exposure_report(codes, weights, fracs=(0.01, 0.05, 0.10)) -> dict:
     """Per depth (a string key) the sorted group shares and, per headline
     fraction (a string key), the cumulative share of its heaviest groups."""
-    codes = _as_codes(codes)
-    w = np.asarray(weights, dtype=np.float64)
+    codes = np.asarray(codes)
     depths = {}
     for depth in range(1, codes.shape[1] + 1):
-        _, inverse = np.unique(codes[:, :depth], axis=0, return_inverse=True)
-        group_w = np.bincount(inverse, weights=w)
-        shares = np.sort(group_w)[::-1] / group_w.sum()
+        shares = _group_shares(codes, weights, depth)
         depths[str(depth)] = {
             "shares": shares.tolist(),
             "top": {str(f): float(shares[: math.ceil(f * shares.shape[0])].sum())
@@ -72,14 +62,6 @@ def exposure_report(codes, weights, fracs=(0.01, 0.05, 0.10)) -> dict:
 # conditional entropy / mutual information (plug-in, exposure-weighted)
 # ----------------------------------------------------------------------
 
-def _group_ids(columns) -> np.ndarray:
-    """Collapse condition columns into one integer id per row."""
-    if columns is None or columns.shape[1] == 0:
-        return np.zeros(columns.shape[0] if columns is not None else 0, dtype=np.int64)
-    _, inverse = np.unique(columns, axis=0, return_inverse=True)
-    return inverse
-
-
 def conditional_entropy(targets, weights, conditions=None) -> float:
     """Plug-in H(target | conditions) in bits over exposure-weighted counts.
 
@@ -91,11 +73,8 @@ def conditional_entropy(targets, weights, conditions=None) -> float:
     w = np.asarray(weights, dtype=np.float64)
     if t.shape[0] == 0:
         raise ValueError("no sequences")
-    if conditions is not None:
-        conditions = np.asarray(conditions)
-        if conditions.ndim == 1:
-            conditions = conditions[:, None]
-    cond_id = _group_ids(conditions if conditions is not None else np.zeros((t.shape[0], 0)))
+    conditions = np.zeros((t.shape[0], 0)) if conditions is None else np.asarray(conditions)
+    _, cond_id = np.unique(conditions.reshape(t.shape[0], -1), axis=0, return_inverse=True)
     _, t_id = np.unique(t, return_inverse=True)
     n_t = int(t_id.max()) + 1
     pair = cond_id * n_t + t_id
@@ -190,13 +169,7 @@ class DiscreteJoint:
 
     def combo_digits(self) -> np.ndarray:
         """(F, n_features) mixed-radix decomposition of each combination index."""
-        f = self.n_combos
-        digits = np.empty((f, len(self.feature_sizes)), dtype=np.int64)
-        idx = np.arange(f)
-        for pos in range(len(self.feature_sizes) - 1, -1, -1):
-            digits[:, pos] = idx % self.feature_sizes[pos]
-            idx //= self.feature_sizes[pos]
-        return digits
+        return np.indices(self.feature_sizes).reshape(len(self.feature_sizes), -1).T
 
 
 def random_discrete_joint(rng, max_features=3, max_size=4, uniform_feature_prior=True):
@@ -266,21 +239,18 @@ def chain_rule_posterior(joint: DiscreteJoint, u: int) -> np.ndarray:
     if p_y1 <= 0.0:
         raise ZeroNormalizerError(f"p(y=1 | u={u}) is zero")
     post = p_f_u * p_pos / p_y1  # exact p(f | y=1, u)
-    digits = joint.combo_digits()
-    f = joint.n_combos
-    out = np.ones(f)
-    for c in range(f):
-        prefix = digits[c]
-        prev_mass = 1.0
-        for k in range(len(joint.feature_sizes)):
-            match = np.all(digits[:, : k + 1] == prefix[: k + 1], axis=1)
-            mass = float(post[match].sum())
-            if prev_mass <= 0.0:
-                raise ZeroNormalizerError(
-                    f"zero-probability feature prefix {tuple(prefix[:k])} at u={u}"
-                )
-            out[c] *= mass / prev_mass
-            prev_mass = mass
+    sizes = joint.feature_sizes
+    out = np.ones(joint.n_combos)
+    prev = np.ones(1)  # mass of each prefix f_<k, in mixed-radix order
+    for k in range(len(sizes)):
+        zero = np.flatnonzero(prev <= 0.0)
+        if zero.size:
+            prefix = tuple(int(v) for v in np.unravel_index(zero[0], sizes[:k]))
+            raise ZeroNormalizerError(f"zero-probability feature prefix {prefix} at u={u}")
+        block = math.prod(sizes[k + 1:])
+        mass = post.reshape(-1, block).sum(axis=1)  # mass of each prefix f_<=k
+        out *= np.repeat(mass / np.repeat(prev, sizes[k]), block)
+        prev = mass
     return out
 
 

@@ -54,43 +54,30 @@ def token_hr3(params, samples) -> dict:
     return ratios
 
 
-def bs_hit_ratio(params, trie, samples, k: int, beam_width: int | None = None,
-                 subset_filter: str = "all") -> float:
-    """Fraction of samples whose target item is resolved by a top-K beam path."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if subset_filter not in ("all", "orders"):
-        raise ValueError("subset_filter must be 'all' or 'orders'")
-    width = beam_width if beam_width is not None else max(k, 2 * k)
-    chosen = [s for s in samples
-              if subset_filter == "all" or s.level == PURCHASE]
-    if not chosen:
-        return 0.0
+def bs_hit_ratio(params, trie, samples, k: int, beam_width: int) -> float:
+    """Fraction of samples whose target item is resolved by a top-K beam path
+    (0.0 for no samples)."""
     hits = 0
-    for sample in chosen:
+    for sample in samples:
         model = NeuralSequenceModel(params, sample.behavior, sample.bos)
-        candidates = beam_search(model, trie, beam_width=width, top_k=k)
-        retrieved = set()
-        for c in candidates:
-            retrieved.update(c.item_ids)
-        if sample.target_item in retrieved:
-            hits += 1
-    return hits / len(chosen)
+        candidates = beam_search(model, trie, beam_width=beam_width, top_k=k)
+        hits += any(sample.target_item in c.item_ids for c in candidates)
+    return hits / len(samples) if samples else 0.0
 
 
-def evaluate_model(params, trie, samples, ks=(5, 10, 20), beam_width=None,
-                   metadata=None) -> EvalReport:
+def evaluate_model(params, trie, samples, ks, beam_width, metadata=None) -> EvalReport:
+    """token HR@3, and HR@K for each K over all samples and over the purchase samples."""
+    orders = [s for s in samples if s.level == PURCHASE]
     ratios = token_hr3(params, samples)
     mean = ratios.pop("mean")
-    hr = {k: bs_hit_ratio(params, trie, samples, k, beam_width, "all") for k in ks}
-    hr_orders = {k: bs_hit_ratio(params, trie, samples, k, beam_width, "orders") for k in ks}
-    n_orders = sum(1 for s in samples if s.level == PURCHASE)
+    hr = {k: bs_hit_ratio(params, trie, samples, k, beam_width) for k in ks}
+    hr_orders = {k: bs_hit_ratio(params, trie, orders, k, beam_width) for k in ks}
     return EvalReport(
         token_hr3=ratios,
         token_hr3_mean=mean,
         hr_at=hr,
         hr_at_orders=hr_orders,
         n_samples=len(samples),
-        n_order_samples=n_orders,
+        n_order_samples=len(orders),
         metadata=metadata or {},
     )

@@ -25,6 +25,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _at_least(section: str, cfg, **lows):
+    """Raise unless each field ``key`` of ``cfg`` is at least ``lows[key]``."""
+    for key, low in lows.items():
+        value = getattr(cfg, key)
+        if not value >= low:
+            raise ConfigError(f"{section}.{key} must be >= {low}, got {value!r}")
+
+
 @dataclass
 class QuantizerConfig:
     n_layers: int = 3
@@ -40,6 +48,9 @@ class QuantizerConfig:
             raise ConfigError(
                 f"quantizer.method must be 'capacity' or 'baseline', got {self.method!r}"
             )
+        _at_least("quantizer", self, n_layers=1, k=1, max_iter=1)
+        if self.tau is not None and not self.tau >= 1:
+            raise ConfigError(f"quantizer.tau must be >= 1 or null, got {self.tau!r}")
 
 
 @dataclass
@@ -56,6 +67,9 @@ class TokenizerConfig:
         if unknown:
             raise ConfigError(f"tokenizer.attr_chain: unknown attribute(s) {unknown}; "
                               f"choose from {list(corpus_mod.ATTR_FIELDS)}")
+        _at_least("tokenizer", self, d_hash=1)
+        if self.m_hashes not in (1, 2, 3):
+            raise ConfigError(f"tokenizer.m_hashes must lie in 1..3, got {self.m_hashes!r}")
 
 
 @dataclass
@@ -64,6 +78,9 @@ class ScorerSection:
     prefix_window: int = 4
     max_behavior_len: int = 16
 
+    def __post_init__(self):
+        _at_least("scorer", self, d_model=1, prefix_window=0, max_behavior_len=1)
+
 
 @dataclass
 class TrainConfig:
@@ -71,6 +88,9 @@ class TrainConfig:
     lr: float = 3e-4
     weight_decay: float = 1e-4
     batch_size: int = 64
+
+    def __post_init__(self):
+        _at_least("train", self, epochs=1, batch_size=1)
 
 
 @dataclass
@@ -89,8 +109,7 @@ class AlignConfig:
     reward_weights: dict = field(default_factory=lambda: {"gmv": 0.7, "watch_time": 0.3})
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ConfigError(f"align.lam must be >= 0, got {self.lam!r}")
+        _at_least("align", self, lam=0, batch_size=1, pairs_per_request=1)
         if not self.c_clip > 0:
             raise ConfigError(f"align.c_clip must be > 0, got {self.c_clip!r}")
         if not self.eps > 0:
@@ -106,6 +125,16 @@ class DecodeConfig:
     top_k: int = 10
     objective: str = "click"
     scene: str = "main_feed"
+
+    def __post_init__(self):
+        if not 1 <= self.top_k <= self.beam_width:
+            raise ConfigError(f"decode.top_k must lie in [1, decode.beam_width = "
+                              f"{self.beam_width}], got {self.top_k!r}")
+        for key, registry in (("objective", corpus_mod.OBJECTIVES),
+                              ("scene", corpus_mod.SCENES)):
+            if getattr(self, key) not in registry:
+                raise ConfigError(f"decode.{key} must be one of {list(registry)}, "
+                                  f"got {getattr(self, key)!r}")
 
 
 @dataclass

@@ -192,29 +192,24 @@ def _check_bos(space: SequenceSpace, bos):
         raise ScorerError(f"task BOS {bad[0]} out of range 0..{space.n_task_tokens - 1}")
 
 
-def _input_rows(params, paths, steps, q, h_agg):
-    """Scorer inputs x = [q | prefix window | content summary | h_agg].
+def _input_rows(params, prefixes, q, h_agg):
+    """Scorer inputs x = [q | prefix window | content summary | h_agg] of step t.
 
-    Row b scores decoding step steps[b] of the (B, n) token array
-    ``paths`` and reads only that row's first steps[b]-1 tokens.  The
-    prefix window holds their embeddings most recent first, zero padded.
+    ``prefixes`` is the (B, t-1) array of the tokens decoded before step t.
+    The prefix window holds the embeddings of each row's last prefix_window
+    tokens, most recent first, zero padded.
     Returns x and the content-summary rows (hash-table row indices).
     """
     space, cfg, tensors = params.space, params.config, params.tensors
     d, w = cfg.d_model, cfg.prefix_window
-    b, n = paths.shape
-    x = np.empty((b, params.x_dim))  # every column is written below
+    b, n = prefixes.shape
+    x = np.zeros((b, params.x_dim))  # window slots beyond the prefix stay zero
     x[:, :d] = q
-    # each row's token embeddings by step; column n stays zero as the window's padding
-    emb = np.zeros((b, n + 1, d))
-    for j in range(n):
-        emb[:, j] = tensors[f"emb_step_{j + 1}"][paths[:, j]]
-    col = steps[:, None] - 2 - np.arange(w)  # column of each window slot's token
-    col[col < 0] = n
-    x[:, d:(1 + w) * d] = emb[np.arange(b)[:, None], col].reshape(b, -1)
+    for slot in range(min(w, n)):  # slot 0 holds the last prefix token, of step n
+        emb = tensors[f"emb_step_{n - slot}"]
+        x[:, (1 + slot) * d:(2 + slot) * d] = emb[prefixes[:, n - 1 - slot]]
     path_globals = np.full((b, space.n_steps), -1, dtype=np.int64)
-    path_globals[:, :n] = np.where(np.arange(n) < steps[:, None] - 1,
-                                   paths + space.step_offsets[:n], -1)
+    path_globals[:, :n] = prefixes + space.step_offsets[:n]
     rows = content_summary_rows(path_globals, params.hash_spec)
     c_start = (1 + w) * d
     x[:, c_start:c_start + params.hash_spec.output_dim] = tensors["emb_hash"][rows].reshape(b, -1)
@@ -291,7 +286,7 @@ def _forward_batch(params: ScorerParams, samples, keep=True) -> _Cache:
                    target_logps=np.empty((b, n_steps)))
     rows = np.arange(b)
     for t, kept in enumerate(np.broadcast_to(keep, n_steps).tolist(), start=1):
-        x, hash_rows = _input_rows(params, tokens, np.full(b, t), ctx[:, t - 1], h_agg)
+        x, hash_rows = _input_rows(params, tokens[:, :t - 1], ctx[:, t - 1], h_agg)
         logp = _head_logprobs(params, x, t)
         cache.target_logps[:, t - 1] = logp[rows, tokens[:, t - 1]]
         cache.x_rows.append(x if kept else None)
@@ -444,18 +439,17 @@ class NeuralSequenceModel:
         if tokens.ndim != 2:
             raise ScorerError(f"need a prefix or a 2-D array of prefixes, got shape "
                               f"{tokens.shape}")
-        b, n = tokens.shape
-        t = n + 1
+        t = tokens.shape[1] + 1
         if t > space.n_steps:
             raise ScorerError(f"prefix already complete: step {t} out of range "
                               f"1..{space.n_steps}")
         _check_tokens(space, tokens)
 
         # each row's last decoded token (the BOS at step 1) queries the context
-        last = (tensors["emb_bos"][[self.bos]] if n == 0
-                else tensors[f"emb_step_{n}"][tokens[:, -1]])
+        last = (tensors["emb_bos"][[self.bos]] if t == 1
+                else tensors[f"emb_step_{t - 1}"][tokens[:, -1]])
         ctx = _attend(params, last[None], t, self.keys, self.values, self.mask)[2][0]
-        x, _ = _input_rows(params, tokens, np.full(b, t), ctx, self.h_agg)
+        x, _ = _input_rows(params, tokens, ctx, self.h_agg)
         logp = _head_logprobs(params, x, t)
         return logp[0] if one else logp
 
@@ -650,6 +644,8 @@ def _checkpoint(doc) -> ScorerParams:
     space = SequenceSpace.from_dict(doc["space"])
     params = ScorerParams(config, space, _hash_spec(doc["hash_spec"], space),
                           expect("integer", "n_behavior_tokens", doc["n_behavior_tokens"]), {})
+    if doc["frozen"] != list(FROZEN_TENSORS):
+        raise ValueError(f"frozen must be {list(FROZEN_TENSORS)}, got {doc['frozen']!r:.80}")
     digests = expect("object", "frozen_digests", doc["frozen_digests"])
     check_fields(digests, set(FROZEN_TENSORS), "frozen_digests")
     tensors = expect("object", "tensors", doc["tensors"])

@@ -53,13 +53,6 @@ class TestExposureConcentration:
         with pytest.raises(ValueError):
             exposure_concentration(np.empty((0, 2)), [], 1, 0.1)
 
-    def test_accepts_semantic_id_objects(self):
-        from sidforge.quantizer import SemanticId
-
-        sids = [SemanticId(0, (0, 1)), SemanticId(1, (0, 2)), SemanticId(2, (1, 1))]
-        share = exposure_concentration(sids, [6.0, 2.0, 2.0], 1, 0.5)
-        assert share == pytest.approx(0.8)
-
 
 class TestConditionalEntropy:
     def test_deterministic_given_condition_is_zero(self):
@@ -173,6 +166,21 @@ class TestCascadingError:
             cascading_error([0.5, 1.2])
 
 
+def loop_chain_rule_posterior(joint, u):
+    """Reference: each factor's prefix mass summed by a mask over all combinations."""
+    p_f_u, p_pos = joint.p_features_given_user[u], joint.p_pos_given_fu[u]
+    post = p_f_u * p_pos / float(p_f_u @ p_pos)
+    digits = joint.combo_digits()
+    out = np.ones(joint.n_combos)
+    for c in range(joint.n_combos):
+        prev = 1.0
+        for k in range(len(joint.feature_sizes)):
+            mass = float(post[np.all(digits[:, :k + 1] == digits[c, :k + 1], axis=1)].sum())
+            out[c] *= mass / prev
+            prev = mass
+    return out
+
+
 class TestBayesRankCheck:
     def test_dominance(self):
         joint = DiscreteJoint(
@@ -213,6 +221,14 @@ class TestBayesRankCheck:
         chained = chain_rule_posterior(joint, 0)
         np.testing.assert_allclose(chained, direct, rtol=1e-10)
 
+    def test_chain_rule_matches_the_per_combination_loop(self):
+        for seed in range(50):
+            joint = random_discrete_joint(np.random.default_rng(seed),
+                                          uniform_feature_prior=False)
+            for u in range(joint.p_user.shape[0]):
+                np.testing.assert_array_equal(chain_rule_posterior(joint, u),
+                                              loop_chain_rule_posterior(joint, u))
+
     def test_nonuniform_candidate_prior_breaks_equivalence(self):
         # generative score = p(y=1|f,u) * p(f|u): a skewed candidate prior
         # reorders, which is exactly why the equivalence needs uniformity
@@ -234,3 +250,15 @@ class TestBayesRankCheck:
         )
         with pytest.raises(ZeroNormalizerError):
             bayes_rank_check(joint, 0)
+
+    def test_zero_mass_feature_prefix_is_named(self):
+        # p(y=1|u) = 0.5 > 0, but f_0 = 1 has no mass, so p(f_1 | f_0 = 1, y=1, u)
+        # has a zero normalizer
+        joint = DiscreteJoint(
+            feature_sizes=(2, 2),
+            p_user=np.array([1.0]),
+            p_features_given_user=np.array([[0.5, 0.5, 0.0, 0.0]]),
+            p_pos_given_fu=np.array([[0.5, 0.5, 0.5, 0.5]]),
+        )
+        with pytest.raises(ZeroNormalizerError, match=r"feature prefix \(1,\) at u=0"):
+            chain_rule_posterior(joint, 0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sidforge import alignment, pipeline
+from sidforge import alignment, pipeline, tokenizer
 from sidforge.cli import main
 from sidforge.corpus import (
     CorpusFormatError,
@@ -315,12 +315,17 @@ class TestCliErrors:
         assert run(["quantize", "--config", config_path, "--out", out]) == 1
         assert "items.jsonl: line 2: expected a JSON object" in capsys.readouterr().err
 
-    def test_build_seqs_does_not_read_the_decode_task(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({**MINI_CONFIG, "decode": {"objective": "nope"}}))
+    def test_build_seqs_does_not_read_the_decode_task(self, tmp_path, config_path,
+                                                      monkeypatch):
         out = str(tmp_path / "run")
-        for cmd in ("gen-data", "quantize", "build-seqs"):
-            assert run([cmd, "--config", str(config), "--out", out]) == 0, cmd
+        for cmd in ("gen-data", "quantize"):
+            assert run([cmd, "--config", config_path, "--out", out]) == 0, cmd
+
+        def no_task_bos(*args):
+            raise AssertionError("build-seqs asked for a task BOS")
+
+        monkeypatch.setattr(tokenizer, "task_bos_token", no_task_bos)
+        assert run(["build-seqs", "--config", config_path, "--out", out]) == 0
 
     def test_unknown_quantizer_method_is_a_config_error(self, tmp_path, capsys):
         bad = {**MINI_CONFIG, "quantizer": {"method": "kmeans"}}
@@ -377,7 +382,27 @@ class TestConfig:
         ("corpus", {"seed": 3}, r"corpus\.seed 3 is never read"),
         ("tokenizer", {"attr_chain": ["l2", "colour"]},
          r"tokenizer\.attr_chain: unknown attribute\(s\) \['colour'\]"),
-    ], ids=["dpo-target", "ks-above-width", "ks-zero", "ks-empty", "corpus-seed", "attr-chain"])
+        ("scorer", {"d_model": 0}, r"scorer\.d_model must be >= 1, got 0"),
+        ("tokenizer", {"d_hash": 0}, r"tokenizer\.d_hash must be >= 1, got 0"),
+        ("tokenizer", {"m_hashes": 4}, r"tokenizer\.m_hashes must lie in 1\.\.3, got 4"),
+        ("quantizer", {"k": 0}, r"quantizer\.k must be >= 1, got 0"),
+        ("train", {"epochs": 0}, r"train\.epochs must be >= 1, got 0"),
+        ("train", {"batch_size": 0}, r"train\.batch_size must be >= 1, got 0"),
+        ("align", {"batch_size": 0}, r"align\.batch_size must be >= 1, got 0"),
+        ("quantizer", {"tau": 0.5}, r"quantizer\.tau must be >= 1 or null, got 0\.5"),
+        ("quantizer", {"n_layers": 0}, r"quantizer\.n_layers must be >= 1, got 0"),
+        ("decode", {"top_k": 50},
+         r"decode\.top_k must lie in \[1, decode\.beam_width = 8\], got 50"),
+        ("decode", {"objective": "nope"}, r"decode\.objective must be one of .* got 'nope'"),
+        ("decode", {"scene": "nope"}, r"decode\.scene must be one of .* got 'nope'"),
+        ("quantizer", {"max_iter": 0}, r"quantizer\.max_iter must be >= 1, got 0"),
+        ("scorer", {"max_behavior_len": 0}, r"scorer\.max_behavior_len must be >= 1, got 0"),
+        ("scorer", {"prefix_window": -1}, r"scorer\.prefix_window must be >= 0, got -1"),
+        ("align", {"pairs_per_request": 0}, r"align\.pairs_per_request must be >= 1, got 0"),
+    ], ids=["dpo-target", "ks-above-width", "ks-zero", "ks-empty", "corpus-seed", "attr-chain",
+            "d-model", "d-hash", "m-hashes", "k", "epochs", "train-batch", "align-batch", "tau",
+            "n-layers", "top-k", "objective", "scene", "max-iter", "max-behavior-len",
+            "prefix-window", "pairs-per-request"])
     def test_values_that_would_pass_silently_are_config_errors(self, section, value, match):
         with pytest.raises(pipeline.ConfigError, match=match):
             pipeline.load_config({**MINI_CONFIG, section: {**MINI_CONFIG[section], **value}})
@@ -705,6 +730,9 @@ class TestJsonDocuments:
         ("codebook.json", ("c_cap_per_layer",), "ab",
          "malformed codebook (c_cap_per_layer must be a rectangular array of finite numbers)"),
         ("checkpoint.json", ("x",), 1, "unknown checkpoint field(s) ['x']"),
+        ("checkpoint.json", ("frozen",), ["not", "a", "tensor"],
+         "malformed checkpoint (frozen must be ['attn_wq', 'attn_wk', 'attn_wv', 'attn_gamma'], "
+         "got ['not', 'a', 'tensor'])"),
         ("checkpoint.json", ("config", "seed"), "x",
          "malformed checkpoint (config.seed must be an integer, got 'x')"),
         ("checkpoint.json", ("hash_spec", "pairs"), [[1, 9]],

@@ -124,13 +124,14 @@ class TestBsHitRatio:
         params = make_params((3, 3), seed=2)
         seqs = {i: (i % 3, (i // 3) % 3) for i in range(9)}
         trie = build_trie(seqs)
-        samples = [Sample(behavior=(), bos=0, tokens=seqs[i], target_item=i,
-                          level=PURCHASE)
+        samples = [Sample(behavior=(i % 4,), bos=0, tokens=seqs[i], target_item=i,
+                          level=PURCHASE if i % 3 else CLICK)
                    for i in seqs]
-        all_r = bs_hit_ratio(params, trie, samples, k=2, beam_width=9, subset_filter="all")
-        ord_r = bs_hit_ratio(params, trie, samples, k=2, beam_width=9,
-                             subset_filter="orders")
-        assert all_r == ord_r
+        orders = [s for s in samples if s.level == PURCHASE]
+        report = evaluate_model(params, trie, samples, ks=(1, 2, 4), beam_width=9)
+        for k in (1, 2, 4):
+            assert report.hr_at_orders[k] == bs_hit_ratio(params, trie, orders, k, 9)
+            assert report.hr_at[k] == bs_hit_ratio(params, trie, samples, k, 9)
 
     def test_report_fields(self):
         params = make_params((3, 3), seed=2)
