@@ -730,9 +730,6 @@ class TestJsonDocuments:
         ("codebook.json", ("c_cap_per_layer",), "ab",
          "malformed codebook (c_cap_per_layer must be a rectangular array of finite numbers)"),
         ("checkpoint.json", ("x",), 1, "unknown checkpoint field(s) ['x']"),
-        ("checkpoint.json", ("frozen",), ["not", "a", "tensor"],
-         "malformed checkpoint (frozen must be ['attn_wq', 'attn_wk', 'attn_wv', 'attn_gamma'], "
-         "got ['not', 'a', 'tensor'])"),
         ("checkpoint.json", ("config", "seed"), "x",
          "malformed checkpoint (config.seed must be an integer, got 'x')"),
         ("checkpoint.json", ("hash_spec", "pairs"), [[1, 9]],
@@ -748,6 +745,9 @@ class TestJsonDocuments:
         ("space.json", ("space", "sid_sizes"), [4, 20000],
          "sid_sizes (4, 20000) is not the (4, 4) that the config and items.jsonl give"),
         ("space.json", ("space", "attr_chain"), ["l3"], "attr_chain ('l3',) is not the"),
+        ("checkpoint.json", ("frozen",), ["not", "a", "tensor"],
+         "malformed checkpoint (frozen must be ['attn_wq', 'attn_wk', 'attn_wv', 'attn_gamma'], "
+         "got ['not', 'a', 'tensor'])"),
     ])
     def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, path, value, message):
         rc, err = run_on_edited_document(read_run, artifact, _set(path, value))
