@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 from . import corpus as corpus_mod, decoder, pipeline, quantizer, scorer
 
@@ -104,7 +105,10 @@ def _cmd_gen_data(args):
 def _cmd_quantize(args):
     cfg = _resolve_config(args)
     if hasattr(args, "tau"):
-        args.tau = None if args.tau in ("inf", "none") else float(args.tau)
+        try:
+            args.tau = None if args.tau in ("inf", "none") else float(args.tau)
+        except ValueError:
+            raise ValueError(f"--tau must be a number or 'inf', got {args.tau!r}") from None
     cfg = dataclasses.replace(
         cfg, quantizer=_with_flags(cfg.quantizer, args, "tau", "method", "strict"))
     items_path = os.path.join(_data_dir(args), "items.jsonl")
@@ -204,10 +208,8 @@ def _cmd_eval(args):
 def _parse_chains(text) -> list:
     """``--chains``: a JSON list of lists of attribute names."""
     with contextlib.suppress(ValueError):
-        chains = json.loads(text)
-        if isinstance(chains, list) and all(isinstance(c, list) and all(
-                f in corpus_mod.ATTR_FIELDS for f in c) for c in chains):
-            return [tuple(c) for c in chains]
+        return list(corpus_mod.conform(
+            tuple[tuple[typing.Literal[corpus_mod.ATTR_FIELDS], ...], ...], json.loads(text), ""))
     raise ValueError(f"--chains must be a JSON list of lists of attribute names "
                      f"{list(corpus_mod.ATTR_FIELDS)}, got {text!r}")
 

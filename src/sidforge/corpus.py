@@ -12,9 +12,14 @@ config, so every artifact is bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import operator
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +28,7 @@ SCENES = ("main_feed", "search", "similar_items", "flash_sale")
 OBJECTIVES = ("click", "purchase", "cart", "cross_border")
 
 ATTR_FIELDS = ("l1", "l2", "l3", "seller", "brand")
+REWARD_METRICS = ("gmv", "watch_time")  # the keys of every request's reward_metrics
 
 # behavioral engagement levels attached to interaction events
 EXPOSURE = 0
@@ -155,7 +161,98 @@ class InteractionLog:
         return iter(self.interactions)
 
 
-@dataclass
+_JSON_KINDS = {"integer": ((int,), "an integer"), "number": ((int, float), "a finite number"),
+               "string": ((str,), "a string"), "object": ((dict,), "an object"),
+               "boolean": ((bool,), "a boolean")}
+
+
+def expect(kind: str, name: str, value, error=ValueError):
+    """``value`` if it is a JSON ``kind``: "boolean", "integer", "string", "object" or
+    a finite "number", a boolean being neither number; else ``error`` naming ``name``."""
+    allowed, phrase = _JSON_KINDS[kind]
+    if type(value) not in allowed or (kind == "number" and not abs(value) <= sys.float_info.max):
+        raise error(f"{name} must be {phrase}, got {value!r}")
+    return value
+
+
+class ConfigError(ValueError):
+    """A run-config value that does not fit its section; the message names the key."""
+
+
+_HINT_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def conform(hint, value, key: str):
+    """``value`` if it fits the type ``hint`` (an int fits ``float``, arrays
+    become tuples, a config section is built from a JSON object); otherwise
+    ``ConfigError`` naming ``key``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # every union of a config is ``X | None``
+        return None if value is None else conform(args[0], value, key)
+    if origin is typing.Literal and value not in args:
+        raise ConfigError(f"{key} must be one of {list(args)}, got {value!r}")
+    if origin is tuple:
+        size = "" if args[-1] is Ellipsis else f" of {len(args)} entries"
+        if type(value) not in (list, tuple) or size and len(value) != len(args):
+            raise ConfigError(f"{key} must be an array{size}, got {value!r}")
+        hints = args if size else args[:1] * len(value)
+        return tuple(conform(h, v, f"{key}[{i}]") for i, (h, v) in enumerate(zip(hints, value)))
+    if origin is dict:
+        return {conform(args[0], k, f"{key} key"): conform(args[1], v, f"{key}[{k!r}]")
+                for k, v in expect("object", key, value, ConfigError).items()}
+    if not dataclasses.is_dataclass(hint):
+        return value if origin else expect(_HINT_KINDS[hint], key, value, ConfigError)
+    if isinstance(value, hint):
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object")
+    hints = _type_hints(hint)
+    if set(value) - set(hints):
+        raise ConfigError(f"{key}: unknown key(s) {sorted(set(value) - set(hints))}")
+    # the section checks its own values; nested sections are built first
+    return hint(**{k: conform(hints[k], v, f"{key}.{k}") if dataclasses.is_dataclass(hints[k])
+                   else v for k, v in value.items()})
+
+
+def config_section(name: str, *rules, **bounds):
+    """Class decorator: a dataclass whose every construction (``dataclasses.replace``
+    too) checks each field against its type hint and its bound, such as ">= 0 and < 1"
+    (null passes the bound of an ``X | None`` field), then runs the cross-key ``rules``.
+    A fault raises ``ConfigError`` naming ``<name>.<field>``, or ``<field>`` if no name."""
+    def check(cfg):
+        hints = _type_hints(type(cfg))
+        for f in dataclasses.fields(cfg):
+            key = f"{name}.{f.name}" if name else f.name
+            value = conform(hints[f.name], getattr(cfg, f.name), key)
+            bound = bounds.get(f.name)
+            if bound and value is not None and not all(
+                    _COMPARE[op](value, float(limit))
+                    for op, limit in map(str.split, bound.split(" and "))):
+                nullable = " or null" if type(None) in typing.get_args(hints[f.name]) else ""
+                raise ConfigError(f"{key} must be {bound}{nullable}, got {value!r}")
+            setattr(cfg, f.name, value)
+        for rule in rules:
+            rule(cfg)
+
+    def section(cls):
+        cls.__post_init__ = check
+        return dataclass(cls)
+    return section
+
+
+def _popular_blobs_are_blobs(c):
+    if c.popular_blobs > c.n_clusters_true:
+        raise ConfigError(f"corpus.popular_blobs must be <= corpus.n_clusters_true = "
+                          f"{c.n_clusters_true}, got {c.popular_blobs}")
+
+
+@config_section("corpus", _popular_blobs_are_blobs, n_items=">= 1", d_emb=">= 1",
+                n_clusters_true=">= 1", zipf_exponent="> 0", attr_correlation=">= 0 and <= 1",
+                n_requests=">= 1", events_per_request=">= 1", seed=">= 0", n_users=">= 1",
+                popularity_concentration=">= 0 and <= 1", popular_blobs=">= 1",
+                popular_blob_scale="> 0")
 class SynthConfig:
     n_items: int = 1000
     d_emb: int = 16
@@ -172,23 +269,6 @@ class SynthConfig:
     popularity_concentration: float = 0.0
     popular_blobs: int = 1
     popular_blob_scale: float = 1.0  # stddev multiplier for popular blobs
-
-    def __post_init__(self):
-        for name in ("n_items", "d_emb", "n_clusters_true", "n_requests", "events_per_request"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.zipf_exponent <= 0:
-            raise ValueError("zipf_exponent must be > 0")
-        if not 0.0 <= self.attr_correlation <= 1.0:
-            raise ValueError("attr_correlation must lie in [0, 1]")
-        if self.n_users is not None and self.n_users <= 0:
-            raise ValueError("n_users must be positive when given")
-        if not 0.0 <= self.popularity_concentration <= 1.0:
-            raise ValueError("popularity_concentration must lie in [0, 1]")
-        if not 1 <= self.popular_blobs <= self.n_clusters_true:
-            raise ValueError("popular_blobs must lie in [1, n_clusters_true]")
-        if self.popular_blob_scale <= 0:
-            raise ValueError("popular_blob_scale must be > 0")
 
 
 def zipf_integer_weights(rng, n_items: int, exponent: float) -> np.ndarray:
@@ -324,19 +404,6 @@ def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> InteractionLo
 _ITEM_FIELDS = {"item_id", "embedding", "exposure_weight", "attrs", "gmv"}
 _INTERACTION_FIELDS = {"request_id", "user_id", "scene", "objective", "events", "reward_metrics"}
 _EVENT_FIELDS = {"item_id", "level", "exposure_rank"}
-
-_JSON_KINDS = {"integer": ((int,), "an integer"), "number": ((int, float), "a finite number"),
-               "string": ((str,), "a string"), "object": ((dict,), "an object")}
-
-
-def expect(kind: str, name: str, value):
-    """``value`` if it is a JSON ``kind``: "integer", "string", "object" or a
-    finite "number", never a boolean; otherwise ``ValueError`` naming ``name``."""
-    types, phrase = _JSON_KINDS[kind]
-    if type(value) not in types or (kind == "number" and not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be {phrase}, got {value!r}")
-    return value
-
 
 def _create(path):
     """``path`` opened for writing, its directory made first."""

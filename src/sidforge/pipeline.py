@@ -13,27 +13,37 @@ import hashlib
 import json
 import os
 import typing
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from . import alignment, corpus as corpus_mod, decoder, evaluation, quantizer, scorer, tokenizer
 from .analysis import entropy_report, exposure_report
+from .corpus import ConfigError, config_section
 
 
-class ConfigError(ValueError):
-    pass
+def _cross_keys(cfg):
+    """The checks that read two keys, each naming the key it rejects."""
+    d, e, t = cfg.decode, cfg.eval, cfg.tokenizer
+    if not 1 <= d.top_k <= d.beam_width:
+        raise ConfigError(f"decode.top_k must lie in [1, decode.beam_width = "
+                          f"{d.beam_width}], got {d.top_k!r}")
+    if not e.ks or not all(1 <= k <= e.beam_width for k in e.ks):
+        raise ConfigError(f"eval.ks must be non-empty and lie in [1, eval.beam_width = "
+                          f"{e.beam_width}], got {list(e.ks)}")
+    if t.p1 == t.p2:
+        raise ConfigError(f"tokenizer.p1 and tokenizer.p2 must differ, got {t.p1} for both")
+    if cfg.corpus.seed not in (0, cfg.seed):
+        raise ConfigError(f"corpus.seed {cfg.corpus.seed} is never read: gen-data uses the "
+                          f"top-level seed {cfg.seed}; leave corpus.seed out")
+    n_steps = len(t.attr_chain) + cfg.quantizer.n_layers
+    if t.pairs == () or not all(1 <= s <= n_steps for p in t.pairs or () for s in p):
+        raise ConfigError(f"tokenizer.pairs must be null or name steps in 1..{n_steps} (the "
+                          f"tokenizer.attr_chain, then quantizer.n_layers), got {t.pairs!r}")
 
 
-def _at_least(section: str, cfg, **lows):
-    """Raise unless each field ``key`` of ``cfg`` is at least ``lows[key]``."""
-    for key, low in lows.items():
-        value = getattr(cfg, key)
-        if not value >= low:
-            raise ConfigError(f"{section}.{key} must be >= {low}, got {value!r}")
-
-
-@dataclass
+@config_section("quantizer", n_layers=">= 1", k=">= 1", tau=">= 1", max_iter=">= 1",
+                eps_conv=">= 0")
 class QuantizerConfig:
     n_layers: int = 3
     k: int = 16
@@ -41,61 +51,40 @@ class QuantizerConfig:
     max_iter: int = 50
     eps_conv: float = 1e-6
     strict: bool = False
-    method: str = "capacity"  # "capacity" | "baseline" (tau ignored: no cap)
-
-    def __post_init__(self):
-        if self.method not in ("capacity", "baseline"):
-            raise ConfigError(
-                f"quantizer.method must be 'capacity' or 'baseline', got {self.method!r}"
-            )
-        _at_least("quantizer", self, n_layers=1, k=1, max_iter=1)
-        if self.tau is not None and not self.tau >= 1:
-            raise ConfigError(f"quantizer.tau must be >= 1 or null, got {self.tau!r}")
+    method: typing.Literal["capacity", "baseline"] = "capacity"  # the baseline ignores tau: no cap
 
 
-@dataclass
+@config_section("tokenizer", d_hash=">= 1", m_hashes=">= 1 and <= 3",
+                p1=">= 1 and <= 2147483647", p2=">= 1 and <= 2147483647")
 class TokenizerConfig:
-    attr_chain: tuple = ("l2", "l3")
+    attr_chain: tuple[typing.Literal[corpus_mod.ATTR_FIELDS], ...] = ("l2", "l3")
     d_hash: int = 16
     m_hashes: int = 3
     p1: int = 31
     p2: int = 37
-    pairs: tuple | None = None  # default: attrs crossed with first two SID layers
-
-    def __post_init__(self):
-        unknown = [f for f in self.attr_chain if f not in corpus_mod.ATTR_FIELDS]
-        if unknown:
-            raise ConfigError(f"tokenizer.attr_chain: unknown attribute(s) {unknown}; "
-                              f"choose from {list(corpus_mod.ATTR_FIELDS)}")
-        _at_least("tokenizer", self, d_hash=1)
-        if self.m_hashes not in (1, 2, 3):
-            raise ConfigError(f"tokenizer.m_hashes must lie in 1..3, got {self.m_hashes!r}")
+    pairs: tuple[tuple[int, int], ...] | None = None  # None: attrs x first two SID layers
 
 
-@dataclass
+@config_section("scorer", d_model=">= 1", prefix_window=">= 0", max_behavior_len=">= 1")
 class ScorerSection:
     d_model: int = 32
     prefix_window: int = 4
     max_behavior_len: int = 16
 
-    def __post_init__(self):
-        _at_least("scorer", self, d_model=1, prefix_window=0, max_behavior_len=1)
 
-
-@dataclass
+@config_section("train", epochs=">= 1", lr="> 0", weight_decay=">= 0", batch_size=">= 1")
 class TrainConfig:
     epochs: int = 3
     lr: float = 3e-4
     weight_decay: float = 1e-4
     batch_size: int = 64
 
-    def __post_init__(self):
-        _at_least("train", self, epochs=1, batch_size=1)
 
-
-@dataclass
+@config_section("align", epochs=">= 0", lr="> 0", batch_size=">= 1", lam=">= 0", c_clip="> 0",
+                eps="> 0", beta="> 0", lambda_rft=">= 0", lambda_dpo=">= 0",
+                pairs_per_request=">= 1")
 class AlignConfig:
-    epochs: int = 1
+    epochs: int = 1  # 0 = no alignment
     lr: float = 1e-4
     batch_size: int = 64
     lam: float = 0.2  # advantage reweighting strength
@@ -105,53 +94,27 @@ class AlignConfig:
     lambda_rft: float = 1.0
     lambda_dpo: float = 0.15  # ratio 20:3 scaled to lambda_rft = 1
     pairs_per_request: int = 4
-    dpo_target: str = "last-sid"  # "last-sid" | "all"
-    reward_weights: dict = field(default_factory=lambda: {"gmv": 0.7, "watch_time": 0.3})
-
-    def __post_init__(self):
-        _at_least("align", self, lam=0, batch_size=1, pairs_per_request=1)
-        if not self.c_clip > 0:
-            raise ConfigError(f"align.c_clip must be > 0, got {self.c_clip!r}")
-        if not self.eps > 0:
-            raise ConfigError(f"align.eps must be > 0, got {self.eps!r}")
-        if self.dpo_target not in ("last-sid", "all"):
-            raise ConfigError(
-                f"align.dpo_target must be 'last-sid' or 'all', got {self.dpo_target!r}")
+    dpo_target: typing.Literal["last-sid", "all"] = "last-sid"
+    reward_weights: dict[typing.Literal[corpus_mod.REWARD_METRICS], float] = field(
+        default_factory=lambda: {"gmv": 0.7, "watch_time": 0.3})
 
 
-@dataclass
+@config_section("decode", beam_width=">= 1")
 class DecodeConfig:
     beam_width: int = 16
     top_k: int = 10
-    objective: str = "click"
-    scene: str = "main_feed"
-
-    def __post_init__(self):
-        if not 1 <= self.top_k <= self.beam_width:
-            raise ConfigError(f"decode.top_k must lie in [1, decode.beam_width = "
-                              f"{self.beam_width}], got {self.top_k!r}")
-        for key, registry in (("objective", corpus_mod.OBJECTIVES),
-                              ("scene", corpus_mod.SCENES)):
-            if getattr(self, key) not in registry:
-                raise ConfigError(f"decode.{key} must be one of {list(registry)}, "
-                                  f"got {getattr(self, key)!r}")
+    objective: typing.Literal[corpus_mod.OBJECTIVES] = "click"
+    scene: typing.Literal[corpus_mod.SCENES] = "main_feed"
 
 
-@dataclass
+@config_section("eval", beam_width=">= 1", holdout_frac=">= 0 and < 1")
 class EvalConfig:
-    ks: tuple = (5, 10, 20)
+    ks: tuple[int, ...] = (5, 10, 20)
     beam_width: int = 32
     holdout_frac: float = 0.10
 
-    def __post_init__(self):
-        if not 0.0 <= self.holdout_frac < 1.0:
-            raise ConfigError(f"eval.holdout_frac must be in [0, 1), got {self.holdout_frac!r}")
-        if not self.ks or not all(1 <= k <= self.beam_width for k in self.ks):
-            raise ConfigError(f"eval.ks must be non-empty and lie in [1, eval.beam_width = "
-                              f"{self.beam_width}], got {list(self.ks)}")
 
-
-@dataclass
+@config_section("", _cross_keys, seed=">= 0")
 class RunConfig:
     seed: int = 0
     corpus: corpus_mod.SynthConfig = field(default_factory=corpus_mod.SynthConfig)
@@ -164,45 +127,11 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _build_section(cls, data, path):
-    """``cls`` from a JSON object: nested dataclass fields recurse, tuple fields get tuples."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
-    hints = typing.get_type_hints(cls)
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        hint = hints[name]
-        if dataclasses.is_dataclass(hint):
-            kwargs[name] = _build_section(hint, value, f"{path}.{name}")
-        elif isinstance(value, list) and tuple in (hint, *typing.get_args(hint)):
-            kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def load_config(path_or_dict) -> RunConfig:
-    """Build a RunConfig from a JSON file or dict; unknown keys are errors.
-
-    ``gen_data`` seeds the corpus with the top-level seed, so a
-    ``corpus.seed`` other than 0 or that seed would be recorded but never
-    read, and is an error too.
-    """
+    """Build a RunConfig from a JSON file or dict; unknown keys are errors."""
     data = (path_or_dict if isinstance(path_or_dict, dict)
             else corpus_mod.read_json_object(path_or_dict))
-    cfg = _build_section(RunConfig, data, "config")
-    if cfg.corpus.seed not in (0, cfg.seed):
-        raise ConfigError(f"corpus.seed {cfg.corpus.seed} is never read: gen-data uses the "
-                          f"top-level seed {cfg.seed}; leave corpus.seed out")
-    return cfg
+    return corpus_mod.conform(RunConfig, data, "config")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

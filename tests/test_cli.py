@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -39,6 +42,26 @@ MINI_CONFIG = {
     "decode": {"beam_width": 8, "top_k": 4},
     "eval": {"ks": [1, 5], "beam_width": 8},
 }
+
+
+def with_leaf(key, value):
+    """MINI_CONFIG with the leaf ``key`` ("seed" or "<section>.<field>") set to ``value``."""
+    section, _, name = key.rpartition(".")
+    if not section:
+        return {**MINI_CONFIG, name: value}
+    return {**MINI_CONFIG, section: {**MINI_CONFIG[section], name: value}}
+
+
+LEAF_KEYS = ["seed"] + [f"{section}.{name}" for section, fields
+                        in pipeline.config_to_dict(pipeline.RunConfig()).items()
+                        if isinstance(fields, dict) for name in fields]
+
+# JSON values of the wrong type, or small or non-finite numbers: an integer
+# key accepts only the few small integers in its range, so every run stays small
+wrong_values = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+                | st.text(max_size=5)
+                | st.lists(st.integers(-3, 3) | st.text(max_size=3), max_size=3)
+                | st.dictionaries(st.text(max_size=5), st.integers(-3, 3), max_size=2))
 
 
 @pytest.fixture
@@ -347,6 +370,19 @@ class TestCliErrors:
                     "--c-clip", "0"]) == 1
         assert "align.c_clip must be > 0" in capsys.readouterr().err
 
+    def test_bad_tau_flag_names_the_flag(self, tmp_path, config_path, capsys):
+        assert run(["quantize", "--config", config_path, "--out", str(tmp_path / "none"),
+                    "--tau", "abc"]) == 1
+        assert "--tau must be a number or 'inf', got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, message", [("-1", "seed must be >= 0, got -1"),
+                                               ("6", "corpus.seed 5 is never read")])
+    def test_seed_flag_is_checked_like_the_config_seed(self, tmp_path, config_path, capsys,
+                                                       seed, message):
+        assert run(["gen-data", "--config", config_path, "--out", str(tmp_path / "run"),
+                    "--seed", seed]) == 1
+        assert message in capsys.readouterr().err
+
     def test_threads_key_is_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**MINI_CONFIG, "threads": 2}))
@@ -375,16 +411,17 @@ class TestConfig:
             "5cef30a35f714d2c54fcc889b3de528ce3ec3031e3209175bca085564162563b")
 
     @pytest.mark.parametrize("section, value, match", [
-        ("align", {"dpo_target": "last_sid"}, r"align\.dpo_target must be 'last-sid' or 'all'"),
+        ("align", {"dpo_target": "last_sid"},
+         r"align\.dpo_target must be one of \['last-sid', 'all'\], got 'last_sid'"),
         ("eval", {"ks": [5, 64]}, r"eval\.ks must .* \[1, eval\.beam_width = 8\], got \[5, 64\]"),
         ("eval", {"ks": [0, 5]}, r"eval\.ks must .* got \[0, 5\]"),
         ("eval", {"ks": []}, r"eval\.ks must be non-empty"),
         ("corpus", {"seed": 3}, r"corpus\.seed 3 is never read"),
         ("tokenizer", {"attr_chain": ["l2", "colour"]},
-         r"tokenizer\.attr_chain: unknown attribute\(s\) \['colour'\]"),
+         r"tokenizer\.attr_chain\[1\] must be one of \['l1', .*\], got 'colour'"),
         ("scorer", {"d_model": 0}, r"scorer\.d_model must be >= 1, got 0"),
         ("tokenizer", {"d_hash": 0}, r"tokenizer\.d_hash must be >= 1, got 0"),
-        ("tokenizer", {"m_hashes": 4}, r"tokenizer\.m_hashes must lie in 1\.\.3, got 4"),
+        ("tokenizer", {"m_hashes": 4}, r"tokenizer\.m_hashes must be >= 1 and <= 3, got 4"),
         ("quantizer", {"k": 0}, r"quantizer\.k must be >= 1, got 0"),
         ("train", {"epochs": 0}, r"train\.epochs must be >= 1, got 0"),
         ("train", {"batch_size": 0}, r"train\.batch_size must be >= 1, got 0"),
@@ -399,13 +436,67 @@ class TestConfig:
         ("scorer", {"max_behavior_len": 0}, r"scorer\.max_behavior_len must be >= 1, got 0"),
         ("scorer", {"prefix_window": -1}, r"scorer\.prefix_window must be >= 0, got -1"),
         ("align", {"pairs_per_request": 0}, r"align\.pairs_per_request must be >= 1, got 0"),
+        ("align", {"epochs": -1}, r"align\.epochs must be >= 0, got -1"),
+        (None, {"seed": -1}, r"^seed must be >= 0, got -1"),
+        (None, {"seed": 1.5}, r"^seed must be an integer, got 1\.5"),
     ], ids=["dpo-target", "ks-above-width", "ks-zero", "ks-empty", "corpus-seed", "attr-chain",
             "d-model", "d-hash", "m-hashes", "k", "epochs", "train-batch", "align-batch", "tau",
             "n-layers", "top-k", "objective", "scene", "max-iter", "max-behavior-len",
-            "prefix-window", "pairs-per-request"])
+            "prefix-window", "pairs-per-request", "align-epochs", "seed-negative", "seed-float"])
     def test_values_that_would_pass_silently_are_config_errors(self, section, value, match):
+        """``section`` None sets a top-level key."""
         with pytest.raises(pipeline.ConfigError, match=match):
-            pipeline.load_config({**MINI_CONFIG, section: {**MINI_CONFIG[section], **value}})
+            pipeline.load_config({**MINI_CONFIG, **value} if section is None else
+                                 {**MINI_CONFIG, section: {**MINI_CONFIG[section], **value}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("quantizer.k", 3.5), ("quantizer.k", True), ("train.lr", "fast"), ("eval.ks", [1.5]),
+        ("scorer.d_model", 2.0), ("corpus.n_users", 2.5), ("seed", 1.5), ("seed", -1),
+        ("tokenizer.pairs", [[9, 9]]), ("align.reward_weights", {"nope": 1}), ("align.beta", 0),
+        ("align.lr", -1), ("quantizer.eps_conv", -1), ("quantizer.strict", "no"),
+        ("align.epochs", -1), ("train.lr", float("nan")), ("train.weight_decay", float("nan")),
+        ("corpus.zipf_exponent", float("nan")), ("tokenizer.p1", 0), ("tokenizer.p2", 31),
+    ])
+    def test_wrong_type_or_range_exits_1_at_gen_data_naming_the_key(self, tmp_path, capsys,
+                                                                     key, value):
+        cfg = with_leaf(key, value)
+        with pytest.raises(pipeline.ConfigError, match=re.escape(key)):
+            pipeline.load_config(cfg)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(LEAF_KEYS), wrong_values)
+    def test_any_one_wrong_leaf_is_a_config_error_or_runs_the_chain(self, key, value):
+        """The config names the key it rejects; a config it accepts runs the CLI
+        chain to exit 0, or to exit 1 with a diagnostic, never a traceback."""
+        cfg = with_leaf(key, value)
+        try:
+            pipeline.load_config(cfg)
+        except pipeline.ConfigError as exc:
+            assert key in str(exc)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "config.json")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            for cmd in ("gen-data", "quantize", "build-seqs", "train", "align", "decode", "eval"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    rc = run([cmd, "--config", cfg_path, "--out", os.path.join(tmp, "run")])
+                assert rc in (0, 1), cmd
+                if rc == 1:
+                    assert err.getvalue().startswith("sidforge: error: "), (cmd, err.getvalue())
+                    break
+
+    def test_readme_minimal_config_loads(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("A minimal config", 1)[1]
+        pipeline.load_config(json.loads(block.split("```json", 1)[1].split("```", 1)[0]))
 
     def test_corpus_seed_may_be_zero_or_the_run_seed(self):
         for seed in (0, MINI_CONFIG["seed"]):
