@@ -168,10 +168,11 @@ _JSON_KINDS = {"integer": ((int,), "an integer"), "number": ((int, float), "a fi
 
 def expect(kind: str, name: str, value, error=ValueError):
     """``value`` if it is a JSON ``kind``: "boolean", "integer", "string", "object" or
-    a finite "number", a boolean being neither number; else ``error`` naming ``name``."""
+    a finite "number", a boolean being neither number; else ``error`` naming ``name``
+    and the first 80 characters of the value."""
     allowed, phrase = _JSON_KINDS[kind]
     if type(value) not in allowed or (kind == "number" and not abs(value) <= sys.float_info.max):
-        raise error(f"{name} must be {phrase}, got {value!r}")
+        raise error(f"{name} must be {phrase}, got {value!r:.80}")
     return value
 
 
@@ -468,12 +469,13 @@ def expect_array(name: str, value) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def _checked(where: str, obj: dict, fields: set, what: str, build, reason="{}"):
-    """``build(obj)`` once the keys of ``obj`` are exactly ``fields``; a failure
-    raises ``CorpusFormatError`` naming ``where``, and a failure other than a
-    ``CorpusFormatError`` is formatted into ``reason``."""
+def _checked(where: str, obj: dict, fields: set | None, what: str, build, reason="{}"):
+    """``build(obj)`` once the keys of ``obj`` are exactly ``fields`` (None: the
+    builder checks them); a failure raises ``CorpusFormatError`` naming ``where``,
+    and a failure other than a ``CorpusFormatError`` is formatted into ``reason``."""
     try:
-        check_fields(obj, fields, what)
+        if fields is not None:
+            check_fields(obj, fields, what)
         return build(obj)
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{where}: {exc}") from exc
@@ -500,7 +502,7 @@ def read_json_object(path) -> dict:
         return _parse(fh.read(), str(path), True)
 
 
-def read_document(path, what: str, fields: set, build):
+def read_document(path, what: str, fields: set | None, build):
     """``build(doc)`` for the JSON object ``doc`` that is ``path``, checked as a
     line of :func:`read_records`; a failure of ``build`` other than a
     ``CorpusFormatError`` reads ``<path>: malformed <what> (<reason>)``."""

@@ -24,7 +24,10 @@ from .corpus import ConfigError, config_section
 
 def _cross_keys(cfg):
     """The checks that read two keys, each naming the key it rejects."""
-    d, e, t = cfg.decode, cfg.eval, cfg.tokenizer
+    a, d, e, t = cfg.align, cfg.decode, cfg.eval, cfg.tokenizer
+    if not a.lam * a.c_clip < 1:  # else a clipped advantage can weigh a sample <= 0
+        raise ConfigError(f"align.lam * align.c_clip must be < 1, got align.lam = {a.lam!r} "
+                          f"and align.c_clip = {a.c_clip!r}")
     if not 1 <= d.top_k <= d.beam_width:
         raise ConfigError(f"decode.top_k must lie in [1, decode.beam_width = "
                           f"{d.beam_width}], got {d.top_k!r}")

@@ -17,14 +17,14 @@ heads train with analytic gradients (no autograd framework involved).
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .corpus import (CorpusFormatError, check_fields, expect, expect_array, read_document,
-                     write_json)
+from .corpus import CorpusFormatError, check_fields, expect, read_document, write_json
 from .tokenizer import HashSpec, SequenceSpace, content_summary_rows, hash_spec_for_space
 
 FROZEN_TENSORS = ("attn_wq", "attn_wk", "attn_wv", "attn_gamma")
@@ -608,15 +608,25 @@ def tensor_digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
 
 
+CHECKPOINT_FORMAT = "sidforge.checkpoint/2"  # tensors as {"shape", "f8le"} objects
+
+
+def _encode_tensor(arr: np.ndarray) -> dict:
+    """``arr`` as its shape and the base64 of its little-endian float64 bytes."""
+    return {"shape": list(arr.shape),
+            "f8le": base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")}
+
+
 def save_checkpoint(params: ScorerParams, path, meta: dict | None = None):
     write_json(path, {
+        "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
         "space": params.space.as_dict(),
         "hash_spec": asdict(params.hash_spec),
         "n_behavior_tokens": params.n_behavior_tokens,
         "frozen": list(FROZEN_TENSORS),
         "frozen_digests": {n: tensor_digest(params.tensors[n]) for n in FROZEN_TENSORS},
-        "tensors": {n: a.tolist() for n, a in params.tensors.items()},
+        "tensors": {n: _encode_tensor(a) for n, a in params.tensors.items()},
         "meta": meta or {},
     })
 
@@ -633,11 +643,38 @@ def _hash_spec(obj, space: SequenceSpace) -> HashSpec:
     return spec
 
 
-_CHECKPOINT_FIELDS = {"config", "space", "hash_spec", "n_behavior_tokens", "frozen",
+_CHECKPOINT_FIELDS = {"format", "config", "space", "hash_spec", "n_behavior_tokens", "frozen",
                       "frozen_digests", "tensors", "meta"}
 
 
+def _decode_tensor(name: str, obj, shape: tuple) -> np.ndarray:
+    """The owned, writable float64 array of ``shape`` that ``obj`` encodes."""
+    what = f"tensor {name!r}"
+    check_fields(expect("object", what, obj), {"shape", "f8le"}, what)
+    if obj["shape"] != list(shape) or not all(type(n) is int for n in obj["shape"]):
+        raise CorpusFormatError(f"{what} has shape {obj['shape']!r:.80}, expected {list(shape)}")
+    try:
+        data = base64.b64decode(expect("string", f"{what} f8le", obj["f8le"]), validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"{what} f8le is not base64 ({exc})") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{what} f8le holds {len(data)} bytes, shape {list(shape)} needs "
+                         f"{8 * math.prod(shape)}")
+    # a copy: np.frombuffer alone gives a read-only view of ``data``
+    arr = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must hold finite numbers")
+    return arr
+
+
 def _checkpoint(doc) -> ScorerParams:
+    if "format" not in doc:
+        raise CorpusFormatError(
+            f"no format field, as in the nested-list checkpoints of earlier versions; this "
+            f"version reads format {CHECKPOINT_FORMAT!r} only, so train again")
+    if doc["format"] != CHECKPOINT_FORMAT:
+        raise CorpusFormatError(f"format must be {CHECKPOINT_FORMAT!r}, got {doc['format']!r:.80}")
+    check_fields(doc, _CHECKPOINT_FIELDS, "checkpoint")
     cfg = expect("object", "config", doc["config"])
     check_fields(cfg, {f.name for f in fields(ScorerConfig)}, "config")
     config = ScorerConfig(**{k: expect("integer", f"config.{k}", v) for k, v in cfg.items()})
@@ -655,10 +692,7 @@ def _checkpoint(doc) -> ScorerParams:
         if names:
             raise CorpusFormatError(f"{what} tensor(s) {sorted(names)}")
     for name, shape in shapes.items():
-        params.tensors[name] = expect_array(f"tensor {name!r}", tensors[name])
-        if params.tensors[name].shape != shape:
-            raise CorpusFormatError(f"tensor {name!r} has shape {params.tensors[name].shape}, "
-                                    f"expected {shape}")
+        params.tensors[name] = _decode_tensor(name, tensors[name], shape)
     for name, digest in digests.items():
         if tensor_digest(params.tensors[name]) != digest:
             raise CorpusFormatError(f"frozen tensor {name} digest mismatch")
@@ -666,9 +700,11 @@ def _checkpoint(doc) -> ScorerParams:
 
 
 def load_checkpoint(path) -> ScorerParams:
-    """A checkpoint whose tensors have the names and shapes of
-    :func:`_tensor_shapes`; any other document raises ``CorpusFormatError``."""
-    return read_document(path, "checkpoint", _CHECKPOINT_FIELDS, _checkpoint)
+    """A checkpoint of :data:`CHECKPOINT_FORMAT` whose tensors have the names and
+    shapes of :func:`_tensor_shapes`; any other document raises
+    ``CorpusFormatError``.  The format is checked before the keys, so that a
+    checkpoint of an earlier version is named as one."""
+    return read_document(path, "checkpoint", None, _checkpoint)
 
 
 def clone_params(params: ScorerParams) -> ScorerParams:

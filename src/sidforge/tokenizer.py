@@ -260,7 +260,13 @@ def hash_spec_for_space(space: SequenceSpace, pairs=None, m_hashes=3, p1=31, p2=
 
 def _hash_family(spec: HashSpec, x, y) -> np.ndarray:
     """H1 = x+y, H2 = x*y, H3 = p1*x + p2*y (the first m_hashes), on a new last axis."""
-    return np.stack([x + y, x * y, spec.p1 * x + spec.p2 * y][: spec.m_hashes], axis=-1)
+    out = np.empty(np.shape(x) + (spec.m_hashes,), dtype=np.int64)
+    np.add(x, y, out=out[..., 0])
+    if spec.m_hashes > 1:
+        np.multiply(x, y, out=out[..., 1])
+    if spec.m_hashes > 2:
+        np.add(spec.p1 * x, spec.p2 * y, out=out[..., 2])
+    return out
 
 
 def hash_rows(spec: HashSpec, pair_index: int, x: int, y: int):

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny scorer instances, the finite-difference checker and
 a sequential reference for the capacity-repaired quantizer layer."""
 
+import base64
 import math
 
 import numpy as np
@@ -8,6 +9,26 @@ from hypothesis import strategies as st
 
 from sidforge import quantizer, scorer, tokenizer
 from sidforge.corpus import zipf_integer_weights
+
+
+def f8le(arr):
+    """``arr`` as checkpoint.json stores a tensor."""
+    arr = np.asarray(arr, dtype=np.float64)
+    return {"shape": list(arr.shape),
+            "f8le": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+
+
+def stored(doc, name):
+    """The array that checkpoint document ``doc`` stores as tensor ``name``."""
+    tensor = doc["tensors"][name]
+    return np.frombuffer(base64.b64decode(tensor["f8le"]), dtype="<f8").reshape(tensor["shape"])
+
+
+def to_nested_lists(doc):
+    """Turn checkpoint document ``doc`` into the format that earlier versions
+    wrote: each tensor a nested list, and no format field."""
+    doc["tensors"] = {name: stored(doc, name).tolist() for name in doc["tensors"]}
+    del doc["format"]
 
 
 def tiny_space(rng, max_vocab=4):

@@ -1,8 +1,10 @@
 """End-to-end CLI subcommand tests on a miniature run configuration."""
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import os
 import pathlib
 import re
@@ -27,6 +29,8 @@ from sidforge.corpus import (
 )
 from sidforge.quantizer import load_codebook, load_sids, save_codebook
 from sidforge.scorer import load_checkpoint, save_checkpoint
+
+from helpers import f8le, to_nested_lists
 
 MINI_CONFIG = {
     "seed": 5,
@@ -439,10 +443,13 @@ class TestConfig:
         ("align", {"epochs": -1}, r"align\.epochs must be >= 0, got -1"),
         (None, {"seed": -1}, r"^seed must be >= 0, got -1"),
         (None, {"seed": 1.5}, r"^seed must be an integer, got 1\.5"),
+        ("align", {"lam": 0.5, "c_clip": 2},
+         r"align\.lam \* align\.c_clip must be < 1, got align\.lam = 0\.5 and align\.c_clip = 2"),
     ], ids=["dpo-target", "ks-above-width", "ks-zero", "ks-empty", "corpus-seed", "attr-chain",
             "d-model", "d-hash", "m-hashes", "k", "epochs", "train-batch", "align-batch", "tau",
             "n-layers", "top-k", "objective", "scene", "max-iter", "max-behavior-len",
-            "prefix-window", "pairs-per-request", "align-epochs", "seed-negative", "seed-float"])
+            "prefix-window", "pairs-per-request", "align-epochs", "seed-negative", "seed-float",
+            "lam-times-c-clip"])
     def test_values_that_would_pass_silently_are_config_errors(self, section, value, match):
         """``section`` None sets a top-level key."""
         with pytest.raises(pipeline.ConfigError, match=match):
@@ -774,9 +781,11 @@ def _set(path, value):
     return edit
 
 
-# the fields whose own fields (or, for a list, entries) the fuzz also replaces
-NESTED = {"checkpoint.json": ("config", "space", "hash_spec", "tensors"),
-          "codebook.json": ("layers",), "space.json": ()}
+# the fields whose own fields (or, for a list, entries) the fuzz also replaces,
+# each given by its key path
+NESTED = {"checkpoint.json": (("config",), ("space",), ("hash_spec",), ("tensors",),
+                              ("tensors", "attn_wq"), ("tensors", "attn_gamma")),
+          "codebook.json": (("layers",),), "space.json": ()}
 
 
 class TestJsonDocuments:
@@ -827,8 +836,8 @@ class TestJsonDocuments:
          "malformed checkpoint (step 9 out of range 1..4)"),
         ("checkpoint.json", ("hash_spec", "p1"), 10**30,
          "malformed checkpoint (p1 and p2 must differ and lie in 1..2**31 - 1)"),
-        ("checkpoint.json", ("tensors", "attn_wq"), [[1.0, None]],
-         "malformed checkpoint (tensor 'attn_wq' must be a rectangular array of finite numbers)"),
+        ("checkpoint.json", ("tensors", "attn_wq"), f8le(np.full((8, 8), np.nan)),
+         "malformed checkpoint (tensor 'attn_wq' must hold finite numbers)"),
         ("space.json", ("x",), 1, "unknown space field(s) ['x']"),
         ("space.json", ("space", "attr_vocabs", "l2"), {"a": 0, "b": 0},
          "malformed space (l2 vocabulary must number its values 0..1)"),
@@ -839,9 +848,18 @@ class TestJsonDocuments:
         ("checkpoint.json", ("frozen",), ["not", "a", "tensor"],
          "malformed checkpoint (frozen must be ['attn_wq', 'attn_wk', 'attn_wv', 'attn_gamma'], "
          "got ['not', 'a', 'tensor'])"),
+        ("checkpoint.json", ("tensors", "attn_wq", "f8le"), "AAAA*AAAA",
+         "malformed checkpoint (tensor 'attn_wq' f8le is not base64"),
+        ("checkpoint.json", ("tensors", "attn_wq", "f8le"), f8le(0.0)["f8le"],
+         "malformed checkpoint (tensor 'attn_wq' f8le holds 8 bytes, shape [8, 8] needs 512)"),
+        ("checkpoint.json", (), lambda doc: doc.pop("format"), "no format field"),
+        ("checkpoint.json", (), to_nested_lists,
+         "no format field, as in the nested-list checkpoints of earlier versions"),
     ])
     def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, path, value, message):
-        rc, err = run_on_edited_document(read_run, artifact, _set(path, value))
+        """A callable ``value`` edits the whole document."""
+        edit = value if callable(value) else _set(path, value)
+        rc, err = run_on_edited_document(read_run, artifact, edit)
         assert rc == 1
         assert f"{artifact}: {message}" in err
 
@@ -883,10 +901,10 @@ class TestJsonDocuments:
         with open(os.path.join(read_run[1], artifact), encoding="utf-8") as fh:
             doc = json.load(fh)
         paths = [(key,) for key in sorted(doc)]
-        for key in NESTED[artifact]:
-            inner = doc[key]
-            paths += [(key, k) for k in (sorted(inner) if isinstance(inner, dict)
-                                          else range(len(inner)))]
+        for keys in NESTED[artifact]:
+            inner = functools.reduce(operator.getitem, keys, doc)
+            paths += [(*keys, k) for k in (sorted(inner) if isinstance(inner, dict)
+                                            else range(len(inner)))]
 
         @settings(max_examples=50, deadline=None, database=None,
                   suppress_health_check=[HealthCheck.too_slow])

@@ -186,3 +186,10 @@ class TestPersistence:
         )
         with pytest.raises(CorpusFormatError, match="bogus"):
             load_items(path)
+
+
+def test_wrong_type_message_shows_80_characters_of_the_value():
+    value = [0.5] * 100_000
+    with pytest.raises(ValueError) as exc:
+        corpus.expect("object", "tensors", value)
+    assert str(exc.value) == "tensors must be an object, got " + repr(value)[:80]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sidforge import scorer, tokenizer
 from sidforge.corpus import CorpusFormatError
 from sidforge.scorer import (
+    AdamW,
     CountScorer,
     NeuralSequenceModel,
     OptimizerConfig,
@@ -27,12 +28,15 @@ from sidforge.scorer import (
 )
 
 from helpers import (
+    f8le,
     finite_difference_grads,
     max_grad_rel_error,
     random_sample,
+    stored,
     teacher_forced_batches,
     tiny_contexts,
     tiny_params,
+    to_nested_lists,
     token_paths,
 )
 
@@ -392,10 +396,27 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
-        doc["tensors"]["attn_gamma"] = 2.0
+        assert params.tensors["attn_gamma"] != 2.0
+        doc["tensors"]["attn_gamma"] = f8le(2.0)
         path.write_text(json.dumps(doc))
-        with pytest.raises(CorpusFormatError, match="attn_gamma"):
+        with pytest.raises(CorpusFormatError, match="frozen tensor attn_gamma digest mismatch"):
             load_checkpoint(path)
+
+    def test_loaded_tensors_can_be_trained_in_place(self, params, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        for name, arr in loaded.tensors.items():
+            assert arr.dtype == np.float64 and arr.dtype.isnative, name
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata, name
+            assert arr.tobytes() == params.tensors[name].tobytes(), name
+        rng = np.random.default_rng(5)
+        _, grads = ntp_loss_and_grad([random_sample(rng, params) for _ in range(4)], params)
+        cfg = OptimizerConfig(lr=1e-2)
+        for p in (params, loaded):
+            AdamW(p, cfg).step(p, grads)
+        for name in params.tensors:
+            assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes(), name
 
     def test_init_builds_the_checked_layout(self, params):
         shapes = {name: a.shape for name, a in params.tensors.items()}
@@ -403,14 +424,23 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit, want", [
         (lambda d: d["tensors"].pop("head_w_2"), r"missing tensor\(s\) \['head_w_2'\]"),
-        (lambda d: d["tensors"].update(head_w_2=d["tensors"]["head_w_2"][:-1]),
-         r"tensor 'head_w_2' has shape \(3, \d+\), expected \(4, \d+\)"),
+        (lambda d: d["tensors"].update(head_w_2=f8le(stored(d, "head_w_2")[:-1])),
+         r"tensor 'head_w_2' has shape \[3, \d+\], expected \[4, \d+\]"),
         (lambda d: d["tensors"].update(head_w_9=[0.0]),
          r"unknown tensor\(s\) \['head_w_9'\]"),
         (lambda d: d["tensors"].update(emb_hash=[[0.0], [0.0, 1.0]]),
          "malformed checkpoint"),
         (lambda d: d.update(config=[1]), "malformed checkpoint"),
-    ], ids=["missing", "short", "unknown", "ragged", "config-not-an-object"])
+        (lambda d: d["tensors"]["emb_hash"].update(f8le=d["tensors"]["emb_hash"]["f8le"] + "*"),
+         r"malformed checkpoint \(tensor 'emb_hash' f8le is not base64"),
+        (lambda d: d["tensors"]["emb_hash"].update(f8le=f8le(stored(d, "emb_hash")[1:])["f8le"]),
+         r"malformed checkpoint \(tensor 'emb_hash' f8le holds \d+ bytes, shape \[\d+, 3\]"),
+        (lambda d: d.pop("format"), "no format field"),
+        (to_nested_lists, "no format field"),
+        (lambda d: d["tensors"]["emb_hash"].update(shape=[9.0, 3.0]),
+         r"tensor 'emb_hash' has shape \[9\.0, 3\.0\], expected \[9, 3\]"),
+    ], ids=["missing", "short", "unknown", "ragged", "config-not-an-object", "bad-base64",
+            "byte-length", "no-format", "nested-list-format", "float-shape"])
     def test_tensor_names_and_shapes_are_checked(self, params, tmp_path, edit, want):
         path = tmp_path / "checkpoint.json"
         save_checkpoint(params, path)
