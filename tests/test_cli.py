@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import operator
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sidforge import alignment, pipeline, tokenizer
+from sidforge import alignment, pipeline, scorer, tokenizer
 from sidforge.cli import main
 from sidforge.corpus import (
     CorpusFormatError,
@@ -591,6 +592,69 @@ class TestHoldout:
         cfg_path.write_text(json.dumps({**MINI_CONFIG, "eval": {"holdout_frac": frac}}))
         assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert "eval.holdout_frac" in capsys.readouterr().err
+
+
+def trained_inputs(cfg, out_dir):
+    """(params after train_model, train_set, log, paths, space) for ``cfg``."""
+    corp, log = pipeline.gen_data(cfg, out_dir)
+    rq = pipeline.run_quantizer(cfg, corp)
+    space, paths = pipeline.build_sequences(cfg, corp, rq.sids)
+    train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
+    params, _ = pipeline.train_model(cfg, pipeline.init_model(cfg, corp, space), train_set)
+    return params, train_set, log, paths, space
+
+
+class TestTrainingLoop:
+    def test_align_batch_i_reads_the_wrapping_pair_cursor(self, tmp_path, monkeypatch):
+        cfg = pipeline.load_config({**MINI_CONFIG, "align": {**MINI_CONFIG["align"],
+                                                             "epochs": 3, "batch_size": 20}})
+        params, train_set, log, paths, space = trained_inputs(cfg, str(tmp_path / "data"))
+        built, build = [], alignment.build_dpo_pairs
+        calls, joint = [], alignment.joint_loss
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def recording_joint(batch, pair_batch, *args, **kwargs):
+            calls.append((batch, pair_batch))
+            return joint(batch, pair_batch, *args, **kwargs)
+
+        monkeypatch.setattr(alignment, "build_dpo_pairs", recording_build)
+        monkeypatch.setattr(alignment, "joint_loss", recording_joint)
+        _, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
+        (pairs,) = built
+        assert (len(train_set), len(pairs)) == (78, 144)
+        assert len(calls) == len(trace) == 12  # 4 batches per epoch, 3 epochs
+        for i, (batch, pair_batch) in enumerate(calls):
+            want_batch = train_set[20 * (i % 4):][:20]
+            want_pairs = pairs[(20 * i) % 144:][:20]
+            assert len(batch) == len(want_batch) and all(
+                a is b for a, b in zip(batch, want_batch)), i
+            assert len(pair_batch) == len(want_pairs) and all(
+                a is b for a, b in zip(pair_batch, want_pairs)), i
+        assert [len(p) for _, p in calls][7] == 4  # pairs[140:160] is cut short by the wrap
+
+    def test_only_train_reaches_ntp_through_the_train_epoch_default(self, tmp_path,
+                                                                    monkeypatch):
+        # the benchmark times scorer.ntp_loss_and_grad by wrapping this default
+        cfg = pipeline.load_config(MINI_CONFIG)
+        names = list(inspect.signature(scorer.train_epoch).parameters)
+        defaults = scorer.train_epoch.__defaults__
+        index = names.index("loss_and_grad") - (len(names) - len(defaults))
+        sizes, ntp = [], defaults[index]
+
+        def counting(batch, params):
+            sizes.append(len(batch))
+            return ntp(batch, params)
+
+        monkeypatch.setattr(scorer.train_epoch, "__defaults__",
+                            defaults[:index] + (counting,) + defaults[index + 1:])
+        params, train_set, log, paths, space = trained_inputs(cfg, str(tmp_path / "data"))
+        assert sizes == [16, 16, 16, 16, 14]  # 78 samples, batch_size 16, 1 epoch
+        _, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
+        assert len(trace) == 5
+        assert len(sizes) == 5
 
 
 class TestAblationHarness:
