@@ -40,12 +40,12 @@ params, _ = pipeline.train_model(cfg, params, train_set)
 
 # rewards -> advantages
 batch = train_set[:16]
-spec = pipeline.alignment.RewardSpec(metric_weights={"gmv": 0.7, "watch_time": 0.3})
+weights = {"gmv": 0.7, "watch_time": 0.3}
 normalized = minmax_normalize_metrics([s.metrics for s in batch])
-rewards = [composite_reward(m, spec) for m in normalized]
+rewards = [composite_reward(m, weights) for m in normalized]
 adv = normalize_advantages(rewards, c_clip=3.0, eps=1e-8)
 print("rewards:    " + " ".join(f"{r:5.2f}" for r in rewards[:8]))
-print("advantages: " + " ".join(f"{a:5.2f}" for a in adv.clipped[:8]))
+print("advantages: " + " ".join(f"{a:5.2f}" for a in adv[:8]))
 
 loss_ntp, _ = ntp_loss_and_grad(batch, params)
 loss_rft, _ = rft_loss_and_grad(batch, adv, 0.2, params)

@@ -8,9 +8,7 @@ differentiated autoregressive scorer with next-token / advantage-reweighted
 """
 
 from .alignment import (
-    AdvantageBatch,
     PreferencePair,
-    RewardSpec,
     build_dpo_pairs,
     composite_reward,
     dpo_loss_and_grad,
@@ -53,7 +51,6 @@ from .quantizer import (
 from .scorer import (
     CountScorer,
     NeuralSequenceModel,
-    OptimizerConfig,
     Sample,
     ScorerConfig,
     ScorerParams,

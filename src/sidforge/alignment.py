@@ -29,15 +29,11 @@ class AlignmentError(ValueError):
     pass
 
 
-@dataclass
-class RewardSpec:
-    metric_weights: dict  # metric name -> weight
-
-
-def composite_reward(metrics: dict, spec: RewardSpec) -> float:
-    """Weighted sum of the (already normalized) named metrics."""
+def composite_reward(metrics: dict, weights: dict) -> float:
+    """Weighted sum of the (already normalized) named metrics; ``weights``
+    maps a metric name to its weight."""
     total = 0.0
-    for name, weight in spec.metric_weights.items():
+    for name, weight in weights.items():
         if name not in metrics:
             raise AlignmentError(f"missing metric {name!r} in {sorted(metrics)}")
         total += weight * metrics[name]
@@ -59,25 +55,15 @@ def minmax_normalize_metrics(metric_dicts) -> list:
     return out
 
 
-@dataclass
-class AdvantageBatch:
-    rewards: np.ndarray
-    centered: np.ndarray  # A_i = R_i - mean(R)
-    normalized: np.ndarray  # A_i / (sigma_A + eps)
-    clipped: np.ndarray  # clip(normalized, -c_clip, c_clip)
-    sigma: float
-
-
-def normalize_advantages(rewards, c_clip: float, eps: float) -> AdvantageBatch:
-    """Center, scale by the batch root-mean-square, and clip."""
+def normalize_advantages(rewards, c_clip: float, eps: float) -> np.ndarray:
+    """clip(A / (sigma_A + eps), -c_clip, c_clip) with A = R - mean(R) and
+    sigma_A the root-mean-square of A."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.size < 1:
         raise ValueError("batch must contain at least one reward")
     centered = r - r.mean()
     sigma = float(np.sqrt((centered**2).mean()))
-    normalized = centered / (sigma + eps)
-    clipped = np.clip(normalized, -c_clip, c_clip)
-    return AdvantageBatch(r, centered, normalized, clipped, sigma)
+    return np.clip(centered / (sigma + eps), -c_clip, c_clip)
 
 
 def engagement_alpha(level: int, gmv: float, mean_gmv: float, cap: float = 10.0) -> float:
@@ -87,11 +73,12 @@ def engagement_alpha(level: int, gmv: float, mean_gmv: float, cap: float = 10.0)
     return 1.0
 
 
-def rft_loss_and_grad(batch, advantages: AdvantageBatch, lam: float, params):
-    """NTP with each sample scaled by (1 + lam * clipped advantage) * alpha."""
-    if len(batch) != advantages.clipped.shape[0]:
+def rft_loss_and_grad(batch, advantages: np.ndarray, lam: float, params):
+    """NTP with each sample scaled by (1 + lam * advantage) * alpha, where
+    ``advantages`` are :func:`normalize_advantages`' clipped ones."""
+    if len(batch) != advantages.shape[0]:
         raise AlignmentError("advantages not aligned with batch")
-    weights = 1.0 + lam * advantages.clipped
+    weights = 1.0 + lam * advantages
     bad = np.flatnonzero(weights <= 0)
     if bad.size:
         raise AlignmentError(
@@ -247,13 +234,12 @@ def joint_loss(batch, pairs, params, reference, advantages, lam: float = 0.2,
 
     An empty pair set (or lambda_dpo == 0) contributes a zero DPO term by
     convention, leaving the RFT term untouched bit for bit when
-    lambda_rft == 1.
+    lambda_rft == 1 (``x * 1.0 == x`` for every float).
     """
     loss_rft, grads = rft_loss_and_grad(batch, advantages, lam, params)
-    if lambda_rft != 1.0:
-        loss_rft = lambda_rft * loss_rft
-        for name in grads:
-            grads[name] *= lambda_rft
+    loss_rft = lambda_rft * loss_rft
+    for name in grads:
+        grads[name] *= lambda_rft
     if lambda_dpo == 0.0 or not pairs:
         return loss_rft, grads
     loss_dpo, grads_dpo = dpo_loss_and_grad(pairs, params, reference, beta, stop_grad)

@@ -107,10 +107,6 @@ class ItemCorpus:
     def __len__(self):
         return len(self.items)
 
-    def embeddings(self) -> np.ndarray:
-        """(N, d_emb) matrix in item order."""
-        return np.array([it.embedding for it in self.items])
-
     def weights(self) -> np.ndarray:
         return np.array([it.exposure_weight for it in self.items], dtype=np.float64)
 

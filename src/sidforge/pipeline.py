@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import typing
@@ -328,46 +329,41 @@ def init_model(cfg: RunConfig, corp, space) -> scorer.ScorerParams:
 
 
 def train_model(cfg: RunConfig, params, train_set):
-    opt = scorer.OptimizerConfig(
-        lr=cfg.train.lr,
-        weight_decay=cfg.train.weight_decay,
-        batch_size=cfg.train.batch_size,
-    )
-    return scorer.train(train_set, params, opt, cfg.train.epochs)
+    t = cfg.train
+    return scorer.train(train_set, params, t.batch_size, t.epochs, t.lr, t.weight_decay)
 
 
 def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     """Joint advantage-reweighted NTP + preference-pair optimization.
 
     Preference pairs come from training requests only, never the holdout.
+    Global batch ``i`` (counted across epochs) takes the ``align.batch_size``
+    pairs from ``(i * align.batch_size) % len(pairs)`` on, fewer at the end.
     """
     a = cfg.align
     reference = scorer.clone_params(params)
     held_out = eval_request_ids(cfg, log)
     contexts = {r: c for r, c in request_contexts(cfg, log, space).items() if r not in held_out}
     pairs = alignment.build_dpo_pairs(log, paths, contexts, a.pairs_per_request, cfg.seed)
-    spec = alignment.RewardSpec(metric_weights=a.reward_weights)
-    opt = scorer.OptimizerConfig(lr=a.lr, weight_decay=cfg.train.weight_decay,
-                                 batch_size=a.batch_size)
-    optimizer = scorer.AdamW(params, opt)
     stop_grad = a.dpo_target == "last-sid"
+    batch_index = itertools.count()
+
+    def joint_step(batch, params):
+        start = (next(batch_index) * a.batch_size) % max(1, len(pairs))
+        normalized = alignment.minmax_normalize_metrics([s.metrics for s in batch])
+        rewards = [alignment.composite_reward(m, a.reward_weights) for m in normalized]
+        adv = alignment.normalize_advantages(rewards, a.c_clip, a.eps)
+        return alignment.joint_loss(
+            batch, pairs[start:start + a.batch_size], params, reference, adv,
+            lam=a.lam, beta=a.beta, stop_grad=stop_grad,
+            lambda_rft=a.lambda_rft, lambda_dpo=a.lambda_dpo,
+        )
+
+    optimizer = scorer.AdamW(params, a.lr, cfg.train.weight_decay)
     trace = []
-    pair_cursor = 0
     for _ in range(a.epochs):
-        for start in range(0, len(train_set), a.batch_size):
-            batch = train_set[start:start + a.batch_size]
-            normalized = alignment.minmax_normalize_metrics([s.metrics for s in batch])
-            rewards = [alignment.composite_reward(m, spec) for m in normalized]
-            adv = alignment.normalize_advantages(rewards, a.c_clip, a.eps)
-            pair_batch = pairs[pair_cursor:pair_cursor + a.batch_size]
-            pair_cursor = (pair_cursor + a.batch_size) % max(1, len(pairs))
-            loss, grads = alignment.joint_loss(
-                batch, pair_batch, params, reference, adv,
-                lam=a.lam, beta=a.beta, stop_grad=stop_grad,
-                lambda_rft=a.lambda_rft, lambda_dpo=a.lambda_dpo,
-            )
-            trace.append(loss / len(batch))
-            optimizer.step(params, grads)
+        params, t = scorer.train_epoch(train_set, params, a.batch_size, optimizer, joint_step)
+        trace.extend(t)
     return params, trace
 
 

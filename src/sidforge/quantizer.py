@@ -75,9 +75,6 @@ class SemanticId:
     item_id: int
     codes: tuple
 
-    def prefix(self, depth: int) -> tuple:
-        return self.codes[:depth]
-
 
 @dataclass
 class LayerResult:

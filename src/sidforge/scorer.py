@@ -512,21 +512,16 @@ class CountScorer:
 # optimization
 # ----------------------------------------------------------------------
 
-@dataclass
-class OptimizerConfig:
-    lr: float = 3e-4
-    weight_decay: float = 1e-4
-    batch_size: int = 64
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 class AdamW:
     """Decoupled-weight-decay Adam over the trainable tensors."""
 
-    def __init__(self, params: ScorerParams, cfg: OptimizerConfig):
-        self.cfg = cfg
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: ScorerParams, lr: float, weight_decay: float):
+        self.lr = lr
+        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {n: np.zeros_like(a) for n, a in params.tensors.items()
                   if n not in FROZEN_TENSORS}
@@ -544,31 +539,31 @@ class AdamW:
 
         so the result is the same bits, with two temporaries per tensor.
         """
-        c = self.cfg
+        beta1, beta2 = self.beta1, self.beta2
         self.step_count += 1
         t = self.step_count
         for name, m in self.m.items():
             g, v, p = grads[name], self.v[name], params.tensors[name]
-            a = np.multiply(g, 1 - c.beta1)
-            m *= c.beta1
+            a = np.multiply(g, 1 - beta1)
+            m *= beta1
             m += a
-            np.multiply(g, 1 - c.beta2, out=a)
+            np.multiply(g, 1 - beta2, out=a)
             a *= g
-            v *= c.beta2
+            v *= beta2
             v += a
-            np.divide(m, 1 - c.beta1**t, out=a)
-            b = np.divide(v, 1 - c.beta2**t)
+            np.divide(m, 1 - beta1**t, out=a)
+            b = np.divide(v, 1 - beta2**t)
             np.sqrt(b, out=b)
-            b += c.eps
+            b += self.eps
             a /= b
-            np.multiply(p, c.weight_decay, out=b)
+            np.multiply(p, self.weight_decay, out=b)
             a += b
-            a *= c.lr
+            a *= self.lr
             p -= a
 
 
-def train_epoch(dataset, params: ScorerParams, opt_cfg: OptimizerConfig,
-                optimizer: AdamW | None = None, loss_and_grad=ntp_loss_and_grad):
+def train_epoch(dataset, params: ScorerParams, batch_size: int, optimizer: AdamW,
+                loss_and_grad=ntp_loss_and_grad):
     """One pass over the dataset in batch order; returns per-batch mean losses.
 
     The batch order is the dataset order (no shuffling here; shuffle the
@@ -576,11 +571,9 @@ def train_epoch(dataset, params: ScorerParams, opt_cfg: OptimizerConfig,
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    if optimizer is None:
-        optimizer = AdamW(params, opt_cfg)
     trace = []
-    for start in range(0, len(dataset), opt_cfg.batch_size):
-        batch = dataset[start:start + opt_cfg.batch_size]
+    for start in range(0, len(dataset), batch_size):
+        batch = dataset[start:start + batch_size]
         loss, grads = loss_and_grad(batch, params)
         mean_loss = loss / len(batch)
         if not math.isfinite(mean_loss):
@@ -590,12 +583,12 @@ def train_epoch(dataset, params: ScorerParams, opt_cfg: OptimizerConfig,
     return params, trace
 
 
-def train(dataset, params, opt_cfg, epochs: int):
+def train(dataset, params, batch_size: int, epochs: int, lr: float, weight_decay: float):
     """Multi-epoch wrapper sharing one optimizer state; concatenates traces."""
-    optimizer = AdamW(params, opt_cfg)
+    optimizer = AdamW(params, lr, weight_decay)
     trace = []
     for _ in range(epochs):
-        params, t = train_epoch(dataset, params, opt_cfg, optimizer=optimizer)
+        params, t = train_epoch(dataset, params, batch_size, optimizer)
         trace.extend(t)
     return params, trace
 

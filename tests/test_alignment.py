@@ -11,7 +11,6 @@ from sidforge import scorer
 from sidforge.alignment import (
     AlignmentError,
     PreferencePair,
-    RewardSpec,
     build_dpo_pairs,
     composite_reward,
     dpo_loss_and_grad,
@@ -37,22 +36,22 @@ from helpers import (
 
 class TestCompositeReward:
     def test_zero_weights(self):
-        spec = RewardSpec(metric_weights={"gmv": 0.0, "watch_time": 0.0})
-        assert composite_reward({"gmv": 5.0, "watch_time": 2.0}, spec) == 0.0
+        weights = {"gmv": 0.0, "watch_time": 0.0}
+        assert composite_reward({"gmv": 5.0, "watch_time": 2.0}, weights) == 0.0
 
     def test_single_metric_identity(self):
-        spec = RewardSpec(metric_weights={"gmv": 1.0})
-        assert composite_reward({"gmv": 3.25}, spec) == 3.25
+        weights = {"gmv": 1.0}
+        assert composite_reward({"gmv": 3.25}, weights) == 3.25
 
     def test_hand_weighted_sum(self):
-        spec = RewardSpec(metric_weights={"gmv": 0.7, "watch": 0.3})
-        r = composite_reward({"gmv": 2.0, "watch": 10.0}, spec)
+        weights = {"gmv": 0.7, "watch": 0.3}
+        r = composite_reward({"gmv": 2.0, "watch": 10.0}, weights)
         assert r == pytest.approx(0.7 * 2.0 + 0.3 * 10.0)
 
     def test_missing_metric_errors(self):
-        spec = RewardSpec(metric_weights={"gmv": 1.0})
+        weights = {"gmv": 1.0}
         with pytest.raises(AlignmentError, match="gmv"):
-            composite_reward({"watch": 1.0}, spec)
+            composite_reward({"watch": 1.0}, weights)
 
     def test_minmax_normalization(self):
         metrics = [{"gmv": 0.0}, {"gmv": 5.0}, {"gmv": 10.0}]
@@ -63,34 +62,34 @@ class TestCompositeReward:
 class TestNormalizeAdvantages:
     def test_constant_rewards_all_zero(self):
         adv = normalize_advantages([1.0, 1.0, 1.0], c_clip=3.0, eps=1e-8)
-        assert np.all(adv.clipped == 0.0)
+        assert np.all(adv == 0.0)
 
     def test_two_point_batch_hand_computed(self):
         adv = normalize_advantages([0.0, 2.0], c_clip=5.0, eps=1e-8)
         # A = [-1, 1], sigma = 1, normalized = +-1/(1 + 1e-8)
-        assert adv.sigma == pytest.approx(1.0)
-        np.testing.assert_allclose(adv.clipped, [-1.0 / (1 + 1e-8), 1.0 / (1 + 1e-8)])
+        np.testing.assert_allclose(adv, [-1.0 / (1 + 1e-8), 1.0 / (1 + 1e-8)])
 
     def test_clip_saturation(self):
         adv = normalize_advantages([0.0, 100.0], c_clip=0.5, eps=1e-8)
-        np.testing.assert_allclose(adv.clipped, [-0.5, 0.5])
+        np.testing.assert_allclose(adv, [-0.5, 0.5])
 
     def test_mean_zero(self):
         rng = np.random.default_rng(0)
-        adv = normalize_advantages(rng.normal(size=64), c_clip=3.0, eps=1e-8)
-        assert abs(adv.centered.mean()) < 1e-12
+        adv = normalize_advantages(rng.normal(size=64), c_clip=10.0, eps=1e-8)
+        assert np.abs(adv).max() < 10.0  # the clip does not bind
+        assert abs(adv.mean()) < 1e-12
 
     def test_shift_invariance_exact_arithmetic(self):
         base = normalize_advantages([0.0, 2.0, 7.0], c_clip=3.0, eps=1e-8)
         shifted = normalize_advantages([4.0, 6.0, 11.0], c_clip=3.0, eps=1e-8)
-        assert base.clipped.tobytes() == shifted.clipped.tobytes()
+        assert base.tobytes() == shifted.tobytes()
 
     def test_shift_invariance_random_floats(self):
         rng = np.random.default_rng(1)
         r = rng.normal(size=10)
         a = normalize_advantages(r, 3.0, 1e-8)
         b = normalize_advantages(r + 0.7315, 3.0, 1e-8)
-        np.testing.assert_allclose(a.clipped, b.clipped, atol=1e-10)
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestEngagementAlpha:

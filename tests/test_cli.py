@@ -656,6 +656,17 @@ class TestTrainingLoop:
         assert len(trace) == 5
         assert len(sizes) == 5
 
+    def test_align_refuses_an_empty_train_split_unless_it_is_off(self, tmp_path):
+        cfg = pipeline.load_config(MINI_CONFIG)
+        params, _, log, paths, space = trained_inputs(cfg, str(tmp_path / "data"))
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            pipeline.align_model(cfg, params, [], log, paths, space)
+        off = pipeline.load_config(with_leaf("align.epochs", 0))
+        before = {n: a.tobytes() for n, a in params.tensors.items()}
+        _, trace = pipeline.align_model(off, params, [], log, paths, space)
+        assert trace == []
+        assert {n: a.tobytes() for n, a in params.tensors.items()} == before
+
 
 class TestAblationHarness:
     def test_identical_arms_identical_reports(self, tmp_path):

@@ -14,7 +14,6 @@ from sidforge.scorer import (
     AdamW,
     CountScorer,
     NeuralSequenceModel,
-    OptimizerConfig,
     Sample,
     ScorerConfig,
     ScorerError,
@@ -296,14 +295,14 @@ class TestTraining:
     def test_zero_lr_keeps_params_bitwise(self, params):
         data = self.make_dataset(params, 8, 0)
         before = {n: a.tobytes() for n, a in params.tensors.items()}
-        train_epoch(data, params, OptimizerConfig(lr=0.0, batch_size=4))
+        train_epoch(data, params, 4, AdamW(params, lr=0.0, weight_decay=1e-4))
         after = {n: a.tobytes() for n, a in params.tensors.items()}
         assert before == after
 
     def test_frozen_tensors_never_move(self, params):
         data = self.make_dataset(params, 16, 1)
         frozen_before = {n: params.tensors[n].tobytes() for n in scorer.FROZEN_TENSORS}
-        train(data, params, OptimizerConfig(lr=1e-2, batch_size=4), epochs=3)
+        train(data, params, 4, epochs=3, lr=1e-2, weight_decay=1e-4)
         for n, b in frozen_before.items():
             assert params.tensors[n].tobytes() == b
 
@@ -311,7 +310,7 @@ class TestTraining:
         rng = np.random.default_rng(5)
         params = tiny_params(rng, d_model=8)
         data = self.make_dataset(params, 100, 2)
-        _, trace = train(data, params, OptimizerConfig(lr=3e-3, batch_size=50), epochs=100)
+        _, trace = train(data, params, 50, epochs=100, lr=3e-3, weight_decay=1e-4)
         assert len(trace) == 200
         assert np.mean(trace[-4:]) < np.mean(trace[:4])
 
@@ -322,8 +321,8 @@ class TestTraining:
         p2 = tiny_params(rng2)
         data1 = self.make_dataset(p1, 12, 3)
         data2 = self.make_dataset(p2, 12, 3)
-        _, t1 = train_epoch(data1, p1, OptimizerConfig(lr=1e-3, batch_size=4))
-        _, t2 = train_epoch(data2, p2, OptimizerConfig(lr=1e-3, batch_size=4))
+        _, t1 = train_epoch(data1, p1, 4, AdamW(p1, lr=1e-3, weight_decay=1e-4))
+        _, t2 = train_epoch(data2, p2, 4, AdamW(p2, lr=1e-3, weight_decay=1e-4))
         assert t1 == t2
 
 
@@ -331,8 +330,9 @@ class TestAdamW:
     def test_in_place_step_equals_textbook_formula(self):
         rng = np.random.default_rng(21)
         params = tiny_params(rng, d_model=8)
-        cfg = OptimizerConfig(lr=3e-3, weight_decay=1e-2)
-        opt = scorer.AdamW(params, cfg)
+        lr, wd, beta1, beta2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
+        opt = scorer.AdamW(params, lr, wd)
+        assert (opt.beta1, opt.beta2, opt.eps) == (beta1, beta2, eps)
         names = list(opt.m)
         ref_p = {n: params.tensors[n].copy() for n in names}
         ref_m = {n: np.zeros_like(a) for n, a in ref_p.items()}
@@ -343,12 +343,12 @@ class TestAdamW:
             opt.step(params, grads)
             for n in names:
                 g = grads[n]
-                ref_m[n] = cfg.beta1 * ref_m[n] + (1 - cfg.beta1) * g
-                ref_v[n] = cfg.beta2 * ref_v[n] + (1 - cfg.beta2) * g * g
-                m_hat = ref_m[n] / (1 - cfg.beta1**t)
-                v_hat = ref_v[n] / (1 - cfg.beta2**t)
-                update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * ref_p[n]
-                ref_p[n] = ref_p[n] - cfg.lr * update
+                ref_m[n] = beta1 * ref_m[n] + (1 - beta1) * g
+                ref_v[n] = beta2 * ref_v[n] + (1 - beta2) * g * g
+                m_hat = ref_m[n] / (1 - beta1**t)
+                v_hat = ref_v[n] / (1 - beta2**t)
+                update = m_hat / (np.sqrt(v_hat) + eps) + wd * ref_p[n]
+                ref_p[n] = ref_p[n] - lr * update
             for n in names:
                 assert params.tensors[n].tobytes() == ref_p[n].tobytes(), (t, n)
                 assert opt.m[n].tobytes() == ref_m[n].tobytes(), (t, n)
@@ -412,9 +412,8 @@ class TestCheckpoint:
             assert arr.tobytes() == params.tensors[name].tobytes(), name
         rng = np.random.default_rng(5)
         _, grads = ntp_loss_and_grad([random_sample(rng, params) for _ in range(4)], params)
-        cfg = OptimizerConfig(lr=1e-2)
         for p in (params, loaded):
-            AdamW(p, cfg).step(p, grads)
+            AdamW(p, lr=1e-2, weight_decay=1e-4).step(p, grads)
         for name in params.tensors:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes(), name
 
