@@ -168,9 +168,9 @@ def capacity_inputs(draw, max_items=300):
 
     K is 1-8 and there are K to ``max_items`` points of dimension 1-4,
     either Gaussian or on a small integer grid (exact distance ties and
-    coincident points).  tau is unbounded (None) or in [1, 2]; up to two
-    items are reweighted to the total weight so far, about half of the new
-    total, which makes such an item overweight when K > 2 tau.
+    coincident points).  tau is unbounded (None or inf) or in [1, 2]; up to
+    two items are reweighted to the total weight so far, about half of the
+    new total, which makes such an item overweight when K > 2 tau.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(1, 8))
@@ -183,7 +183,7 @@ def capacity_inputs(draw, max_items=300):
     weights = zipf_integer_weights(rng, n, draw(st.floats(0.5, 2.0)))
     for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         weights[i] = weights.sum()
-    tau = draw(st.none() | st.floats(1.0, 2.0))
+    tau = draw(st.none() | st.just(math.inf) | st.floats(1.0, 2.0))
     return points, weights, k, tau, draw(st.booleans())
 
 
