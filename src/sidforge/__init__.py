@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .corpus import (
     Interaction,
-    InteractionLog,
     Item,
     ItemCorpus,
     SynthConfig,

@@ -166,18 +166,19 @@ def _cmd_align(args):
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),
                            meta=pipeline.artifact_meta(cfg))
-    print(f"aligned over {len(trace)} batches; final joint loss {trace[-1]:.4f}"
-          if trace else "aligned (no batches)")
+    print(f"aligned over {len(trace)} batches; final joint loss {trace[-1]:.4f}" if trace
+          else "alignment skipped (align.epochs is 0); saved the trained model unchanged")
     return 0
 
 
 def _model_and_paths(data_dir):
-    """The aligned checkpoint, else the trained one, and the sequences that fit its space."""
-    aligned = os.path.join(data_dir, "aligned_checkpoint.json")
-    params = scorer.load_checkpoint(
-        aligned if os.path.exists(aligned) else os.path.join(data_dir, "checkpoint.json"))
-    return params, pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
-                                           params.space)
+    """The aligned checkpoint, else the trained one; its path; the sequences that fit its space."""
+    path = os.path.join(data_dir, "aligned_checkpoint.json")
+    if not os.path.exists(path):
+        path = os.path.join(data_dir, "checkpoint.json")
+    params = scorer.load_checkpoint(path)
+    return params, path, pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
+                                                 params.space)
 
 
 def _cmd_decode(args):
@@ -186,9 +187,10 @@ def _cmd_decode(args):
         args.objective, _, args.scene = args.task.partition(":")
     cfg = dataclasses.replace(cfg, decode=_with_flags(
         cfg.decode, args, "beam_width", "top_k", "objective", "scene"))
-    params, paths = _model_and_paths(_data_dir(args))
+    params, checkpoint, paths = _model_and_paths(_data_dir(args))
     candidates = pipeline.decode(cfg, params, decoder.build_trie(paths), args.out)
-    print(f"wrote {len(candidates)} candidates to {os.path.join(args.out, 'candidates.jsonl')}")
+    print(f"decoded {checkpoint}: wrote {len(candidates)} candidates to "
+          f"{os.path.join(args.out, 'candidates.jsonl')}")
     return 0
 
 
@@ -196,11 +198,11 @@ def _cmd_eval(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
     corp, log = _load_corpus_and_log(data_dir)
-    params, paths = _model_and_paths(data_dir)
+    params, checkpoint, paths = _model_and_paths(data_dir)
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
     report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)
-    print(f"token HR@3 mean {report.token_hr3_mean:.3f}; "
+    print(f"{checkpoint}: token HR@3 mean {report.token_hr3_mean:.3f}; "
           f"HR@{max(cfg.eval.ks)} {report.hr_at[max(cfg.eval.ks)]:.3f}")
     return 0
 

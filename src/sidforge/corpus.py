@@ -146,17 +146,6 @@ class Interaction:
                 raise ValueError(f"request {self.request_id}: exposure_rank must be >= 1")
 
 
-@dataclass
-class InteractionLog:
-    interactions: list
-
-    def __len__(self):
-        return len(self.interactions)
-
-    def __iter__(self):
-        return iter(self.interactions)
-
-
 _JSON_KINDS = {"integer": ((int,), "an integer"), "number": ((int, float), "a finite number"),
                "string": ((str,), "a string"), "object": ((dict,), "an object"),
                "boolean": ((bool,), "a boolean")}
@@ -344,7 +333,7 @@ def generate_corpus(cfg: SynthConfig) -> ItemCorpus:
     return ItemCorpus(items=items, d_emb=d)
 
 
-def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> InteractionLog:
+def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> list[Interaction]:
     """Weight-proportional impressions with a per-user l2-preference level model."""
     if len(corpus) == 0:
         raise ValueError("corpus must be non-empty")
@@ -391,7 +380,7 @@ def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> InteractionLo
                 reward_metrics={"gmv": gmv_total, "watch_time": watch_total},
             )
         )
-    return InteractionLog(interactions)
+    return interactions
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +525,7 @@ def load_items(path) -> ItemCorpus:
         raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
-def save_interactions(log: InteractionLog, path, meta: dict | None = None):
+def save_interactions(log, path, meta: dict | None = None):
     write_jsonl(path, map(vars, log), meta)
 
 
@@ -555,5 +544,5 @@ def _interaction(obj) -> Interaction:
     return Interaction(**obj)
 
 
-def load_interactions(path) -> InteractionLog:
-    return InteractionLog(read_records(path, "interaction", _INTERACTION_FIELDS, _interaction))
+def load_interactions(path) -> list[Interaction]:
+    return read_records(path, "interaction", _INTERACTION_FIELDS, _interaction)

@@ -31,23 +31,17 @@ class EvalReport:
 TOKEN_HR3_SLICE = 64
 
 
-def token_top3_hits(params, samples):
-    """Per-step counts of targets appearing in the top-3 step predictions."""
-    hits = np.zeros(params.space.n_steps, dtype=np.int64)
+def token_hr3(params, samples) -> dict:
+    """Teacher-forced fraction of targets inside the top-3 logits per step."""
+    if not samples:
+        raise ValueError("eval set must be non-empty")
+    space = params.space
+    hits = np.zeros(space.n_steps, dtype=np.int64)
     for start in range(0, len(samples), TOKEN_HR3_SLICE):
         cache = _forward_batch(params, samples[start:start + TOKEN_HR3_SLICE])
         for t, probs in enumerate(cache.probs):
             top3 = np.argsort(-probs, axis=1, kind="stable")[:, :3]
             hits[t] += int((top3 == cache.tokens[:, t, None]).any(axis=1).sum())
-    return hits
-
-
-def token_hr3(params, samples) -> dict:
-    """Teacher-forced fraction of targets inside the top-3 logits per step."""
-    if not samples:
-        raise ValueError("eval set must be non-empty")
-    hits = token_top3_hits(params, samples)
-    space = params.space
     ratios = {space.step_name(t): float(hits[t - 1]) / len(samples)
               for t in range(1, space.n_steps + 1)}
     ratios["mean"] = float(hits.sum()) / (len(samples) * space.n_steps)

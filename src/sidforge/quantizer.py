@@ -5,8 +5,8 @@ iterations whose nearest-centroid assignment step is followed by a repair
 pass: clusters whose total exposure load exceeds ``tau`` times the mean
 load per cluster evict their worst-fitting members into the nearest
 under-capacity cluster, so no codebook entry monopolizes traffic.  With
-``tau=None`` (unbounded) the repair pass never fires and the procedure
-reduces to plain residual K-means.
+``tau=None`` (or inf) the cap is infinite, the repair pass moves nothing
+and the procedure reduces to plain residual K-means.
 
 Determinism: assignment ties break toward the lowest cluster index, the
 repair pass is sequential by definition (one member at a time against the
@@ -294,8 +294,9 @@ def capacity_kmeans_layer(
 ) -> LayerResult:
     """One capacity-repaired Lloyd run over residual vectors.
 
-    ``tau=None`` (or inf) disables the repair pass entirely.  Convergence:
-    relative change of the mean squared residual below ``eps_conv``.
+    The cap is ``tau`` times the mean load per cluster, infinite for
+    ``tau=None`` (or inf).  Convergence: relative change of the mean
+    squared residual below ``eps_conv``.
     """
     pts = np.asarray(residuals, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -303,28 +304,24 @@ def capacity_kmeans_layer(
     if np.any(w <= 0):
         raise ValueError("all weights must be positive")
 
-    unbounded = tau is None or math.isinf(tau)
-    c_cap = w.sum() / k
-    cap = math.inf if unbounded else float(tau) * c_cap
+    cap = math.inf if tau is None else float(tau) * (w.sum() / k)
 
     violations = []
-    pinned = np.zeros(n, dtype=bool)
-    if not unbounded:
-        heavy = np.flatnonzero(w > cap)
-        if heavy.size:
-            if strict:
-                raise CapacityError(
-                    f"layer {layer}: item index {int(heavy[0])} has weight "
-                    f"{w[heavy[0]]:.1f} > cap {cap:.1f}; infeasible in strict mode"
+    pinned = w > cap
+    heavy = np.flatnonzero(pinned)
+    if heavy.size:
+        if strict:
+            raise CapacityError(
+                f"layer {layer}: item index {int(heavy[0])} has weight "
+                f"{w[heavy[0]]:.1f} > cap {cap:.1f}; infeasible in strict mode"
+            )
+        for i in heavy:
+            violations.append(
+                CapacityViolation(
+                    layer=layer, cluster=-1, reason="overweight_item",
+                    item_index=int(i), excess=float(w[i] - cap),
                 )
-            pinned[heavy] = True
-            for i in heavy:
-                violations.append(
-                    CapacityViolation(
-                        layer=layer, cluster=-1, reason="overweight_item",
-                        item_index=int(i), excess=float(w[i] - cap),
-                    )
-                )
+            )
 
     centroids = kmeanspp_init(pts, k, seed)
     p2 = (pts * pts).sum(axis=1)[:, None]
@@ -337,8 +334,7 @@ def capacity_kmeans_layer(
         _squared_distances(p2, twice_pts, centroids, out=d2)
         z = np.argmin(d2, axis=1)  # ties -> lowest index
         loads = np.bincount(z, weights=w, minlength=k)
-        if not unbounded:
-            _repair_pass(d2, w, z, loads, cap, pinned, strict, layer, violations)
+        _repair_pass(d2, w, z, loads, cap, pinned, strict, layer, violations)
         _reseed_empty(d2, w, z, loads, pinned)
         _update_centroids(pts, z, centroids)
         obj = float(((pts - centroids[z]) ** 2).sum(axis=1).mean())
@@ -407,7 +403,7 @@ def capacity_constrained_rq(
 
 
 def rq_kmeans_baseline(corpus, n_layers, k, seed, max_iter=50, eps_conv=1e-6) -> RQResult:
-    """Residual K-means without the repair pass (unbounded capacity)."""
+    """Residual K-means: the capacity-repaired run with an infinite cap."""
     return capacity_constrained_rq(
         corpus, n_layers, k, tau=None, seed=seed, max_iter=max_iter, eps_conv=eps_conv
     )

@@ -18,6 +18,7 @@ heads train with analytic gradients (no autograd framework involved).
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -119,18 +120,12 @@ def zero_grads(params: ScorerParams) -> dict:
     return {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
 
 
-_PE_CACHE = {}
-
-
+@functools.cache
 def sinusoidal_positions(length: int, d: int) -> np.ndarray:
-    key = (length, d)
-    if key not in _PE_CACHE:
-        pos = np.arange(length)[:, None]
-        i = np.arange(d)[None, :]
-        angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
-        pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-        _PE_CACHE[key] = pe
-    return _PE_CACHE[key]
+    pos = np.arange(length)[:, None]
+    i = np.arange(d)[None, :]
+    angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 def _behavior_context(params: ScorerParams, behaviors):
@@ -375,8 +370,6 @@ def _accumulate_backward(params: ScorerParams, cache: _Cache, coeffs, grads):
 def _weighted_nll_and_grad(batch, weights, params: ScorerParams):
     """-sum_i weights_i * alpha_i * sum_t log p(target_{i,t} | prefix, context)."""
     grads = zero_grads(params)
-    if not batch:
-        return 0.0, grads
     cache = _forward_batch(params, batch)
     coeffs = -(np.asarray(weights, dtype=np.float64)
                * np.array([s.alpha for s in batch], dtype=np.float64))
@@ -391,10 +384,7 @@ def ntp_loss_and_grad(batch, params: ScorerParams):
 
     loss = -sum_i alpha_i * sum_t log p(target_{i,t} | prefix, context).
     """
-    loss, grads = _weighted_nll_and_grad(batch, np.ones(len(batch)), params)
-    if not math.isfinite(loss):
-        raise ScorerError("non-finite training loss")
-    return loss, grads
+    return _weighted_nll_and_grad(batch, np.ones(len(batch)), params)
 
 
 def sequence_logprobs(params: ScorerParams, samples) -> np.ndarray:
@@ -523,8 +513,7 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {n: np.zeros_like(a) for n, a in params.tensors.items()
-                  if n not in FROZEN_TENSORS}
+        self.m = {n: np.zeros_like(params.tensors[n]) for n in params.trainable_names()}
         self.v = {n: np.zeros_like(a) for n, a in self.m.items()}
 
     def step(self, params: ScorerParams, grads: dict):

@@ -9,6 +9,8 @@ import operator
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -81,17 +83,36 @@ def run(args):
 
 
 class TestPipelineSmoke:
-    def test_full_subcommand_chain(self, tmp_path, config_path):
+    def test_full_subcommand_chain(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "run")
         assert run(["gen-data", "--config", config_path, "--out", out]) == 0
         assert run(["quantize", "--config", config_path, "--out", out]) == 0
         assert run(["analyze", "--config", config_path, "--out", out]) == 0
         assert run(["build-seqs", "--config", config_path, "--out", out]) == 0
         assert run(["train", "--config", config_path, "--out", out]) == 0
+        trained = os.path.join(out, "checkpoint.json")
+        aligned = os.path.join(out, "aligned_checkpoint.json")
+        # before align, decode falls back to the trained checkpoint and says so
+        capsys.readouterr()
+        assert run(["decode", "--config", config_path, "--out", out]) == 0
+        assert capsys.readouterr().out.startswith(f"decoded {trained}: wrote ")
+        # align.epochs 0 saves the trained model unchanged and says alignment was skipped
+        off_path, off = tmp_path / "off.json", str(tmp_path / "off")
+        off_path.write_text(json.dumps(with_leaf("align.epochs", 0)))
+        assert run(["align", "--config", str(off_path), "--data-dir", out, "--out", off]) == 0
+        assert capsys.readouterr().out == (
+            "alignment skipped (align.epochs is 0); saved the trained model unchanged\n")
+        unchanged = load_checkpoint(os.path.join(off, "aligned_checkpoint.json"))
+        assert unchanged.tensors.keys() == load_checkpoint(trained).tensors.keys()
+        for name, arr in load_checkpoint(trained).tensors.items():
+            assert unchanged.tensors[name].tobytes() == arr.tobytes(), name
         assert run(["align", "--config", config_path, "--out", out]) == 0
+        capsys.readouterr()
         assert run(["decode", "--config", config_path, "--out", out,
                     "--task", "click:main_feed"]) == 0
+        assert capsys.readouterr().out.startswith(f"decoded {aligned}: wrote ")
         assert run(["eval", "--config", config_path, "--out", out]) == 0
+        assert capsys.readouterr().out.startswith(f"{aligned}: token HR@3 mean ")
 
         for name in ("items.jsonl", "interactions.jsonl", "codebook.json",
                      "sids.jsonl", "sequences.jsonl", "space.json",
@@ -541,6 +562,40 @@ class TestRunPipeline:
         for name in written:
             cli_name = "aligned_checkpoint.json" if name == "checkpoint.json" else name
             assert (pipe_dir / name).read_bytes() == (cli_dir / cli_name).read_bytes(), name
+
+    def test_blas_thread_count_moves_only_the_last_bits_of_the_model(self, tmp_path):
+        # the smallest config found whose checkpoint differs between one and
+        # two OpenBLAS threads (by 2.8e-17 at most; pipeline-2k by 4.9e-17):
+        # with K = 32 and d_model 32 the scorer's gemms are large enough to
+        # run threaded.  The bounds below leave room for other BLAS kernels.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7, "corpus": {"n_items": 40, "n_requests": 40},
+                                      "quantizer": {"k": 32, "n_layers": 2},
+                                      "train": {"epochs": 1}}))
+        script = ("import sys; from sidforge import pipeline; "
+                  "pipeline.run_pipeline(pipeline.load_config(sys.argv[1]), sys.argv[2])")
+        path = [os.path.dirname(os.path.dirname(pipeline.__file__)), os.environ.get("PYTHONPATH")]
+        one, two = tmp_path / "1", tmp_path / "2"
+        for threads, out in (("1", one), ("2", two)):
+            # OpenBLAS reads the thread count when numpy loads it, hence a fresh process
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, path))}
+            subprocess.run([sys.executable, "-c", script, str(config), str(out)], env=env,
+                           check=True)
+        names = sorted(os.listdir(one))
+        assert names == sorted(os.listdir(two))
+        for name in set(names) - {"checkpoint.json", "candidates.jsonl"}:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        cands = [[json.loads(line) for line in (out / "candidates.jsonl").open()]
+                 for out in (one, two)]
+        assert [(c["path"], c["item_ids"]) for c in cands[0]] == \
+            [(c["path"], c["item_ids"]) for c in cands[1]]
+        for c1, c2 in zip(*cands):
+            assert abs(c1["logprob"] - c2["logprob"]) <= 1e-12
+        m1, m2 = load_checkpoint(one / "checkpoint.json"), load_checkpoint(two / "checkpoint.json")
+        assert m1.tensors.keys() == m2.tensors.keys()
+        for name, arr in m1.tensors.items():
+            assert np.abs(arr - m2.tensors[name]).max(initial=0.0) <= 1e-15, name
 
 
 class TestHoldout:
