@@ -43,12 +43,10 @@ from .quantizer import (
     SemanticId,
     capacity_constrained_rq,
     capacity_kmeans_layer,
-    cluster_load,
     kmeanspp_init,
     rq_kmeans_baseline,
 )
 from .scorer import (
-    CountScorer,
     NeuralSequenceModel,
     Sample,
     ScorerConfig,

@@ -123,16 +123,6 @@ def kmeanspp_init(points: np.ndarray, k: int, seed) -> np.ndarray:
     return centroids
 
 
-def cluster_load(assignments, weights, n_clusters: int | None = None) -> np.ndarray:
-    """Exposure load per cluster: V_k = sum of weights of members of k."""
-    z = np.asarray(assignments, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    if z.shape != w.shape:
-        raise ValueError("assignments and weights must be aligned")
-    k = n_clusters if n_clusters is not None else (int(z.max()) + 1 if z.size else 0)
-    return np.bincount(z, weights=w, minlength=k)
-
-
 def _squared_distances(p2, twice_points, centroids, out):
     """(N, K) squared Euclidean distances into ``out``; clipped at 0 for fp safety.
 
@@ -407,16 +397,6 @@ def rq_kmeans_baseline(corpus, n_layers, k, seed, max_iter=50, eps_conv=1e-6) ->
     return capacity_constrained_rq(
         corpus, n_layers, k, tau=None, seed=seed, max_iter=max_iter, eps_conv=eps_conv
     )
-
-
-def reconstruction_error(corpus, sids, codebook) -> float:
-    """Total squared error between embeddings and their code reconstructions."""
-    by_id = {it.item_id: it for it in corpus.items}
-    total = 0.0
-    for s in sids:
-        recon = sum(codebook.layers[l][c] for l, c in enumerate(s.codes))
-        total += float(((by_id[s.item_id].embedding - recon) ** 2).sum())
-    return total
 
 
 # ----------------------------------------------------------------------

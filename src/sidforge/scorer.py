@@ -174,7 +174,8 @@ def _attend(params: ScorerParams, q_emb, steps, keys, values, mask):
 
 def _check_tokens(space: SequenceSpace, tokens):
     """Raise unless every column j of the (B, n) array is a step j+1 token."""
-    bad = (tokens < 0) | (tokens >= np.asarray(space.step_vocab_sizes[:tokens.shape[1]]))
+    vocab_sizes, _ = space.step_arrays
+    bad = (tokens < 0) | (tokens >= vocab_sizes[:tokens.shape[1]])
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ScorerError(f"token {tokens[i, j]} out of range at step {j + 1}")
@@ -192,22 +193,23 @@ def _input_rows(params, prefixes, q, h_agg):
 
     ``prefixes`` is the (B, t-1) array of the tokens decoded before step t.
     The prefix window holds the embeddings of each row's last prefix_window
-    tokens, most recent first, zero padded.
+    tokens, most recent first, zero padded.  Every entry of x is written
+    once, as a copy of q, an embedding row, zero or h_agg.
     Returns x and the content-summary rows (hash-table row indices).
     """
     space, cfg, tensors = params.space, params.config, params.tensors
     d, w = cfg.d_model, cfg.prefix_window
     b, n = prefixes.shape
-    x = np.zeros((b, params.x_dim))  # window slots beyond the prefix stay zero
+    x = np.empty((b, params.x_dim))
     x[:, :d] = q
     for slot in range(min(w, n)):  # slot 0 holds the last prefix token, of step n
         emb = tensors[f"emb_step_{n - slot}"]
-        x[:, (1 + slot) * d:(2 + slot) * d] = emb[prefixes[:, n - 1 - slot]]
-    path_globals = np.full((b, space.n_steps), -1, dtype=np.int64)
-    path_globals[:, :n] = prefixes + space.step_offsets[:n]
-    rows = content_summary_rows(path_globals, params.hash_spec)
+        x[:, (1 + slot) * d:(2 + slot) * d] = emb.take(prefixes[:, n - 1 - slot], axis=0)
     c_start = (1 + w) * d
-    x[:, c_start:c_start + params.hash_spec.output_dim] = tensors["emb_hash"][rows].reshape(b, -1)
+    x[:, (1 + min(w, n)) * d:c_start] = 0.0  # window slots beyond the prefix
+    _, offsets = space.step_arrays
+    rows = content_summary_rows(prefixes + offsets[:n], params.hash_spec)
+    x[:, c_start:-d] = tensors["emb_hash"].take(rows, axis=0).reshape(b, -1)
     x[:, -d:] = h_agg
     return x, rows
 
@@ -437,65 +439,11 @@ class NeuralSequenceModel:
 
         # each row's last decoded token (the BOS at step 1) queries the context
         last = (tensors["emb_bos"][[self.bos]] if t == 1
-                else tensors[f"emb_step_{t - 1}"][tokens[:, -1]])
+                else tensors[f"emb_step_{t - 1}"].take(tokens[:, -1], axis=0))
         ctx = _attend(params, last[None], t, self.keys, self.values, self.mask)[2][0]
         x, _ = _input_rows(params, tokens, ctx, self.h_agg)
         logp = _head_logprobs(params, x, t)
         return logp[0] if one else logp
-
-
-class CountScorer:
-    """Non-parametric smoothed conditional tables over observed paths.
-
-    p(s_t | prefix) = (count(prefix + t) + k) / (count(prefix) + k * V_t).
-    With k=0 the tables are exact on fully observed corpora; querying an
-    unseen prefix with k=0 is an error (undefined conditional).
-    """
-
-    def __init__(self, sequences, vocab_sizes, smoothing: float = 0.0):
-        if smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
-        self.vocab_sizes = tuple(vocab_sizes)
-        self.smoothing = float(smoothing)
-        self.prefix_counts = {}
-        self.next_counts = {}
-        for seq in sequences:
-            seq = tuple(seq)
-            if len(seq) != len(self.vocab_sizes):
-                raise ValueError("sequence length does not match vocab_sizes")
-            for t in range(len(seq)):
-                prefix = seq[:t]
-                self.prefix_counts[prefix] = self.prefix_counts.get(prefix, 0) + 1
-                key = (prefix, seq[t])
-                self.next_counts[key] = self.next_counts.get(key, 0) + 1
-
-    def step_probs(self, prefix) -> np.ndarray:
-        prefix = tuple(prefix)
-        t = len(prefix)
-        if t >= len(self.vocab_sizes):
-            raise ValueError("prefix already complete")
-        v = self.vocab_sizes[t]
-        total = self.prefix_counts.get(prefix, 0)
-        if total == 0 and self.smoothing == 0.0:
-            raise ValueError(f"unseen prefix {prefix} with zero smoothing")
-        counts = np.full(v, self.smoothing)
-        for tok in range(v):
-            counts[tok] += self.next_counts.get((prefix, tok), 0)
-        return counts / (total + self.smoothing * v)
-
-    def step_logprobs(self, prefix) -> np.ndarray:
-        """log p over step len(prefix)+1; a (B, n) array gives one row per prefix."""
-        if np.ndim(prefix) == 2:
-            return np.stack([self.step_logprobs(p) for p in np.asarray(prefix).tolist()])
-        with np.errstate(divide="ignore"):
-            return np.log(self.step_probs(prefix))
-
-    def logprob(self, seq) -> float:
-        seq = tuple(seq)
-        total = 0.0
-        for t in range(len(seq)):
-            total += float(self.step_logprobs(seq[:t])[seq[t]])
-        return total
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,13 @@ class SequenceSpace:
             base += v
         self.step_offsets = tuple(offsets)
 
+    @cached_property
+    def step_arrays(self):
+        """Vocabulary sizes and global offsets of steps 1..n_steps as int64 arrays,
+        built once per space."""
+        return (np.array(self.step_vocab_sizes, dtype=np.int64),
+                np.array(self.step_offsets, dtype=np.int64))
+
     @property
     def m(self) -> int:
         return len(self.attr_chain)
@@ -224,10 +231,15 @@ class HashSpec:
         return self.m_hashes * len(self.pairs) * self.d_hash
 
     @cached_property
-    def _pair_arrays(self):
-        """0-based pair positions (P, 2) and table sizes (P, 1), built once per spec."""
-        return (np.array(self.pairs, dtype=np.int64).reshape(-1, 2) - 1,
-                np.array(self.pair_sizes, dtype=np.int64)[:, None])
+    def _pairs_within(self):
+        """Entry n, for prefix lengths n up to the last pair position: the indices
+        of the pairs whose two positions are within the first n steps, their
+        0-based positions (P_n, 2) and their table sizes (P_n, 1).  Built once
+        per spec."""
+        pos = np.array(self.pairs, dtype=np.int64).reshape(-1, 2) - 1
+        sizes = np.array(self.pair_sizes, dtype=np.int64)[:, None]
+        return [(live, pos[live], sizes[live])
+                for live in (np.flatnonzero(pos.max(axis=1) < n) for n in range(pos.max() + 2))]
 
 
 DEFAULT_PAIR_LAYERS = (0, 1)  # SID layers crossed with each attribute position
@@ -278,13 +290,19 @@ def content_summary_rows(prefix_globals, spec: HashSpec) -> np.ndarray:
     """Hash-table rows of the content summaries of B partially decoded paths.
 
     Entry [b, t-1] of the (B, n) array ``prefix_globals`` is the global index
-    of path b's token at step t, or -1 where that step is not decoded; n
-    covers every position in ``spec.pairs``.  A pair with an undecoded
-    position gets the NULL row for all its hashes, so each of the (B, n_pairs
-    * m_hashes) rows has the same width however much of the path is decoded.
+    of path b's token at step t, or -1 where that step is not decoded; steps
+    past n are not decoded either.  A pair with an undecoded position gets
+    the NULL row for all its hashes without being hashed, so each of the (B,
+    n_pairs * m_hashes) rows has the same width however much of the path is
+    decoded.
     """
-    pos, sizes = spec._pair_arrays
-    x, y = prefix_globals[:, pos[:, 0]], prefix_globals[:, pos[:, 1]]
-    rows = _hash_family(spec, x, y) % sizes
-    rows[np.minimum(x, y) < 0] = spec.null_row  # a position of the pair is not decoded
-    return rows.reshape(len(prefix_globals), -1)
+    b, n = prefix_globals.shape
+    table = spec._pairs_within
+    live, pos, sizes = table[min(n, len(table) - 1)]
+    rows = np.full((b, len(spec.pairs), spec.m_hashes), spec.null_row, dtype=np.int64)
+    if live.size:
+        x, y = prefix_globals[:, pos[:, 0]], prefix_globals[:, pos[:, 1]]
+        hashed = _hash_family(spec, x, y) % sizes
+        hashed[np.minimum(x, y) < 0] = spec.null_row  # a position of the pair is not decoded
+        rows[:, live] = hashed
+    return rows.reshape(b, -1)

@@ -1,13 +1,16 @@
-"""Shared fixtures: tiny scorer instances, the finite-difference checker and
-a sequential reference for the capacity-repaired quantizer layer."""
+"""Shared fixtures: tiny scorer instances, the finite-difference checker,
+a sequential reference for the capacity-repaired quantizer layer, the
+dict-of-tuples trie, beam search and scorer input rows that the array-backed
+ones must match bit for bit, and test-only models and statistics."""
 
 import base64
+import itertools
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from sidforge import quantizer, scorer, tokenizer
+from sidforge import decoder, quantizer, scorer, tokenizer
 from sidforge.corpus import zipf_integer_weights
 
 
@@ -322,3 +325,182 @@ def reference_capacity_kmeans_layer(residuals, weights, k, tau, seed, max_iter=5
         n_iter=n_iter,
         violations=violations,
     )
+
+
+def cluster_load(assignments, weights, n_clusters: int | None = None) -> np.ndarray:
+    """Exposure load per cluster: V_k = sum of weights of members of k."""
+    z = np.asarray(assignments, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    if z.shape != w.shape:
+        raise ValueError("assignments and weights must be aligned")
+    k = n_clusters if n_clusters is not None else (int(z.max()) + 1 if z.size else 0)
+    return np.bincount(z, weights=w, minlength=k)
+
+
+def reconstruction_error(corpus, sids, codebook) -> float:
+    """Total squared error between embeddings and their code reconstructions."""
+    by_id = {it.item_id: it for it in corpus.items}
+    total = 0.0
+    for s in sids:
+        recon = sum(codebook.layers[l][c] for l, c in enumerate(s.codes))
+        total += float(((by_id[s.item_id].embedding - recon) ** 2).sum())
+    return total
+
+
+# ----------------------------------------------------------------------
+# models and references for decoder.beam_search and scorer._input_rows
+# ----------------------------------------------------------------------
+
+
+class CountScorer:
+    """Non-parametric smoothed conditional tables over observed paths.
+
+    p(s_t | prefix) = (count(prefix + t) + k) / (count(prefix) + k * V_t).
+    With k=0 the tables are exact on fully observed corpora; querying an
+    unseen prefix with k=0 is an error (undefined conditional).
+    """
+
+    def __init__(self, sequences, vocab_sizes, smoothing: float = 0.0):
+        if smoothing < 0:
+            raise ValueError("smoothing must be >= 0")
+        self.vocab_sizes = tuple(vocab_sizes)
+        self.smoothing = float(smoothing)
+        self.prefix_counts = {}
+        self.next_counts = {}
+        for seq in sequences:
+            seq = tuple(seq)
+            if len(seq) != len(self.vocab_sizes):
+                raise ValueError("sequence length does not match vocab_sizes")
+            for t in range(len(seq)):
+                prefix = seq[:t]
+                self.prefix_counts[prefix] = self.prefix_counts.get(prefix, 0) + 1
+                key = (prefix, seq[t])
+                self.next_counts[key] = self.next_counts.get(key, 0) + 1
+
+    def step_probs(self, prefix) -> np.ndarray:
+        prefix = tuple(prefix)
+        t = len(prefix)
+        if t >= len(self.vocab_sizes):
+            raise ValueError("prefix already complete")
+        v = self.vocab_sizes[t]
+        total = self.prefix_counts.get(prefix, 0)
+        if total == 0 and self.smoothing == 0.0:
+            raise ValueError(f"unseen prefix {prefix} with zero smoothing")
+        counts = np.full(v, self.smoothing)
+        for tok in range(v):
+            counts[tok] += self.next_counts.get((prefix, tok), 0)
+        return counts / (total + self.smoothing * v)
+
+    def step_logprobs(self, prefix) -> np.ndarray:
+        """log p over step len(prefix)+1; a (B, n) array gives one row per prefix."""
+        if np.ndim(prefix) == 2:
+            return np.stack([self.step_logprobs(p) for p in np.asarray(prefix).tolist()])
+        with np.errstate(divide="ignore"):
+            return np.log(self.step_probs(prefix))
+
+    def logprob(self, seq) -> float:
+        seq = tuple(seq)
+        total = 0.0
+        for t in range(len(seq)):
+            total += float(self.step_logprobs(seq[:t])[seq[t]])
+        return total
+
+
+class ReferenceTrie:
+    """The prefix table as two dicts: every prefix, the empty one included,
+    to the sorted tuple of its next tokens, and every full path, in
+    lexicographic order, to the sorted tuple of its item ids."""
+
+    def __init__(self, n_steps: int, children: dict, items: dict):
+        self.n_steps = n_steps
+        self.n_paths = len(items)
+        self._children = children
+        self._items = items
+
+    def children(self, prefix) -> tuple:
+        return self._children.get(tuple(prefix), ())
+
+    def items_at(self, path) -> tuple:
+        try:
+            return self._items[tuple(path)]
+        except KeyError:
+            raise decoder.DecoderError(f"path {tuple(path)} not in trie") from None
+
+    def paths(self) -> list:
+        return list(self._items)
+
+
+def reference_build_trie(sequences_by_item: dict) -> ReferenceTrie:
+    """``decoder.build_trie`` as one pass over the sorted (path, item id) pairs."""
+    n_steps = len(next(iter(sequences_by_item.values())))
+    # paths sharing a prefix are adjacent in sorted order and list its next
+    # tokens in ascending order, so a token is new unless it repeats the last
+    children, items = {}, {}
+    for path, item_id in sorted((tuple(map(int, p)), i) for i, p in sequences_by_item.items()):
+        for t in range(n_steps):
+            nxt = children.setdefault(path[:t], [])
+            if not nxt or nxt[-1] != path[t]:
+                nxt.append(path[t])
+        items.setdefault(path, []).append(item_id)
+    return ReferenceTrie(n_steps, {p: tuple(toks) for p, toks in children.items()},
+                         {p: tuple(ids) for p, ids in items.items()})
+
+
+def reference_beam_search(model, trie: ReferenceTrie, beam_width: int, top_k: int) -> list:
+    """``decoder.beam_search`` over tuple paths, one ``children`` lookup per beam."""
+    # live beams in lexicographic path order, so that expanding them in
+    # order lists the expanded paths in lexicographic order too
+    paths, scores = [()], np.zeros(1)
+    for step in range(1, trie.n_steps + 1):
+        step_lp = model.step_logprobs(np.array(paths, dtype=np.int64).reshape(len(paths), step - 1))
+        children = [trie.children(path) for path in paths]
+        parent = np.repeat(np.arange(len(paths)), [len(c) for c in children])
+        toks = np.fromiter(itertools.chain.from_iterable(children), dtype=np.int64,
+                           count=len(parent))
+        expanded = scores[parent] + step_lp[parent, toks]
+        # a stable sort keeps lexicographic order among equal log-probs
+        keep = np.sort(np.argsort(-expanded, kind="stable")[:beam_width])
+        paths = [paths[p] + (t,) for p, t in zip(parent[keep].tolist(), toks[keep].tolist())]
+        scores = expanded[keep]
+
+    ranked = np.argsort(-scores, kind="stable")[:top_k].tolist()
+    return [decoder.Candidate(path=paths[i], logprob=float(scores[i]),
+                              item_ids=trie.items_at(paths[i]))
+            for i in ranked]
+
+
+def candidate_bits(candidates) -> list:
+    """(path, log-prob as float.hex, item ids) of each candidate, in order."""
+    return [(c.path, c.logprob.hex(), c.item_ids) for c in candidates]
+
+
+def reference_content_summary_rows(path_globals, spec) -> np.ndarray:
+    """``tokenizer.content_summary_rows`` over the (B, n_steps) array of a
+    path's global tokens, -1 where a step is not decoded: every pair is
+    hashed, then a pair with an undecoded position gets the NULL row."""
+    pos = np.array(spec.pairs, dtype=np.int64).reshape(-1, 2) - 1
+    sizes = np.array(spec.pair_sizes, dtype=np.int64)[:, None]
+    x, y = path_globals[:, pos[:, 0]], path_globals[:, pos[:, 1]]
+    rows = tokenizer._hash_family(spec, x, y) % sizes
+    rows[np.minimum(x, y) < 0] = spec.null_row
+    return rows.reshape(len(path_globals), -1)
+
+
+def reference_input_rows(params, prefixes, q, h_agg):
+    """``scorer._input_rows`` on a zeroed x, with the prefix -1 padded to the
+    full path for the content summary."""
+    space, cfg, tensors = params.space, params.config, params.tensors
+    d, w = cfg.d_model, cfg.prefix_window
+    b, n = prefixes.shape
+    x = np.zeros((b, params.x_dim))  # window slots beyond the prefix stay zero
+    x[:, :d] = q
+    for slot in range(min(w, n)):  # slot 0 holds the last prefix token, of step n
+        emb = tensors[f"emb_step_{n - slot}"]
+        x[:, (1 + slot) * d:(2 + slot) * d] = emb[prefixes[:, n - 1 - slot]]
+    path_globals = np.full((b, space.n_steps), -1, dtype=np.int64)
+    path_globals[:, :n] = prefixes + space.step_offsets[:n]
+    rows = reference_content_summary_rows(path_globals, params.hash_spec)
+    c_start = (1 + w) * d
+    x[:, c_start:c_start + params.hash_spec.output_dim] = tensors["emb_hash"][rows].reshape(b, -1)
+    x[:, -d:] = h_agg
+    return x, rows

@@ -1,0 +1,65 @@
+"""The statistics that tools/bench_pairs.py records for paired benchmark runs."""
+
+import pathlib
+import sys
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_pairs import failed_ops, stats  # noqa: E402
+
+
+def test_lower_is_better_counts_wins_ties_and_the_parent_spread():
+    parent = [1.50, 1.60, 1.55, 1.70, 1.52]
+    change = [1.40, 1.60, 1.45, 1.30, 1.41]
+    s = stats(parent, change, "lower")
+    assert (s["parent"], s["change"]) == (parent, change)  # pair order kept
+    assert (s["parent_median"], s["change_median"]) == (1.55, 1.41)
+    assert s["ratio"] == round(1.41 / 1.55, 4)
+    assert s["parent_iqr"] == 0.08  # quartiles 1.52 and 1.60
+    assert (s["change_better"], s["ties"], s["pairs"]) == (4, 1, 5)
+    assert not s["gain_shown"]  # 4 of 5 is below nine tenths
+
+
+def test_gain_needs_nine_tenths_and_a_gap_wider_than_the_parent_iqr():
+    parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]
+    assert stats(parent, [p - 1.0 for p in parent])["gain_shown"]
+    # better in every pair, but by less than the parent's IQR of 0.45
+    close = stats(parent, [p - 0.1 for p in parent])
+    assert close["change_better"] == 10 and not close["gain_shown"]
+    one_loss = [p - 1.0 for p in parent[:8]] + [parent[8] + 1.0, parent[9] - 1.0]
+    assert stats(parent, one_loss)["gain_shown"]  # 9 of 10
+    two_losses = [p - 1.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
+    assert not stats(parent, two_losses)["gain_shown"]
+
+
+def test_no_gain_when_the_change_fails_more_operations():
+    parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]
+    change = [p - 1.0 for p in parent]
+    s = stats(parent, change, "lower", [0] * 10, [0] * 9 + [1])
+    assert (s["parent_failed"], s["change_failed"]) == (0, 1)
+    assert s["change_better"] == 10 and not s["gain_shown"]
+    assert stats(parent, change, "lower", [1] + [0] * 9, [0] * 9 + [1])["gain_shown"]
+
+
+def test_a_run_whose_checks_fail_counts_as_a_failed_operation():
+    assert failed_ops({"correct": True, "failed": 0}) == 0
+    assert failed_ops({"correct": False, "failed": 0}) == 1
+    assert failed_ops({"correct": False, "failed": 3}) == 3
+
+
+def test_higher_is_better_flips_the_direction():
+    s = stats([10.0, 11.0, 12.0], [13.0, 14.0, 15.0], "higher")
+    assert s["change_better"] == 3 and s["gain_shown"]
+    assert stats([10.0, 11.0, 12.0], [13.0, 14.0, 15.0], "lower")["change_better"] == 0
+
+
+@pytest.mark.parametrize("parent, change, better", [
+    ([1.0, 2.0], [1.0], "lower"),
+    ([], [], "lower"),
+    ([1.0], [1.0], "faster"),
+])
+def test_bad_input_raises(parent, change, better):
+    with pytest.raises(ValueError):
+        stats(parent, change, better)

@@ -8,9 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidforge.decoder import DecoderError, beam_search, build_trie
-from sidforge.scorer import CountScorer, NeuralSequenceModel
+from sidforge.scorer import NeuralSequenceModel
 
-from helpers import random_sample, tiny_contexts, tiny_params, token_paths
+from helpers import (
+    CountScorer,
+    candidate_bits,
+    random_sample,
+    reference_beam_search,
+    reference_build_trie,
+    tiny_contexts,
+    tiny_params,
+    token_paths,
+)
 
 
 class RandomLogitModel:
@@ -82,8 +91,49 @@ class TestBuildTrie:
         with pytest.raises(DecoderError):
             build_trie({1: (0, 1), 2: (0, 1, 2)})
 
+    def test_negative_token_names_its_item(self):
+        # kept, a -1 would score the last vocabulary column
+        with pytest.raises(DecoderError, match=r"item 0 has token -1 in path \(-1, 0\)"):
+            build_trie({0: (-1, 0), 1: (0, 1)})
+
+    def test_float_token_names_its_item(self):
+        # truncated, 0.7 would put item 0 on item 1's path
+        with pytest.raises(DecoderError, match=r"item 0 has token 0\.7 in path \(0\.7, 1\)"):
+            build_trie({0: (0.7, 1), 1: (0, 1)})
+
+
+@st.composite
+def search_cases(draw):
+    """A model and an item -> path mapping with colliding paths.
+
+    The model is either a ``CountScorer`` of the paths, whose equal counts
+    tie log-probs exactly, or a tiny ``NeuralSequenceModel``.
+    """
+    if draw(st.booleans()):
+        seqs = draw(item_paths())
+        vocab = 1 + max(max(p) for p in seqs.values())
+        n_steps = len(next(iter(seqs.values())))
+        return CountScorer(list(seqs.values()), vocab_sizes=(vocab,) * n_steps), seqs
+    params, behavior, bos = draw(tiny_contexts())
+    paths = draw(st.lists(token_paths(params.space), min_size=1, max_size=12))
+    paths += draw(st.lists(st.sampled_from(paths), max_size=3))
+    ids = draw(st.permutations(range(len(paths))))
+    return NeuralSequenceModel(params, behavior, bos), dict(zip(ids, paths))
+
 
 class TestBeamSearch:
+    @given(search_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_equal_the_dict_trie_reference_bit_for_bit(self, case, data):
+        model, seqs = case
+        trie, reference = build_trie(seqs), reference_build_trie(seqs)
+        assert trie.paths() == reference.paths()
+        width = data.draw(st.integers(1, trie.n_paths))
+        for top_k in range(1, width + 1):
+            got = beam_search(model, trie, beam_width=width, top_k=top_k)
+            want = reference_beam_search(model, reference, beam_width=width, top_k=top_k)
+            assert candidate_bits(got) == candidate_bits(want), (width, top_k)
+
     def test_deterministic_chain_probability_one(self):
         model = CountScorer([(0, 1, 2)] * 3, vocab_sizes=(3, 3, 3))
         trie = build_trie({5: (0, 1, 2)})

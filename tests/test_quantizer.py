@@ -19,17 +19,20 @@ from sidforge.quantizer import (
     Codebook,
     capacity_constrained_rq,
     capacity_kmeans_layer,
-    cluster_load,
     kmeanspp_init,
     load_codebook,
     load_sids,
-    reconstruction_error,
     rq_kmeans_baseline,
     save_codebook,
     save_sids,
 )
 
-from helpers import capacity_inputs, reference_capacity_kmeans_layer
+from helpers import (
+    capacity_inputs,
+    cluster_load,
+    reconstruction_error,
+    reference_capacity_kmeans_layer,
+)
 
 
 def toy_corpus(points, weights, d):

@@ -12,7 +12,6 @@ from sidforge import scorer, tokenizer
 from sidforge.corpus import CorpusFormatError
 from sidforge.scorer import (
     AdamW,
-    CountScorer,
     NeuralSequenceModel,
     Sample,
     ScorerConfig,
@@ -27,7 +26,9 @@ from sidforge.scorer import (
 )
 
 from helpers import (
+    CountScorer,
     f8le,
+    reference_input_rows,
     finite_difference_grads,
     max_grad_rel_error,
     random_sample,
@@ -193,6 +194,25 @@ class TestStepLogits:
             for path, row in zip(paths, batch):
                 cache = scorer._forward_sample(params, Sample(behavior, bos, path))
                 np.testing.assert_allclose(row, np.log(cache.probs[t - 1]), rtol=0, atol=1e-12)
+
+    @given(tiny_contexts(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_input_rows_equal_the_zeroed_padded_reference(self, context, data):
+        """x and the hash rows of every step are the reference's, bit for bit,
+        with h_agg one row for all (beam search) or one per row (training)."""
+        params, _, _ = context
+        d = params.config.d_model
+        paths = np.array(data.draw(st.lists(token_paths(params.space), min_size=1, max_size=5)),
+                         dtype=np.int64)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        b = len(paths)
+        for t in range(1, params.space.n_steps + 1):
+            q = rng.normal(size=(b, d))
+            h_agg = rng.normal(size=(data.draw(st.sampled_from((1, b))), d))
+            x, rows = scorer._input_rows(params, paths[:, :t - 1], q, h_agg)
+            want_x, want_rows = reference_input_rows(params, paths[:, :t - 1], q, h_agg)
+            assert np.array_equal(x, want_x), t
+            assert np.array_equal(rows, want_rows), t
 
     def test_non_finite_head_raises(self, params):
         params.tensors["head_w_2"][1, 0] = np.nan

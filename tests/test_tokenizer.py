@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidforge.corpus import SynthConfig, generate_corpus
 from sidforge.quantizer import SemanticId
@@ -17,6 +19,8 @@ from sidforge.tokenizer import (
     hash_table_size,
     task_bos_token,
 )
+
+from helpers import reference_content_summary_rows
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +171,26 @@ class TestContentSummary:
         rows = content_summary_rows(paths, spec)
         assert table[rows].reshape(len(paths), -1).shape == (len(paths), spec.output_dim)
         assert np.all(rows[:3] == spec.null_row) and np.all(rows[3] != spec.null_row)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_array_matches_the_padded_reference(self, data):
+        """A (B, n) prefix gives the rows of the path padded with -1 to its full
+        length, bit for bit, -1 entries within the prefix included."""
+        n_steps = data.draw(st.integers(1, 5))
+        step = st.integers(1, n_steps)
+        pairs = tuple(data.draw(st.lists(st.tuples(step, step), min_size=1, max_size=4)))
+        spec = HashSpec(pairs=pairs,
+                        pair_sizes=tuple(data.draw(st.integers(1, 50)) for _ in pairs),
+                        m_hashes=data.draw(st.integers(1, 3)))
+        b, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, n_steps))
+        prefix = np.array(data.draw(st.lists(st.integers(-1, 60), min_size=b * n,
+                                             max_size=b * n)), dtype=np.int64).reshape(b, n)
+        padded = np.full((b, n_steps), -1, dtype=np.int64)
+        padded[:, :n] = prefix
+        rows = content_summary_rows(prefix, spec)
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(rows, reference_content_summary_rows(padded, spec))
 
     def test_array_of_paths_matches_per_pair_hashes(self, corpus_and_space):
         _, space = corpus_and_space
