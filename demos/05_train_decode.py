@@ -7,7 +7,7 @@ from sidforge.corpus import generate_corpus, generate_interactions
 from sidforge.decoder import beam_search, build_trie
 from sidforge.evaluation import evaluate_model
 from sidforge.scorer import NeuralSequenceModel
-from sidforge.tokenizer import TaskContext, task_bos_token
+from sidforge.tokenizer import task_bos_token
 
 cfg = pipeline.load_config({
     "seed": 3,
@@ -50,7 +50,7 @@ for cand in beam_search(model, trie, beam_width=24, top_k=5):
 
 # decoding conditions on the task token too: swap the objective/scene and
 # the same trie is re-scored under that context
-other_bos = task_bos_token(TaskContext("purchase", "flash_sale"), space)
+other_bos = task_bos_token("purchase", "flash_sale", space)
 other = NeuralSequenceModel(params, sample.behavior, other_bos)
 alt = beam_search(other, trie, beam_width=24, top_k=1)[0]
 print(f"same user, purchase/flash_sale task -> top path {alt.path} "

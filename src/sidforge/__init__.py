@@ -58,7 +58,6 @@ from .scorer import (
 from .tokenizer import (
     HashSpec,
     SequenceSpace,
-    TaskContext,
     build_sequence,
     hash_table_size,
     task_bos_token,

@@ -119,18 +119,10 @@ def enumerate_request_pairs(events) -> list:
     """All ordered (winner, loser) event index pairs within one request.
 
     Winner has the strictly higher level, or the smaller exposure rank at
-    equal levels.
+    equal levels: the larger key (level, -exposure_rank).
     """
-    pairs = []
-    n = len(events)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            li, lj = preference_level(events[i]), preference_level(events[j])
-            if li > lj or (li == lj and events[i]["exposure_rank"] < events[j]["exposure_rank"]):
-                pairs.append((i, j))
-    return pairs
+    keys = [(preference_level(e), -e["exposure_rank"]) for e in events]
+    return [(i, j) for i, ki in enumerate(keys) for j, kj in enumerate(keys) if ki > kj]
 
 
 def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
@@ -166,8 +158,8 @@ def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
                     loser=tuple(sequences_by_item[ej["item_id"]]),
                     winner_item=ei["item_id"],
                     loser_item=ej["item_id"],
-                    winner_level=preference_level(ei),
-                    loser_level=preference_level(ej),
+                    winner_level=ei["level"],
+                    loser_level=ej["level"],
                     winner_rank=ei["exposure_rank"],
                     loser_rank=ej["exposure_rank"],
                 )

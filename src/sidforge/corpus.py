@@ -78,7 +78,7 @@ class Item:
 class ItemCorpus:
     items: list
     d_emb: int
-    attr_vocabs: dict = field(default_factory=dict, compare=False)
+    attr_vocabs: dict = field(init=False, compare=False)  # built from the items
 
     def __post_init__(self):
         ids = [it.item_id for it in self.items]
@@ -91,8 +91,7 @@ class ItemCorpus:
                     f"expected ({self.d_emb},)"
                 )
         self._check_taxonomy()
-        if not self.attr_vocabs:
-            self.attr_vocabs = build_attr_vocabs(self.items)
+        self.attr_vocabs = build_attr_vocabs(self.items)
 
     def _check_taxonomy(self):
         # l3 -> l2 and l2 -> l1 must be functions

@@ -15,6 +15,7 @@ import json
 import os
 import typing
 from dataclasses import field
+from fractions import Fraction
 
 import numpy as np
 
@@ -276,9 +277,13 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
 
 
 def eval_request_ids(cfg: RunConfig, log) -> set:
-    """The final ``holdout_frac`` of requests by request_id order, rounded down."""
+    """The final ``holdout_frac`` of requests by request_id order, rounded down.
+
+    The fraction counts as written, its shortest decimal: 0.29 of 100 requests
+    is 29, though the float product 0.29 * 100 falls just below 29.
+    """
     ids = sorted(r.request_id for r in log)
-    return set(ids[len(ids) - int(cfg.eval.holdout_frac * len(ids)):])
+    return set(ids[len(ids) - int(Fraction(repr(cfg.eval.holdout_frac)) * len(ids)):])
 
 
 def require_eval_set(cfg: RunConfig, log, eval_set):
@@ -300,8 +305,7 @@ def request_contexts(cfg: RunConfig, log, space):
     contexts = {}
     max_len = cfg.scorer.max_behavior_len
     for req in sorted(log, key=lambda r: r.request_id):
-        ctx = tokenizer.TaskContext(req.objective, req.scene)
-        bos = tokenizer.task_bos_token(ctx, space)
+        bos = tokenizer.task_bos_token(req.objective, req.scene, space)
         user_hist = history.setdefault(req.user_id, [])
         contexts[req.request_id] = (tuple(user_hist[-max_len:]), bos)
         for e in req.events:
@@ -373,8 +377,7 @@ def decode(cfg: RunConfig, params, trie, out_dir=None) -> list:
     Writes ``candidates.jsonl`` (with its meta sidecar) when ``out_dir`` is
     given.
     """
-    ctx = tokenizer.TaskContext(cfg.decode.objective, cfg.decode.scene)
-    bos = tokenizer.task_bos_token(ctx, params.space)
+    bos = tokenizer.task_bos_token(cfg.decode.objective, cfg.decode.scene, params.space)
     model = scorer.NeuralSequenceModel(params, (), bos)
     candidates = decoder.beam_search(model, trie, cfg.decode.beam_width, cfg.decode.top_k)
     if out_dir is not None:

@@ -388,7 +388,7 @@ def capacity_constrained_rq(
 
     tau_stored = None if (tau is None or math.isinf(tau)) else float(tau)
     codebook = Codebook(layers=layers, K=k, L=n_layers, tau=tau_stored, c_cap_per_layer=caps)
-    sids = [SemanticId(it.item_id, tuple(int(c) for c in codes[i])) for i, it in enumerate(items)]
+    sids = [SemanticId(it.item_id, tuple(row)) for it, row in zip(items, codes.tolist())]
     return RQResult(sids=sids, codebook=codebook, layer_results=results)
 
 

@@ -86,7 +86,7 @@ class ScorerParams:
 def _tensor_shapes(params: ScorerParams) -> dict:
     """name -> shape of every tensor of ``params``' layout, in init order."""
     space, hs, d = params.space, params.hash_spec, params.config.d_model
-    vocab = [space.step_vocab_size(t) for t in range(1, space.n_steps + 1)]
+    vocab = space.step_vocab_sizes.tolist()
     shapes = {"emb_bos": (space.n_task_tokens, d)}
     shapes.update({f"emb_step_{t}": (v, d) for t, v in enumerate(vocab, start=1)})
     shapes["emb_behavior"] = (params.n_behavior_tokens + 1, d)
@@ -174,8 +174,7 @@ def _attend(params: ScorerParams, q_emb, steps, keys, values, mask):
 
 def _check_tokens(space: SequenceSpace, tokens):
     """Raise unless every column j of the (B, n) array is a step j+1 token."""
-    vocab_sizes, _ = space.step_arrays
-    bad = (tokens < 0) | (tokens >= vocab_sizes[:tokens.shape[1]])
+    bad = (tokens < 0) | (tokens >= space.step_vocab_sizes[:tokens.shape[1]])
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ScorerError(f"token {tokens[i, j]} out of range at step {j + 1}")
@@ -207,8 +206,7 @@ def _input_rows(params, prefixes, q, h_agg):
         x[:, (1 + slot) * d:(2 + slot) * d] = emb.take(prefixes[:, n - 1 - slot], axis=0)
     c_start = (1 + w) * d
     x[:, (1 + min(w, n)) * d:c_start] = 0.0  # window slots beyond the prefix
-    _, offsets = space.step_arrays
-    rows = content_summary_rows(prefixes + offsets[:n], params.hash_spec)
+    rows = content_summary_rows(prefixes + space.step_offsets[:n], params.hash_spec)
     x[:, c_start:-d] = tensors["emb_hash"].take(rows, axis=0).reshape(b, -1)
     x[:, -d:] = h_agg
     return x, rows

@@ -10,7 +10,7 @@ across heterogeneous vocabularies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -22,22 +22,15 @@ class TokenizerError(ValueError):
     pass
 
 
-_SPACE_FIELDS = {"attr_chain", "attr_vocabs", "sid_sizes", "objectives", "scenes"}
-
-
-@dataclass(frozen=True)
-class TaskContext:
-    objective: str
-    scene: str
-
-
 @dataclass
 class SequenceSpace:
     """Per-position vocabularies for the m+L decoding steps.
 
     step t in 1..m are attribute positions (chain order), steps m+1..m+L
     are SID layers.  Global token indices: task tokens first, then each
-    step's vocabulary in order.
+    step's vocabulary in order.  ``step_vocab_sizes`` and ``step_offsets``,
+    the vocabulary size and first global index of steps 1..n_steps, are
+    int64 arrays derived from the fields.
     """
 
     attr_chain: tuple  # field names, e.g. ("l2", "l3")
@@ -45,29 +38,18 @@ class SequenceSpace:
     sid_sizes: tuple  # K per layer
     objectives: tuple = OBJECTIVES
     scenes: tuple = SCENES
-    step_vocab_sizes: tuple = field(init=False)
-    step_offsets: tuple = field(init=False)
 
     def __post_init__(self):
         for f in self.attr_chain:
             if f not in self.attr_vocabs:
                 raise TokenizerError(f"no vocabulary for attribute field {f!r}")
-        self.step_vocab_sizes = tuple(
-            [len(self.attr_vocabs[f]) for f in self.attr_chain] + list(self.sid_sizes)
-        )
-        offsets = []
-        base = len(self.objectives) * len(self.scenes)
-        for v in self.step_vocab_sizes:
-            offsets.append(base)
-            base += v
-        self.step_offsets = tuple(offsets)
-
-    @cached_property
-    def step_arrays(self):
-        """Vocabulary sizes and global offsets of steps 1..n_steps as int64 arrays,
-        built once per space."""
-        return (np.array(self.step_vocab_sizes, dtype=np.int64),
-                np.array(self.step_offsets, dtype=np.int64))
+        sizes = [len(self.attr_vocabs[f]) for f in self.attr_chain] + list(self.sid_sizes)
+        if min(self.sid_sizes, default=1) < 1 or sum(sizes) >= 2**31:  # before any int64 array
+            raise TokenizerError(f"sid_sizes must be positive and all steps hold < 2**31 "
+                                 f"tokens, got {list(self.sid_sizes)}")
+        self.step_vocab_sizes = np.array(sizes, dtype=np.int64)
+        self.step_offsets = (self.n_task_tokens + np.cumsum(self.step_vocab_sizes)
+                             - self.step_vocab_sizes)
 
     @property
     def m(self) -> int:
@@ -86,9 +68,9 @@ class SequenceSpace:
         return len(self.objectives) * len(self.scenes)
 
     def step_vocab_size(self, t: int) -> int:
-        if not 1 <= t <= len(self.step_vocab_sizes):
+        if not 1 <= t <= self.n_steps:
             raise TokenizerError(f"step {t} out of range 1..{self.n_steps}")
-        return self.step_vocab_sizes[t - 1]
+        return int(self.step_vocab_sizes[t - 1])
 
     def check_path(self, path):
         """Raise ``TokenizerError`` unless ``path`` holds one in-vocabulary token per step."""
@@ -104,34 +86,30 @@ class SequenceSpace:
         return f"s{t - self.m - 1}"
 
     def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in _SPACE_FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d) -> "SequenceSpace":
-        """The inverse of :meth:`as_dict`: vocabularies number their values 0..n-1, SID
-        sizes are positive, tasks are :mod:`corpus`'s and token indices fit in 31 bits."""
-        check_fields(expect("object", "space", d), _SPACE_FIELDS, "space")
+        """The inverse of :meth:`as_dict`: vocabularies number their values 0..n-1,
+        tasks are :mod:`corpus`'s, and the constructor checks the SID sizes."""
+        check_fields(expect("object", "space", d), {f.name for f in fields(cls)}, "space")
         vocabs = expect("object", "attr_vocabs", d["attr_vocabs"])
         for f, vocab in vocabs.items():
             if sorted(expect("object", f"{f} vocabulary", vocab).values()) != [*range(len(vocab))]:
                 raise ValueError(f"{f} vocabulary must number its values 0..{len(vocab) - 1}")
         if (tuple(d["objectives"]), tuple(d["scenes"])) != (OBJECTIVES, SCENES):
             raise ValueError(f"the task registry must be {list(OBJECTIVES)} x {list(SCENES)}")
-        space = cls(tuple(expect("string", "attr_chain field", f) for f in d["attr_chain"]),
-                    vocabs, tuple(expect("integer", "sid size", k) for k in d["sid_sizes"]))
-        if min(space.sid_sizes, default=1) < 1 or sum(space.step_vocab_sizes) >= 2**31:
-            raise ValueError(f"sid_sizes must be positive and all steps hold < 2**31 tokens, "
-                             f"got {list(space.sid_sizes)}")
-        return space
-def task_bos_token(ctx: TaskContext, space: SequenceSpace) -> int:
+        return cls(tuple(expect("string", "attr_chain field", f) for f in d["attr_chain"]),
+                   vocabs, tuple(expect("integer", "sid size", k) for k in d["sid_sizes"]))
+
+
+def task_bos_token(objective: str, scene: str, space: SequenceSpace) -> int:
     """Unique token per registered (objective, scene) pair."""
-    if ctx.objective not in space.objectives:
-        raise TokenizerError(f"unregistered objective {ctx.objective!r}")
-    if ctx.scene not in space.scenes:
-        raise TokenizerError(f"unregistered scene {ctx.scene!r}")
-    return space.objectives.index(ctx.objective) * len(space.scenes) + space.scenes.index(
-        ctx.scene
-    )
+    if objective not in space.objectives:
+        raise TokenizerError(f"unregistered objective {objective!r}")
+    if scene not in space.scenes:
+        raise TokenizerError(f"unregistered scene {scene!r}")
+    return space.objectives.index(objective) * len(space.scenes) + space.scenes.index(scene)
 
 
 def build_sequence(item, sid, space: SequenceSpace) -> tuple:

@@ -84,7 +84,7 @@ def tiny_contexts(draw):
 
 def token_paths(space):
     """Hypothesis strategy: full token paths of ``space``."""
-    return st.tuples(*(st.integers(0, v - 1) for v in space.step_vocab_sizes))
+    return st.tuples(*(st.integers(0, v - 1) for v in space.step_vocab_sizes.tolist()))
 
 
 @st.composite

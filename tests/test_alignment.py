@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidforge import scorer
+from sidforge import alignment, scorer
 from sidforge.alignment import (
     AlignmentError,
     PreferencePair,
@@ -191,6 +191,24 @@ class TestBuildDpoPairs:
         # level pairs (p,c), (p,e), (c,e); no equal levels here, but rank
         # ordering also applies within the level-sorted events
         assert (0, 1) in pairs and (0, 2) in pairs and (1, 2) in pairs
+
+    @given(st.lists(st.integers(0, 2), max_size=7), st.randoms(use_true_random=False))
+    def test_pairs_and_their_order_follow_the_written_rule(self, levels, random):
+        ranks = random.sample(range(1, 20), len(levels))
+        events = [{"item_id": i, "level": lv, "exposure_rank": r}
+                  for i, (lv, r) in enumerate(zip(levels, ranks))]
+        want = [(i, j) for i, ei in enumerate(events) for j, ej in enumerate(events)
+                if ei["level"] > ej["level"] or (ei["level"] == ej["level"]
+                                                 and ei["exposure_rank"] < ej["exposure_rank"])]
+        assert enumerate_request_pairs(events) == want
+
+    def test_each_level_is_checked_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(alignment, "preference_level",
+                            lambda e: calls.append(e) or e["level"])
+        events = [{"item_id": i, "level": i % 3, "exposure_rank": i + 1} for i in range(5)]
+        assert len(enumerate_request_pairs(events)) == 5 * 4 // 2
+        assert len(calls) == 5
 
     def test_never_violates_preference_order(self):
         cfg = SynthConfig(n_items=50, n_requests=60, events_per_request=5, seed=6)

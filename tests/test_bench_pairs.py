@@ -1,5 +1,6 @@
 """The statistics that tools/bench_pairs.py records for paired benchmark runs."""
 
+import json
 import pathlib
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import failed_ops, stats  # noqa: E402
 
 
@@ -63,3 +65,25 @@ def test_higher_is_better_flips_the_direction():
 def test_bad_input_raises(parent, change, better):
     with pytest.raises(ValueError):
         stats(parent, change, better)
+
+
+@pytest.mark.parametrize("value", [None, "1"])
+def test_a_new_file_records_whether_the_runs_write_bytecode(tmp_path, monkeypatch, value):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+    result = {"metrics": {"setup_s": {"value": 1.0}}, "correct": True, "failed": 0}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: (result, {"cpus": 2}, 45))
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    out = tmp_path / "bench.json"
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+            "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(args) == 0
+    assert json.loads(out.read_text())["environment"] == {
+        "cpus": 2, "PYTHONDONTWRITEBYTECODE": value,
+        "sys.flags.dont_write_bytecode": sys.flags.dont_write_bytecode}
+    assert bench_pairs.main(args) == 0  # a second set leaves the environment as it was
+    doc = json.loads(out.read_text())
+    assert len(doc["sets"]) == 2 and doc["environment"]["PYTHONDONTWRITEBYTECODE"] == value

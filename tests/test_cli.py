@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 
 import numpy as np
@@ -638,6 +639,13 @@ class TestHoldout:
         for frac, n_eval in ((0.0, 0), (0.01, 0), (0.05, 4)):
             cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": frac}})
             assert pipeline.eval_request_ids(cfg, log) == set(ids[len(ids) - n_eval:])
+        # the fraction as written: the float products 0.29 * 100 and 0.7 * 90
+        # fall just below 29 and 63
+        for n, frac, n_eval in ((100, 0.29, 29), (100, 0.57, 57), (90, 0.7, 63), (90, 0.1, 9)):
+            cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": frac}})
+            log = [types.SimpleNamespace(request_id=f"r{i:03d}") for i in reversed(range(n))]
+            held_out = {f"r{i:03d}" for i in range(n - n_eval, n)}
+            assert pipeline.eval_request_ids(cfg, log) == held_out
 
     @pytest.mark.parametrize("frac", [-0.1, 1.0, 1.5, float("nan")])
     def test_holdout_frac_outside_unit_interval_is_rejected(self, tmp_path, frac, capsys):
@@ -985,6 +993,10 @@ class TestJsonDocuments:
         ("checkpoint.json", (), lambda doc: doc.pop("format"), "no format field"),
         ("checkpoint.json", (), to_nested_lists,
          "no format field, as in the nested-list checkpoints of earlier versions"),
+        ("space.json", ("space", "sid_sizes"), [4, 10**20],
+         "malformed space (sid_sizes must be positive and all steps hold < 2**31 tokens"),
+        ("checkpoint.json", ("space", "sid_sizes"), [4, 10**20],
+         "malformed checkpoint (sid_sizes must be positive and all steps hold < 2**31 tokens"),
     ])
     def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, path, value, message):
         """A callable ``value`` edits the whole document."""

@@ -128,11 +128,26 @@ class TestBeamSearch:
         model, seqs = case
         trie, reference = build_trie(seqs), reference_build_trie(seqs)
         assert trie.paths() == reference.paths()
+        # the search expands exactly the children that the reference scores
+        expanded, scored = [], []
+
+        def expand(depth, nodes, expand=trie.expand):
+            out = expand(depth, nodes)
+            expanded.append(len(out[1]))
+            return out
+
+        def children(prefix, children=reference.children):
+            out = children(prefix)
+            scored.append(len(out))
+            return out
+
+        trie.expand, reference.children = expand, children
         width = data.draw(st.integers(1, trie.n_paths))
         for top_k in range(1, width + 1):
             got = beam_search(model, trie, beam_width=width, top_k=top_k)
             want = reference_beam_search(model, reference, beam_width=width, top_k=top_k)
             assert candidate_bits(got) == candidate_bits(want), (width, top_k)
+            assert sum(expanded) == sum(scored) > 0, (width, top_k)
 
     def test_deterministic_chain_probability_one(self):
         model = CountScorer([(0, 1, 2)] * 3, vocab_sizes=(3, 3, 3))

@@ -1,5 +1,7 @@
 """Sequence space, task BOS, hash sizing, and content-summary tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from sidforge.quantizer import SemanticId
 from sidforge.tokenizer import (
     HashSpec,
     SequenceSpace,
-    TaskContext,
     TokenizerError,
     build_sequence,
     content_summary_rows,
@@ -34,29 +35,52 @@ def corpus_and_space():
 class TestTaskBos:
     def test_same_context_same_token(self, corpus_and_space):
         _, space = corpus_and_space
-        ctx = TaskContext("click", "main_feed")
-        assert task_bos_token(ctx, space) == task_bos_token(ctx, space)
+        assert (task_bos_token("click", "main_feed", space)
+                == task_bos_token("click", "main_feed", space))
 
     def test_injective_over_cross_product(self, corpus_and_space):
         _, space = corpus_and_space
         tokens = {
-            task_bos_token(TaskContext(o, s), space)
+            task_bos_token(o, s, space)
             for o in space.objectives for s in space.scenes
         }
         assert len(tokens) == len(space.objectives) * len(space.scenes)
 
     def test_objective_changes_token(self, corpus_and_space):
         _, space = corpus_and_space
-        a = task_bos_token(TaskContext("purchase", "main_feed"), space)
-        b = task_bos_token(TaskContext("click", "main_feed"), space)
+        a = task_bos_token("purchase", "main_feed", space)
+        b = task_bos_token("click", "main_feed", space)
         assert a != b
 
     def test_unregistered_errors(self, corpus_and_space):
         _, space = corpus_and_space
         with pytest.raises(TokenizerError):
-            task_bos_token(TaskContext("bogus", "main_feed"), space)
+            task_bos_token("bogus", "main_feed", space)
         with pytest.raises(TokenizerError):
-            task_bos_token(TaskContext("click", "bogus"), space)
+            task_bos_token("click", "bogus", space)
+
+
+class TestSequenceSpace:
+    def test_step_arrays_follow_from_the_fields(self, corpus_and_space):
+        corp, space = corpus_and_space
+        assert [f.name for f in dataclasses.fields(space)] == [
+            "attr_chain", "attr_vocabs", "sid_sizes", "objectives", "scenes"]
+        sizes = [len(corp.attr_vocabs["l2"]), len(corp.attr_vocabs["l3"]), 16, 16, 16]
+        assert space.step_vocab_sizes.dtype == space.step_offsets.dtype == np.int64
+        assert space.step_vocab_sizes.tolist() == sizes
+        base = space.n_task_tokens
+        assert space.step_offsets.tolist() == [base + sum(sizes[:t]) for t in range(5)]
+        assert all(type(space.step_vocab_size(t)) is int for t in range(1, 6))
+
+    def test_equal_fields_make_equal_spaces(self, corpus_and_space):
+        corp, space = corpus_and_space
+        assert space == SequenceSpace.from_dict(space.as_dict())
+        assert space != SequenceSpace(("l2", "l3"), corp.attr_vocabs, (16, 16, 8))
+
+    @pytest.mark.parametrize("sid_sizes", [(16, 0), (16, 10**20), (2**30, 2**30)])
+    def test_sizes_outside_31_bits_or_not_positive_raise(self, corpus_and_space, sid_sizes):
+        with pytest.raises(TokenizerError, match=r"sid_sizes must be positive and all steps"):
+            SequenceSpace(("l2",), corpus_and_space[0].attr_vocabs, sid_sizes)
 
 
 class TestBuildSequence:

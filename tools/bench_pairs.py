@@ -14,13 +14,15 @@ the change reads better and each side's failed operations. A run whose checks
 do not pass counts as at least one failed operation, and no gain is shown
 when the change's runs fail more operations than the parent's. The set is
 appended to the ``sets`` of ``--out``; a new file also records the
-environment that the first run reported.
+environment that the first run reported, and whether the runs write bytecode
+caches (see :func:`bytecode_setting`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +67,17 @@ def stats(parent, change, better: str = "lower", parent_failed=(), change_failed
         "gain_shown": bool(wins >= 0.9 * len(p) and sign * (p_med - c_med) > q3 - q1
                            and fails["change"] <= fails["parent"]),
     }
+
+
+def bytecode_setting() -> dict:
+    """This process's ``sys.flags.dont_write_bytecode`` and ``PYTHONDONTWRITEBYTECODE``.
+
+    The runs inherit the variable, not a ``-B`` flag. Without a bytecode cache
+    each cold import of sidforge compiles it again, which moves pipeline-2k's
+    ``setup_s`` by about a quarter.
+    """
+    return {"sys.flags.dont_write_bytecode": sys.flags.dont_write_bytecode,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> tuple:
@@ -143,7 +156,7 @@ def main(argv=None) -> int:
                                "a gain (better in 9/10 of the pairs, medians apart by more than "
                                "the parent's interquartile range, no more failed operations "
                                "than the parent)",
-               "environment": environment, "sets": []}
+               "environment": {**environment, **bytecode_setting()}, "sets": []}
     doc["sets"].append(entry)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
