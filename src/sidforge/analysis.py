@@ -167,10 +167,6 @@ class DiscreteJoint:
     def n_combos(self) -> int:
         return int(np.prod(self.feature_sizes))
 
-    def combo_digits(self) -> np.ndarray:
-        """(F, n_features) mixed-radix decomposition of each combination index."""
-        return np.indices(self.feature_sizes).reshape(len(self.feature_sizes), -1).T
-
 
 def random_discrete_joint(rng, max_features=3, max_size=4, uniform_feature_prior=True):
     """Random joint with at most 64 feature combinations.

@@ -104,11 +104,6 @@ def _cmd_gen_data(args):
 
 def _cmd_quantize(args):
     cfg = _resolve_config(args)
-    if hasattr(args, "tau"):
-        try:
-            args.tau = None if args.tau in ("inf", "none") else float(args.tau)
-        except ValueError:
-            raise ValueError(f"--tau must be a number or 'inf', got {args.tau!r}") from None
     cfg = dataclasses.replace(
         cfg, quantizer=_with_flags(cfg.quantizer, args, "tau", "method", "strict"))
     items_path = os.path.join(_data_dir(args), "items.jsonl")
@@ -240,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
              data_dir=False)
 
     p = _command(sub, "quantize", _cmd_quantize, "fit codebooks and item codes")
-    p.add_argument("--tau", default=argparse.SUPPRESS,
-                   help="capacity tolerance; 'inf' disables the cap")
+    p.add_argument("--tau", type=float, default=argparse.SUPPRESS,
+                   help="capacity tolerance; --method baseline runs with no cap")
     p.add_argument("--method", choices=["capacity", "baseline"], default=argparse.SUPPRESS)
     p.add_argument("--strict-capacity", dest="strict", action="store_true",
                    default=argparse.SUPPRESS, help="fail instead of recording capacity violations")

@@ -52,7 +52,7 @@ def _cross_keys(cfg):
 class QuantizerConfig:
     n_layers: int = 3
     k: int = 16
-    tau: float | None = 1.05  # None = unbounded (plain residual K-means)
+    tau: float = 1.05
     max_iter: int = 50
     eps_conv: float = 1e-6
     strict: bool = False
@@ -172,7 +172,8 @@ def gen_data(cfg: RunConfig, out_dir):
 
 
 def run_quantizer(cfg: RunConfig, corp, out_dir=None):
-    """Item codes; ``method="baseline"`` runs with no capacity cap, whatever ``tau`` says."""
+    """Item codes: capacity-capped at ``tau`` times the mean load, or, for
+    ``method="baseline"``, plain residual K-means with no cap and ``tau`` unread."""
     q = cfg.quantizer
     tau = None if q.method == "baseline" else q.tau
     result = quantizer.capacity_constrained_rq(
@@ -343,8 +344,11 @@ def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     Preference pairs come from training requests only, never the holdout.
     Global batch ``i`` (counted across epochs) takes the ``align.batch_size``
     pairs from ``(i * align.batch_size) % len(pairs)`` on, fewer at the end.
+    At ``align.epochs`` 0 it does no work and returns ``params`` and an empty trace.
     """
     a = cfg.align
+    if a.epochs == 0:
+        return params, []
     reference = scorer.clone_params(params)
     held_out = eval_request_ids(cfg, log)
     contexts = {r: c for r, c in request_contexts(cfg, log, space).items() if r not in held_out}

@@ -259,11 +259,6 @@ def _hash_family(spec: HashSpec, x, y) -> np.ndarray:
     return out
 
 
-def hash_rows(spec: HashSpec, pair_index: int, x: int, y: int):
-    """Row indices of the m_hashes lookups for global token indices (x, y)."""
-    return (_hash_family(spec, x, y) % spec.pair_sizes[pair_index]).tolist()
-
-
 def content_summary_rows(prefix_globals, spec: HashSpec) -> np.ndarray:
     """Hash-table rows of the content summaries of B partially decoded paths.
 

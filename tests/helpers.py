@@ -486,6 +486,17 @@ def reference_content_summary_rows(path_globals, spec) -> np.ndarray:
     return rows.reshape(len(path_globals), -1)
 
 
+def hash_rows(spec, pair_index: int, x: int, y: int):
+    """Row indices of the m_hashes lookups for global token indices (x, y)."""
+    return (tokenizer._hash_family(spec, x, y) % spec.pair_sizes[pair_index]).tolist()
+
+
+def combo_digits(joint) -> np.ndarray:
+    """(F, n_features) mixed-radix decomposition of each combination index of
+    the ``analysis.DiscreteJoint`` ``joint``."""
+    return np.indices(joint.feature_sizes).reshape(len(joint.feature_sizes), -1).T
+
+
 def reference_input_rows(params, prefixes, q, h_agg):
     """``scorer._input_rows`` on a zeroed x, with the prefix -1 padded to the
     full path for the content summary."""

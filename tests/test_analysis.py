@@ -20,6 +20,8 @@ from sidforge.analysis import (
     random_discrete_joint,
 )
 
+from helpers import combo_digits
+
 
 class TestExposureConcentration:
     def test_uniform_prefixes(self):
@@ -170,7 +172,7 @@ def loop_chain_rule_posterior(joint, u):
     """Reference: each factor's prefix mass summed by a mask over all combinations."""
     p_f_u, p_pos = joint.p_features_given_user[u], joint.p_pos_given_fu[u]
     post = p_f_u * p_pos / float(p_f_u @ p_pos)
-    digits = joint.combo_digits()
+    digits = combo_digits(joint)
     out = np.ones(joint.n_combos)
     for c in range(joint.n_combos):
         prev = 1.0

@@ -87,3 +87,14 @@ def test_a_new_file_records_whether_the_runs_write_bytecode(tmp_path, monkeypatc
     assert bench_pairs.main(args) == 0  # a second set leaves the environment as it was
     doc = json.loads(out.read_text())
     assert len(doc["sets"]) == 2 and doc["environment"]["PYTHONDONTWRITEBYTECODE"] == value
+
+
+def test_a_run_whose_last_line_is_not_a_result_names_the_checkout(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('warming up')\nprint('cache miss', file=sys.stderr)\nsys.exit(3)\n")
+    with pytest.raises(RuntimeError) as exc:
+        bench_pairs.run_once(tmp_path, "w", 7)
+    message = str(exc.value)
+    assert str(tmp_path) in message and "'warming up'" in message
+    assert "exit 3" in message and "cache miss" in message

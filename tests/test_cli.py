@@ -398,9 +398,14 @@ class TestCliErrors:
         assert "align.c_clip must be > 0" in capsys.readouterr().err
 
     def test_bad_tau_flag_names_the_flag(self, tmp_path, config_path, capsys):
-        assert run(["quantize", "--config", config_path, "--out", str(tmp_path / "none"),
-                    "--tau", "abc"]) == 1
-        assert "--tau must be a number or 'inf', got 'abc'" in capsys.readouterr().err
+        argv = ["quantize", "--config", config_path, "--out", str(tmp_path / "none"), "--tau"]
+        assert run(argv + ["inf"]) == 1  # --method baseline is the run with no cap
+        assert "quantizer.tau must be a finite number, got inf" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["abc"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "--tau: invalid float value: 'abc'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("seed, message", [("-1", "seed must be >= 0, got -1"),
                                                ("6", "corpus.seed 5 is never read")])
@@ -453,7 +458,8 @@ class TestConfig:
         ("train", {"epochs": 0}, r"train\.epochs must be >= 1, got 0"),
         ("train", {"batch_size": 0}, r"train\.batch_size must be >= 1, got 0"),
         ("align", {"batch_size": 0}, r"align\.batch_size must be >= 1, got 0"),
-        ("quantizer", {"tau": 0.5}, r"quantizer\.tau must be >= 1 or null, got 0\.5"),
+        ("quantizer", {"tau": 0.5}, r"quantizer\.tau must be >= 1, got 0\.5"),
+        ("quantizer", {"tau": None}, r"quantizer\.tau must be a finite number, got None"),
         ("quantizer", {"n_layers": 0}, r"quantizer\.n_layers must be >= 1, got 0"),
         ("decode", {"top_k": 50},
          r"decode\.top_k must lie in \[1, decode\.beam_width = 8\], got 50"),
@@ -470,7 +476,7 @@ class TestConfig:
          r"align\.lam \* align\.c_clip must be < 1, got align\.lam = 0\.5 and align\.c_clip = 2"),
     ], ids=["dpo-target", "ks-above-width", "ks-zero", "ks-empty", "corpus-seed", "attr-chain",
             "d-model", "d-hash", "m-hashes", "k", "epochs", "train-batch", "align-batch", "tau",
-            "n-layers", "top-k", "objective", "scene", "max-iter", "max-behavior-len",
+            "tau-null", "n-layers", "top-k", "objective", "scene", "max-iter", "max-behavior-len",
             "prefix-window", "pairs-per-request", "align-epochs", "seed-negative", "seed-float",
             "lam-times-c-clip"])
     def test_values_that_would_pass_silently_are_config_errors(self, section, value, match):
@@ -486,6 +492,7 @@ class TestConfig:
         ("align.lr", -1), ("quantizer.eps_conv", -1), ("quantizer.strict", "no"),
         ("align.epochs", -1), ("train.lr", float("nan")), ("train.weight_decay", float("nan")),
         ("corpus.zipf_exponent", float("nan")), ("tokenizer.p1", 0), ("tokenizer.p2", 31),
+        ("quantizer.tau", None),
     ])
     def test_wrong_type_or_range_exits_1_at_gen_data_naming_the_key(self, tmp_path, capsys,
                                                                      key, value):
@@ -719,16 +726,24 @@ class TestTrainingLoop:
         assert len(trace) == 5
         assert len(sizes) == 5
 
-    def test_align_refuses_an_empty_train_split_unless_it_is_off(self, tmp_path):
+    def test_align_refuses_an_empty_train_split_unless_it_is_off(self, tmp_path, monkeypatch):
         cfg = pipeline.load_config(MINI_CONFIG)
-        params, _, log, paths, space = trained_inputs(cfg, str(tmp_path / "data"))
+        params, train_set, log, paths, space = trained_inputs(cfg, str(tmp_path / "data"))
         with pytest.raises(ValueError, match="dataset must be non-empty"):
             pipeline.align_model(cfg, params, [], log, paths, space)
         off = pipeline.load_config(with_leaf("align.epochs", 0))
         before = {n: a.tobytes() for n, a in params.tensors.items()}
-        _, trace = pipeline.align_model(off, params, [], log, paths, space)
-        assert trace == []
-        assert {n: a.tobytes() for n, a in params.tensors.items()} == before
+        built, build = [], alignment.build_dpo_pairs
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(alignment, "build_dpo_pairs", recording_build)
+        for split in ([], train_set):  # off, it does no alignment work at all
+            aligned, trace = pipeline.align_model(off, params, split, log, paths, space)
+            assert (built, trace) == ([], [])
+            assert {n: a.tobytes() for n, a in aligned.tensors.items()} == before
 
 
 class TestAblationHarness:

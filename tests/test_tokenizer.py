@@ -15,13 +15,12 @@ from sidforge.tokenizer import (
     TokenizerError,
     build_sequence,
     content_summary_rows,
-    hash_rows,
     hash_spec_for_space,
     hash_table_size,
     task_bos_token,
 )
 
-from helpers import reference_content_summary_rows
+from helpers import hash_rows, reference_content_summary_rows
 
 
 @pytest.fixture(scope="module")

@@ -88,7 +88,11 @@ def run_once(checkout: Path, workload: str, seed: int) -> tuple:
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{checkout}: no output (exit {done.returncode}): {done.stderr[-2000:]}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise RuntimeError(f"{checkout}: last line {lines[-1]!r:.200} is not a result "
+                           f"(exit {done.returncode}): {done.stderr[-2000:]}") from None
     record = checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     with open(record, encoding="utf-8") as fh:
         record = json.load(fh)
