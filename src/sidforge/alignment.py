@@ -131,11 +131,13 @@ def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
 
     ``sequences_by_item`` maps item_id to its decoded token path (no BOS);
     ``contexts_by_request`` maps request_id to (behavior tokens, bos token).
-    Requests without a usable pair contribute nothing.
+    Requests are walked in request_id order, so the seeded draws do not
+    depend on the order of the log.  Requests without a usable pair
+    contribute nothing.
     """
     rng = np.random.default_rng(seed)
     out = []
-    for req in log:
+    for req in sorted(log, key=lambda r: r.request_id):
         ctx = contexts_by_request.get(req.request_id)
         if ctx is None:
             continue

@@ -215,8 +215,11 @@ def _cmd_ablate(args):
     cfg = _resolve_config(args)
     data_dir = _data_dir(args)
     chains = _parse_chains(args.chains) if args.chains else [(), ("l2", "l3")]
-    corp, log = _load_corpus_and_log(data_dir)
     methods = args.methods.split(",") if args.methods else ["capacity", "baseline"]
+    for flag, grid in (("--chains", chains), ("--methods", methods)):
+        if not grid or len(set(grid)) < len(grid):
+            raise ValueError(f"{flag} must name at least one arm and none twice, got {grid}")
+    corp, log = _load_corpus_and_log(data_dir)
     reports = pipeline.ablation_run(cfg, corp, log, chains, methods)
     corpus_mod.write_json(os.path.join(args.out, "ablation.json"),
                           {name: r.as_dict() for name, r in reports.items()})

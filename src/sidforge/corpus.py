@@ -441,18 +441,6 @@ def check_fields(obj: dict, fields: set, what: str):
             raise CorpusFormatError(f"{wording} {what} field(s) {sorted(keys)}")
 
 
-def expect_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array if it is a rectangular nest of finite numbers
-    (no booleans, strings or nulls), in one vectorized pass; else ``ValueError``."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.empty(0, dtype=object)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be a rectangular array of finite numbers")
-    return arr.astype(np.float64, copy=False)
-
-
 def _checked(where: str, obj: dict, fields: set | None, what: str, build, reason="{}"):
     """``build(obj)`` once the keys of ``obj`` are exactly ``fields`` (None: the
     builder checks them); a failure raises ``CorpusFormatError`` naming ``where``,

@@ -249,7 +249,8 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
     split, disjoint from training.
     """
     by_id = corp.by_id()
-    mean_gmv = float(np.mean([it.gmv for it in corp.items]))
+    # in item_id order, so that the sum's rounding does not follow the order of the file
+    mean_gmv = float(np.mean([by_id[i].gmv for i in sorted(by_id)]))
     contexts = request_contexts(cfg, log, space)
     samples = []
     for req in sorted(log, key=lambda r: r.request_id):

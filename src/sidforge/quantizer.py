@@ -22,11 +22,11 @@ still fits is still the nearest one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import expect, expect_array, read_document, read_records, write_json, write_jsonl
+from .corpus import expect, read_records, write_json, write_jsonl
 
 
 class CapacityError(ValueError):
@@ -42,32 +42,13 @@ class CapacityViolation:
     excess: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Codebook:
     layers: list  # L arrays of shape (K, d_emb)
     K: int
     L: int
     tau: float | None  # None = unbounded
     c_cap_per_layer: list
-
-    def __post_init__(self):
-        if self.tau is not None and self.tau < 1.0:
-            raise ValueError("tau must be >= 1")
-        shape = np.shape(self.layers)  # raises ValueError for layers of different widths
-        if len(shape) != 3 or shape[:2] != (self.L, self.K) or len(self.c_cap_per_layer) != self.L:
-            raise ValueError(f"layers of shape {shape} and {len(self.c_cap_per_layer)} "
-                             f"capacities do not fit L={self.L}, K={self.K}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Codebook):
-            return NotImplemented
-        return (
-            self.K == other.K
-            and self.L == other.L
-            and self.tau == other.tau
-            and self.c_cap_per_layer == other.c_cap_per_layer
-            and all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
-        )
 
 
 @dataclass(frozen=True)
@@ -285,7 +266,8 @@ def capacity_kmeans_layer(
     """One capacity-repaired Lloyd run over residual vectors.
 
     The cap is ``tau`` times the mean load per cluster, infinite for
-    ``tau=None`` (or inf).  Convergence: relative change of the mean
+    ``tau=None`` (or inf); any other ``tau`` below 1, NaN included, raises
+    before any clustering.  Convergence: relative change of the mean
     squared residual below ``eps_conv``.
     """
     pts = np.asarray(residuals, dtype=np.float64)
@@ -293,6 +275,8 @@ def capacity_kmeans_layer(
     n = pts.shape[0]
     if np.any(w <= 0):
         raise ValueError("all weights must be positive")
+    if tau is not None and not tau >= 1.0:
+        raise ValueError(f"tau must be None or >= 1, got {tau}")
 
     cap = math.inf if tau is None else float(tau) * (w.sum() / k)
 
@@ -406,19 +390,6 @@ def rq_kmeans_baseline(corpus, n_layers, k, seed, max_iter=50, eps_conv=1e-6) ->
 def save_codebook(codebook: Codebook, path, meta: dict | None = None):
     write_json(path, {**vars(codebook), "layers": [layer.tolist() for layer in codebook.layers],
                       "meta": meta or {}})
-
-
-def _codebook(doc) -> Codebook:
-    return Codebook(layers=list(expect_array("layers", doc["layers"])),
-                    K=expect("integer", "K", doc["K"]), L=expect("integer", "L", doc["L"]),
-                    tau=None if doc["tau"] is None else expect("number", "tau", doc["tau"]),
-                    c_cap_per_layer=expect_array("c_cap_per_layer",
-                                                 doc["c_cap_per_layer"]).tolist())
-
-
-def load_codebook(path) -> Codebook:
-    return read_document(path, "codebook", {f.name for f in fields(Codebook)} | {"meta"},
-                         _codebook)
 
 
 def save_sids(sids, path, meta: dict | None = None):

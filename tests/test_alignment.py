@@ -222,6 +222,16 @@ class TestBuildDpoPairs:
             assert (p.winner_level > p.loser_level
                     or (p.winner_level == p.loser_level and p.winner_rank < p.loser_rank))
 
+    def test_pairs_do_not_depend_on_the_order_of_the_log(self):
+        cfg = SynthConfig(n_items=40, n_requests=100, events_per_request=4, seed=7)
+        corp = generate_corpus(cfg)
+        log = generate_interactions(corp, cfg)
+        seqs = {it.item_id: (0, 1) for it in corp.items}
+        ctxs = {r.request_id: ((), 0) for r in log}
+        shuffled = [log[i] for i in np.random.default_rng(3).permutation(len(log))]
+        want = build_dpo_pairs(log, seqs, ctxs, per_request_cap=4, seed=11)
+        assert build_dpo_pairs(shuffled, seqs, ctxs, per_request_cap=4, seed=11) == want
+
     def test_matches_enumerate_then_sample_oracle(self):
         cfg = SynthConfig(n_items=40, n_requests=100, events_per_request=4, seed=7)
         corp = generate_corpus(cfg)

@@ -9,6 +9,7 @@ import operator
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 from sidforge import alignment, pipeline, scorer, tokenizer
 from sidforge.cli import main
 from sidforge.corpus import (
-    CorpusFormatError,
     Item,
     ItemCorpus,
     load_interactions,
@@ -31,7 +31,7 @@ from sidforge.corpus import (
     save_items,
     write_json,
 )
-from sidforge.quantizer import load_codebook, load_sids, save_codebook
+from sidforge.quantizer import load_sids
 from sidforge.scorer import load_checkpoint, save_checkpoint
 
 from helpers import f8le, to_nested_lists
@@ -123,8 +123,8 @@ class TestPipelineSmoke:
 
         corp = load_items(os.path.join(out, "items.jsonl"))
         assert len(corp) == 60
-        cb = load_codebook(os.path.join(out, "codebook.json"))
-        assert cb.L == 2 and cb.K == 4
+        cb = json.loads((tmp_path / "run" / "codebook.json").read_text())
+        assert cb["L"] == 2 and cb["K"] == 4
         sids = load_sids(os.path.join(out, "sids.jsonl"))
         assert len(sids) == 60
 
@@ -249,15 +249,6 @@ class TestCliErrors:
             assert run(["train", "--config", config_path, "--out", out]) == 1
             assert want in capsys.readouterr().err
 
-    def test_codebook_that_is_not_an_object_names_the_file(self, tmp_path):
-        codebook = tmp_path / "codebook.json"
-        for body, want in (("[1]", "expected a JSON object"), ('{"K": ', "malformed JSON"),
-                           ('{"K": 2, "L": 1, "tau": 1.0, "c_cap_per_layer": 3, "layers": [], '
-                            '"meta": {}}', "malformed codebook")):
-            codebook.write_text(body)
-            with pytest.raises(ValueError, match=f"codebook.json: .*{want}"):
-                load_codebook(str(codebook))
-
     def test_sids_line_without_sid_key(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "run")
         for cmd in ("gen-data", "quantize"):
@@ -268,16 +259,12 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "sids.jsonl: line 1: missing sid field(s) ['sid']" in err
 
-    def test_sequence_and_codebook_loaders_name_the_missing_key(self, tmp_path):
+    def test_sequence_loader_names_the_missing_key(self, tmp_path):
         seqs = tmp_path / "sequences.jsonl"
         seqs.write_text('{"item_id": 3, "path": [0, 1]}\n{"item_id": 4}\n')
         with pytest.raises(ValueError, match=r"sequences.jsonl: line 2: "
                                              r"missing sequence field\(s\) \['path'\]"):
             pipeline.load_sequences(str(seqs))
-        codebook = tmp_path / "codebook.json"
-        codebook.write_text('{"layers": []}')
-        with pytest.raises(ValueError, match=r"codebook.json: missing codebook field\(s\) \['K'"):
-            load_codebook(str(codebook))
 
     def test_malformed_sequences_line_names_file_and_line(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "run")
@@ -420,6 +407,22 @@ class TestCliErrors:
         cfg_path.write_text(json.dumps({**MINI_CONFIG, "threads": 2}))
         assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert "unknown key(s) ['threads']" in capsys.readouterr().err
+
+    def test_ablate_grid_must_name_each_arm_once(self, tmp_path, config_path, capsys,
+                                                 monkeypatch):
+        data = str(tmp_path / "data")
+        assert run(["gen-data", "--config", config_path, "--out", data]) == 0
+        quantized = []
+        monkeypatch.setattr(pipeline, "run_quantizer", lambda *a, **k: quantized.append(a))
+        for flag, value in (("--chains", "[]"), ("--chains", '[["l2"], ["l3"], ["l2"]]'),
+                            ("--methods", "baseline,capacity,baseline")):
+            capsys.readouterr()
+            assert run(["ablate", "--config", config_path, "--data-dir", data,
+                        "--out", str(tmp_path / "out"), flag, value]) == 1
+            assert f"{flag} must name at least one arm and none twice" in \
+                capsys.readouterr().err
+        assert quantized == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfig:
@@ -780,6 +783,45 @@ class TestAblationHarness:
         assert not (tmp_path / "out").exists()
 
 
+class TestInputOrder:
+    """Reordering the lines of items.jsonl and interactions.jsonl changes no artifact."""
+
+    def test_purchase_alphas_do_not_depend_on_the_order_of_the_items(self, tmp_path):
+        cfg = pipeline.load_config(MINI_CONFIG)
+        corp, log = pipeline.gen_data(cfg, str(tmp_path))
+        space, paths = pipeline.build_sequences(cfg, corp, pipeline.run_quantizer(cfg, corp).sids)
+        perm = np.random.default_rng(3).permutation(len(corp))
+        shuffled = ItemCorpus(items=[corp.items[i] for i in perm], d_emb=corp.d_emb)
+        want = pipeline.assemble_samples(cfg, corp, log, space, paths)
+        got = pipeline.assemble_samples(cfg, shuffled, log, space, paths)
+        assert any(s.alpha != 1.0 for s in want[0] + want[1])
+        for split_want, split_got in zip(want, got):
+            assert [s.alpha.hex() for s in split_got] == [s.alpha.hex() for s in split_want]
+
+    def test_shuffled_input_lines_give_the_same_artifacts(self, tmp_path, config_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["gen-data", "--config", config_path, "--out", str(first)]) == 0
+        shutil.copytree(first, second)
+        rng = np.random.default_rng(3)
+        for name in ("items.jsonl", "interactions.jsonl"):
+            lines = (first / name).read_text().splitlines(keepends=True)
+            (second / name).write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+            assert (second / name).read_text() != (first / name).read_text()
+        before = set(os.listdir(first))
+        for run_dir in (first, second):
+            for cmd in ("quantize", "analyze", "build-seqs", "train", "align", "decode", "eval",
+                        "ablate"):
+                assert run([cmd, "--config", config_path, "--out", str(run_dir)]) == 0, cmd
+        written = set(os.listdir(first)) - before
+        assert set(os.listdir(second)) - before == written == {
+            "codebook.json", "sids.jsonl", "sids.jsonl.meta.json", "analysis.json",
+            "sequences.jsonl", "sequences.jsonl.meta.json", "space.json", "checkpoint.json",
+            "aligned_checkpoint.json", "candidates.jsonl", "candidates.jsonl.meta.json",
+            "report.json", "ablation.json"}
+        for name in sorted(written):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 # the CLI command that reads each JSONL artifact, in a run directory that
 # has every input of all four
 READERS = {"items.jsonl": "quantize", "interactions.jsonl": "align",
@@ -894,10 +936,8 @@ DOCUMENT_READERS = {"checkpoint.json": "decode", "space.json": "train"}
 
 
 def run_on_edited_document(read_run, artifact, edit):
-    """Read ``artifact`` of the read run after ``edit(doc)``: with its CLI reader,
-    or with ``load_codebook`` for the codebook, which no command reads (exit 1
-    for a ``CorpusFormatError``).  The file is restored afterwards.  Returns
-    (exit status, stderr)."""
+    """Read ``artifact`` of the read run after ``edit(doc)`` with its CLI reader.
+    The file is restored afterwards.  Returns (exit status, stderr)."""
     config, data, out = read_run
     path = os.path.join(data, artifact)
     with open(path, encoding="utf-8") as fh:
@@ -908,17 +948,9 @@ def run_on_edited_document(read_run, artifact, edit):
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc))
-        if artifact == "codebook.json":
-            try:
-                load_codebook(path)
-                rc = 0
-            except CorpusFormatError as exc:
-                rc = 1
-                err.write(str(exc))
-        else:
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                rc = run([DOCUMENT_READERS[artifact], "--config", config, "--data-dir", data,
-                          "--out", out])
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run([DOCUMENT_READERS[artifact], "--config", config, "--data-dir", data,
+                      "--out", out])
     finally:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(original)
@@ -938,7 +970,7 @@ def _set(path, value):
 # each given by its key path
 NESTED = {"checkpoint.json": (("config",), ("space",), ("hash_spec",), ("tensors",),
                               ("tensors", "attn_wq"), ("tensors", "attn_gamma")),
-          "codebook.json": (("layers",),), "space.json": ()}
+          "space.json": ()}
 
 
 class TestJsonDocuments:
@@ -962,8 +994,6 @@ class TestJsonDocuments:
                 again = str(tmp_path / "again.json")
                 if name.endswith("checkpoint.json"):
                     save_checkpoint(load_checkpoint(path), again, meta=doc["meta"])
-                elif name == "codebook.json":
-                    save_codebook(load_codebook(path), again, meta=doc["meta"])
                 elif name == "space.json":
                     write_json(again, {"space": pipeline.load_space(path).as_dict(),
                                        "meta": doc["meta"]})
@@ -976,12 +1006,14 @@ class TestJsonDocuments:
                          "ablation.json", "items.jsonl.meta.json", "sids.jsonl.meta.json",
                          "sequences.jsonl.meta.json", "candidates.jsonl.meta.json"}
 
+    # the ids number the rows (path0, path1, ...): a new case goes at the end or in the
+    # place of a removed one, so that the ids of the other rows stay
     @pytest.mark.parametrize("artifact, path, value, message", [
-        ("codebook.json", ("tau",), 0.5, "malformed codebook (tau must be >= 1)"),
-        ("codebook.json", ("layers",), [[[0.0, 0.0]] * 4, [[0.0]] * 4],
-         "malformed codebook (layers must be a rectangular array of finite numbers)"),
-        ("codebook.json", ("c_cap_per_layer",), "ab",
-         "malformed codebook (c_cap_per_layer must be a rectangular array of finite numbers)"),
+        ("space.json", (), lambda doc: doc.pop("meta"), "missing space field(s) ['meta']"),
+        ("checkpoint.json", (), lambda doc: doc["tensors"].pop("head_w_2"),
+         "missing tensor(s) ['head_w_2']"),
+        ("checkpoint.json", ("tensors", "attn_wq", "shape"), [4, 16],
+         "tensor 'attn_wq' has shape [4, 16], expected [8, 8]"),
         ("checkpoint.json", ("x",), 1, "unknown checkpoint field(s) ['x']"),
         ("checkpoint.json", ("config", "seed"), "x",
          "malformed checkpoint (config.seed must be an integer, got 'x')"),

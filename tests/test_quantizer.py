@@ -1,5 +1,6 @@
 """Clustering, capacity repair, and residual-layering tests."""
 
+import json
 import math
 
 import numpy as np
@@ -16,11 +17,9 @@ from sidforge.corpus import (
 )
 from sidforge.quantizer import (
     CapacityError,
-    Codebook,
     capacity_constrained_rq,
     capacity_kmeans_layer,
     kmeanspp_init,
-    load_codebook,
     load_sids,
     rq_kmeans_baseline,
     save_codebook,
@@ -277,16 +276,25 @@ class TestCodebookPersistence:
         sid_path = tmp_path / "sids.jsonl"
         save_codebook(rq.codebook, cb_path, meta={"seed": 2})
         save_sids(rq.sids, sid_path)
-        assert load_codebook(cb_path) == rq.codebook
+        cb = rq.codebook
+        assert json.loads(cb_path.read_text()) == {
+            "K": 4, "L": 2, "tau": 1.1, "c_cap_per_layer": cb.c_cap_per_layer,
+            "layers": [layer.tolist() for layer in cb.layers], "meta": {"seed": 2}}
         assert load_sids(sid_path) == rq.sids
 
-    def test_unknown_codebook_field_rejected(self, tmp_path):
-        path = tmp_path / "cb.json"
-        path.write_text('{"L": 1, "K": 1, "tau": null, "c_cap_per_layer": [1.0], '
-                        '"layers": [[[0.0]]], "surprise": 1}')
-        with pytest.raises(ValueError, match="surprise"):
-            load_codebook(path)
+    def test_tau_validation(self, monkeypatch):
+        """A tau below 1, NaN included, raises before any clustering."""
+        def no_clustering(*args):
+            raise AssertionError("kmeanspp_init called")
 
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            Codebook(layers=[np.zeros((1, 2))], K=1, L=1, tau=0.5, c_cap_per_layer=[1.0])
+        monkeypatch.setattr("sidforge.quantizer.kmeanspp_init", no_clustering)
+        pts, w = np.zeros((4, 2)), np.ones(4)
+        corp = toy_corpus(pts, w, 2)
+        for tau in (0.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="tau must be None or >= 1"):
+                capacity_kmeans_layer(pts, w, k=2, tau=tau, seed=0)
+            with pytest.raises(ValueError, match="tau must be None or >= 1"):
+                capacity_constrained_rq(corp, 2, 2, tau, seed=0)
+        for tau in (None, math.inf, 1.0, 1.5):
+            with pytest.raises(AssertionError, match="kmeanspp_init called"):
+                capacity_kmeans_layer(pts, w, k=2, tau=tau, seed=0)
