@@ -100,7 +100,7 @@ def preference_level(event) -> int:
     return level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferencePair:
     request_id: str
     behavior: tuple

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import operator
 import os
 import sys
@@ -40,6 +41,13 @@ class CorpusFormatError(ValueError):
     """A persisted artifact does not match its documented schema."""
 
 
+def _sharing():
+    """A new table ``share``: ``share(s)`` is the first string equal to ``s`` that
+    it was given, so a value repeated over many records is held once."""
+    table = {}
+    return lambda s: table.setdefault(s, s)
+
+
 @dataclass
 class Item:
     item_id: int
@@ -52,12 +60,14 @@ class Item:
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
         if self.item_id < 0:
             raise ValueError(f"item_id must be non-negative, got {self.item_id}")
-        if self.exposure_weight <= 0:
-            raise ValueError(f"exposure_weight must be > 0 for item {self.item_id}")
+        if not 0 < self.exposure_weight < math.inf:  # NaN fails both
+            raise ValueError(f"exposure_weight must be finite and > 0 for item {self.item_id}, "
+                             f"got {self.exposure_weight}")
         if not np.all(np.isfinite(self.embedding)):
             raise ValueError(f"non-finite embedding for item {self.item_id}")
-        if self.gmv < 0:
-            raise ValueError(f"gmv must be non-negative for item {self.item_id}")
+        if not 0 <= self.gmv < math.inf:
+            raise ValueError(f"gmv must be finite and non-negative for item {self.item_id}, "
+                             f"got {self.gmv}")
         missing = [f for f in ATTR_FIELDS if f not in self.attrs]
         if missing:
             raise ValueError(f"item {self.item_id} missing attrs {missing}")
@@ -313,17 +323,18 @@ def generate_corpus(cfg: SynthConfig) -> ItemCorpus:
         weights = reallocated
     gmv = rng.lognormal(mean=1.0, sigma=1.0, size=n)
 
+    share = _sharing()
     items = [
         Item(
             item_id=i,
             embedding=emb[i],
             exposure_weight=int(weights[i]),
             attrs={
-                "l1": f"L1_{l1[i]}",
-                "l2": f"L2_{l2[i]}",
-                "l3": f"L3_{l3[i]}",
-                "seller": f"S_{seller[i]}",
-                "brand": f"B_{brand[i]}",
+                "l1": share(f"L1_{l1[i]}"),
+                "l2": share(f"L2_{l2[i]}"),
+                "l3": share(f"L3_{l3[i]}"),
+                "seller": share(f"S_{seller[i]}"),
+                "brand": share(f"B_{brand[i]}"),
             },
             gmv=float(gmv[i]),
         )
@@ -346,6 +357,7 @@ def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> list[Interact
     l2_values = sorted({it.attrs["l2"] for it in items})
     preferred_l2 = rng.integers(0, len(l2_values), size=n_users)
 
+    share = _sharing()
     interactions = []
     for r in range(cfg.n_requests):
         uid = int(rng.integers(0, n_users))
@@ -372,7 +384,7 @@ def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> list[Interact
         interactions.append(
             Interaction(
                 request_id=f"r{r:06d}",
-                user_id=f"u{uid:04d}",
+                user_id=share(f"u{uid:04d}"),
                 scene=scene,
                 objective=objective,
                 events=events,
@@ -386,8 +398,8 @@ def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> list[Interact
 # persistence: JSON-lines artifacts (greppable, diffable)
 # ----------------------------------------------------------------------
 
-_ITEM_FIELDS = {"item_id", "embedding", "exposure_weight", "attrs", "gmv"}
-_INTERACTION_FIELDS = {"request_id", "user_id", "scene", "objective", "events", "reward_metrics"}
+_ITEM_FIELDS = tuple(f.name for f in dataclasses.fields(Item))
+_INTERACTION_FIELDS = tuple(f.name for f in dataclasses.fields(Interaction))
 _EVENT_FIELDS = {"item_id", "level", "exposure_rank"}
 
 def _create(path):
@@ -482,17 +494,23 @@ def read_document(path, what: str, fields: set | None, build):
                     f"malformed {what} ({{}})")
 
 
+def _record(obj, names) -> dict:
+    """The fields ``names`` of ``obj``, in that order; unlike ``vars(obj)``, it
+    gives a dataclass instance no ``__dict__``."""
+    return {name: getattr(obj, name) for name in names}
+
+
 def save_items(corpus: ItemCorpus, path, meta: dict | None = None):
-    write_jsonl(path, ({**vars(it), "embedding": it.embedding.tolist()} for it in corpus.items),
-                meta)
+    write_jsonl(path, ({**_record(it, _ITEM_FIELDS), "embedding": it.embedding.tolist()}
+                       for it in corpus.items), meta)
 
 
-def _item(obj) -> Item:
+def _item(obj, share) -> Item:
     return Item(
         item_id=expect("integer", "item_id", obj["item_id"]),
         embedding=[expect("number", "embedding value", v) for v in obj["embedding"]],
         exposure_weight=expect("integer", "exposure_weight", obj["exposure_weight"]),
-        attrs={f: expect("string", f"attribute {f!r}", v)
+        attrs={share(f): share(expect("string", f"attribute {f!r}", v))
                for f, v in expect("object", "attrs", obj["attrs"]).items()},
         gmv=expect("number", "gmv", obj["gmv"]),
     )
@@ -500,8 +518,10 @@ def _item(obj) -> Item:
 
 def load_items(path) -> ItemCorpus:
     """items.jsonl; a fault of the whole corpus (ids that do not number the
-    items 0..N-1, an embedding of another width, a broken taxonomy) names the file."""
-    items = read_records(path, "item", _ITEM_FIELDS, _item)
+    items 0..N-1, an embedding of another width, a broken taxonomy) names the file.
+    Items with equal attribute values share one string per value."""
+    share = _sharing()
+    items = read_records(path, "item", set(_ITEM_FIELDS), lambda obj: _item(obj, share))
     outside = next((it.item_id for it in items if not 0 <= it.item_id < len(items)), None)
     if outside is not None:
         raise CorpusFormatError(f"{path}: item_id {outside} is outside 0..{len(items) - 1}; "
@@ -513,10 +533,10 @@ def load_items(path) -> ItemCorpus:
 
 
 def save_interactions(log, path, meta: dict | None = None):
-    write_jsonl(path, map(vars, log), meta)
+    write_jsonl(path, (_record(r, _INTERACTION_FIELDS) for r in log), meta)
 
 
-def _interaction(obj) -> Interaction:
+def _interaction(obj, share) -> Interaction:
     events = obj["events"]
     if not isinstance(events, list) or not all(isinstance(ev, dict) for ev in events):
         raise ValueError("events must be a list of objects")
@@ -526,10 +546,15 @@ def _interaction(obj) -> Interaction:
             expect("integer", f"event {key}", value)
     for name, value in expect("object", "reward_metrics", obj["reward_metrics"]).items():
         expect("number", f"reward metric {name!r}", value)
-    for key in ("request_id", "user_id", "scene", "objective"):
-        expect("string", key, obj[key])
+    expect("string", "request_id", obj["request_id"])
+    for key in ("user_id", "scene", "objective"):
+        obj[key] = share(expect("string", key, obj[key]))
     return Interaction(**obj)
 
 
 def load_interactions(path) -> list[Interaction]:
-    return read_records(path, "interaction", _INTERACTION_FIELDS, _interaction)
+    """interactions.jsonl; requests with equal user ids, scenes or objectives share
+    one string per value."""
+    share = _sharing()
+    return read_records(path, "interaction", set(_INTERACTION_FIELDS),
+                        lambda obj: _interaction(obj, share))

@@ -244,7 +244,8 @@ def load_sequences(path, space=None) -> dict:
 def assemble_samples(cfg: RunConfig, corp, log, space, paths):
     """Engaged events become teacher-forcing samples; split by request order.
 
-    Each sample's behavior and BOS come from ``request_contexts``.  The
+    Each sample's behavior and BOS come from ``request_contexts``, and its
+    ``metrics`` is its request's ``reward_metrics`` dict itself.  The
     final ``holdout_frac`` of requests by request_id order forms the eval
     split, disjoint from training.
     """
@@ -266,7 +267,7 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
                     alpha=alignment.engagement_alpha(
                         e["level"], by_id[e["item_id"]].gmv, mean_gmv
                     ),
-                    metrics=dict(req.reward_metrics),
+                    metrics=req.reward_metrics,
                     level=e["level"],
                     target_item=e["item_id"],
                     request_id=req.request_id,
@@ -437,9 +438,11 @@ def run_pipeline(cfg: RunConfig, out_dir):
     corp, log = gen_data(cfg, out_dir)
     rq = run_quantizer(cfg, corp, out_dir)
     space, paths = build_sequences(cfg, corp, rq.sids, out_dir)
+    del rq  # each stage's output is held only while a later stage reads it
     train_set, eval_set = assemble_samples(cfg, corp, log, space, paths)
     require_eval_set(cfg, log, eval_set)
     params = init_model(cfg, corp, space)
+    del corp
     params, trace = train_model(cfg, params, train_set)
     params, align_trace = align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"),

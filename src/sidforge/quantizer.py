@@ -48,10 +48,10 @@ class Codebook:
     K: int
     L: int
     tau: float | None  # None = unbounded
-    c_cap_per_layer: list
+    cap: float | None  # the load cap the repair pass enforced; None = unbounded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticId:
     item_id: int
     codes: tuple
@@ -273,12 +273,13 @@ def capacity_kmeans_layer(
     pts = np.asarray(residuals, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     n = pts.shape[0]
-    if np.any(w <= 0):
-        raise ValueError("all weights must be positive")
+    bad = np.flatnonzero(~((w > 0) & (w < math.inf)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"weights must be finite and > 0, got {w[bad[0]]} at index {bad[0]}")
     if tau is not None and not tau >= 1.0:
         raise ValueError(f"tau must be None or >= 1, got {tau}")
 
-    cap = math.inf if tau is None else float(tau) * (w.sum() / k)
+    cap = _cap(tau, w, k)
 
     violations = []
     pinned = w > cap
@@ -327,6 +328,11 @@ def capacity_kmeans_layer(
     )
 
 
+def _cap(tau: float | None, w: np.ndarray, k: int) -> float:
+    """The load cap, ``tau`` times the mean load per cluster; inf for ``tau=None``."""
+    return math.inf if tau is None else float(tau) * (w.sum() / k)
+
+
 def capacity_constrained_rq(
     corpus,
     n_layers: int,
@@ -358,7 +364,7 @@ def capacity_constrained_rq(
 
     residual = emb.copy()
     codes = np.empty((len(items), n_layers), dtype=np.int64)
-    layers, caps, results = [], [], []
+    layers, results = [], []
     for l in range(n_layers):
         res = capacity_kmeans_layer(
             residual, w, k, tau, seed + l,
@@ -367,11 +373,12 @@ def capacity_constrained_rq(
         codes[:, l] = res.assignments
         residual = residual - res.centroids[res.assignments]
         layers.append(res.centroids)
-        caps.append(float(w.sum() / k))
         results.append(res)
 
     tau_stored = None if (tau is None or math.isinf(tau)) else float(tau)
-    codebook = Codebook(layers=layers, K=k, L=n_layers, tau=tau_stored, c_cap_per_layer=caps)
+    cap = _cap(tau, w, k)
+    codebook = Codebook(layers=layers, K=k, L=n_layers, tau=tau_stored,
+                        cap=cap if cap < math.inf else None)
     sids = [SemanticId(it.item_id, tuple(row)) for it, row in zip(items, codes.tolist())]
     return RQResult(sids=sids, codebook=codebook, layer_results=results)
 

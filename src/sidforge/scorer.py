@@ -290,14 +290,6 @@ def _forward_batch(params: ScorerParams, samples, keep=True) -> _Cache:
     return cache
 
 
-def _forward_sample(params: ScorerParams, sample: Sample) -> _Cache:
-    """One-row :func:`_forward_batch` without the batch axis: ``target_logps``
-    is (n_steps,) and ``probs[t-1]`` is (V_t,)."""
-    cache = _forward_batch(params, [sample])
-    return replace(cache, target_logps=cache.target_logps[0],
-                   probs=[p[0] for p in cache.probs])
-
-
 def _scatter_add(table, rows, values):
     """table[rows[i]] += values[i], duplicate rows included.
 

@@ -263,11 +263,10 @@ def content_summary_rows(prefix_globals, spec: HashSpec) -> np.ndarray:
     """Hash-table rows of the content summaries of B partially decoded paths.
 
     Entry [b, t-1] of the (B, n) array ``prefix_globals`` is the global index
-    of path b's token at step t, or -1 where that step is not decoded; steps
-    past n are not decoded either.  A pair with an undecoded position gets
-    the NULL row for all its hashes without being hashed, so each of the (B,
-    n_pairs * m_hashes) rows has the same width however much of the path is
-    decoded.
+    of path b's token at step t; the steps past n are not decoded.  A pair
+    with a position past n gets the NULL row for all its hashes without being
+    hashed, so each of the (B, n_pairs * m_hashes) rows has the same width
+    however much of the path is decoded.
     """
     b, n = prefix_globals.shape
     table = spec._pairs_within
@@ -275,7 +274,5 @@ def content_summary_rows(prefix_globals, spec: HashSpec) -> np.ndarray:
     rows = np.full((b, len(spec.pairs), spec.m_hashes), spec.null_row, dtype=np.int64)
     if live.size:
         x, y = prefix_globals[:, pos[:, 0]], prefix_globals[:, pos[:, 1]]
-        hashed = _hash_family(spec, x, y) % sizes
-        hashed[np.minimum(x, y) < 0] = spec.null_row  # a position of the pair is not decoded
-        rows[:, live] = hashed
+        rows[:, live] = _hash_family(spec, x, y) % sizes
     return rows.reshape(b, -1)

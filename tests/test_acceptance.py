@@ -208,14 +208,14 @@ def test_05_gradient_correctness():
 
         w_s = Sample(behavior=pair.behavior, bos=pair.bos, tokens=pair.winner)
         l_s = Sample(behavior=pair.behavior, bos=pair.bos, tokens=pair.loser)
-        base_w = scorer._forward_sample(params, w_s).target_logps.copy()
-        base_l = scorer._forward_sample(params, l_s).target_logps.copy()
-        ref_w = scorer._forward_sample(ref, w_s).target_logps.sum()
-        ref_l = scorer._forward_sample(ref, l_s).target_logps.sum()
+        base_w = scorer._forward_batch(params, [w_s]).target_logps[0].copy()
+        base_l = scorer._forward_batch(params, [l_s]).target_logps[0].copy()
+        ref_w = scorer._forward_batch(ref, [w_s]).target_logps[0].sum()
+        ref_l = scorer._forward_batch(ref, [l_s]).target_logps[0].sum()
 
         def surrogate(p):
-            lw = base_w[:-1].sum() + scorer._forward_sample(p, w_s).target_logps[-1]
-            ll = base_l[:-1].sum() + scorer._forward_sample(p, l_s).target_logps[-1]
+            lw = base_w[:-1].sum() + scorer._forward_batch(p, [w_s]).target_logps[0, -1]
+            ll = base_l[:-1].sum() + scorer._forward_batch(p, [l_s]).target_logps[0, -1]
             return float(np.logaddexp(0.0, -beta * ((lw - ref_w) - (ll - ref_l))))
 
         _, g = alignment.dpo_loss_and_grad([pair], params, ref, beta, stop_grad=True)

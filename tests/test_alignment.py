@@ -22,7 +22,8 @@ from sidforge.alignment import (
     preference_level,
     rft_loss_and_grad,
 )
-from sidforge.corpus import CLICK, EXPOSURE, PURCHASE, SynthConfig, generate_corpus, generate_interactions
+from sidforge.corpus import (CLICK, EXPOSURE, PURCHASE, Interaction, SynthConfig, generate_corpus,
+                             generate_interactions)
 from sidforge.scorer import Sample, ntp_loss_and_grad
 
 from helpers import (
@@ -222,6 +223,12 @@ class TestBuildDpoPairs:
             assert (p.winner_level > p.loser_level
                     or (p.winner_level == p.loser_level and p.winner_rank < p.loser_rank))
 
+    def test_pairs_have_no_dict(self):
+        events = [{"item_id": i, "level": i, "exposure_rank": i + 1} for i in range(2)]
+        log = [Interaction("r0", "u0", "search", "click", events, {"gmv": 0.0})]
+        pair, = build_dpo_pairs(log, {0: (0, 1), 1: (1, 0)}, {"r0": ((), 0)}, 4, seed=0)
+        assert not hasattr(pair, "__dict__")
+
     def test_pairs_do_not_depend_on_the_order_of_the_log(self):
         cfg = SynthConfig(n_items=40, n_requests=100, events_per_request=4, seed=7)
         corp = generate_corpus(cfg)
@@ -313,15 +320,15 @@ class TestDpo:
         w_s = Sample(behavior=pair.behavior, bos=pair.bos, tokens=pair.winner)
         l_s = Sample(behavior=pair.behavior, bos=pair.bos, tokens=pair.loser)
         base = scorer.clone_params(params)
-        base_w = scorer._forward_sample(base, w_s).target_logps
-        base_l = scorer._forward_sample(base, l_s).target_logps
-        ref_w = scorer._forward_sample(ref, w_s).target_logps.sum()
-        ref_l = scorer._forward_sample(ref, l_s).target_logps.sum()
+        base_w = scorer._forward_batch(base, [w_s]).target_logps[0]
+        base_l = scorer._forward_batch(base, [l_s]).target_logps[0]
+        ref_w = scorer._forward_batch(ref, [w_s]).target_logps[0].sum()
+        ref_l = scorer._forward_batch(ref, [l_s]).target_logps[0].sum()
         beta = 1.5
 
         def surrogate(p):
-            lw = base_w[:-1].sum() + scorer._forward_sample(p, w_s).target_logps[-1]
-            ll = base_l[:-1].sum() + scorer._forward_sample(p, l_s).target_logps[-1]
+            lw = base_w[:-1].sum() + scorer._forward_batch(p, [w_s]).target_logps[0, -1]
+            ll = base_l[:-1].sum() + scorer._forward_batch(p, [l_s]).target_logps[0, -1]
             return float(np.logaddexp(0.0, -beta * ((lw - ref_w) - (ll - ref_l))))
 
         _, grads = dpo_loss_and_grad([pair], params, ref, beta=beta, stop_grad=True)

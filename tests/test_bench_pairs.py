@@ -15,7 +15,7 @@ from bench_pairs import failed_ops, stats  # noqa: E402
 def test_lower_is_better_counts_wins_ties_and_the_parent_spread():
     parent = [1.50, 1.60, 1.55, 1.70, 1.52]
     change = [1.40, 1.60, 1.45, 1.30, 1.41]
-    s = stats(parent, change, "lower")
+    s = stats(parent, change, "lower", bound=0.1)
     assert (s["parent"], s["change"]) == (parent, change)  # pair order kept
     assert (s["parent_median"], s["change_median"]) == (1.55, 1.41)
     assert s["ratio"] == round(1.41 / 1.55, 4)
@@ -26,23 +26,43 @@ def test_lower_is_better_counts_wins_ties_and_the_parent_spread():
 
 def test_gain_needs_nine_tenths_and_a_gap_wider_than_the_parent_iqr():
     parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]
-    assert stats(parent, [p - 1.0 for p in parent])["gain_shown"]
+    assert stats(parent, [p - 1.0 for p in parent], bound=0.1)["gain_shown"]
     # better in every pair, but by less than the parent's IQR of 0.45
-    close = stats(parent, [p - 0.1 for p in parent])
+    close = stats(parent, [p - 0.1 for p in parent], bound=0.1)
     assert close["change_better"] == 10 and not close["gain_shown"]
     one_loss = [p - 1.0 for p in parent[:8]] + [parent[8] + 1.0, parent[9] - 1.0]
-    assert stats(parent, one_loss)["gain_shown"]  # 9 of 10
+    assert stats(parent, one_loss, bound=0.1)["gain_shown"]  # 9 of 10
     two_losses = [p - 1.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
-    assert not stats(parent, two_losses)["gain_shown"]
+    assert not stats(parent, two_losses, bound=0.1)["gain_shown"]
 
 
 def test_no_gain_when_the_change_fails_more_operations():
     parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]
     change = [p - 1.0 for p in parent]
-    s = stats(parent, change, "lower", [0] * 10, [0] * 9 + [1])
+    s = stats(parent, change, "lower", [0] * 10, [0] * 9 + [1], bound=0.1)
     assert (s["parent_failed"], s["change_failed"]) == (0, 1)
     assert s["change_better"] == 10 and not s["gain_shown"]
-    assert stats(parent, change, "lower", [1] + [0] * 9, [0] * 9 + [1])["gain_shown"]
+    assert stats(parent, change, "lower", [1] + [0] * 9, [0] * 9 + [1], bound=0.1)["gain_shown"]
+
+
+def test_regressed_when_the_median_is_worse_by_more_than_the_bound():
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4]  # median 10.2, so a bound of 0.1 allows 1.02
+    assert not stats(parent, [p + 1.0 for p in parent], "lower", bound=0.1)["regressed"]
+    worse = stats(parent, [p + 1.1 for p in parent], "lower", bound=0.1)
+    assert worse["regressed"] and worse["bound"] == 0.1
+    assert not stats(parent, [p - 5.0 for p in parent], "lower", bound=0.1)["regressed"]
+    assert stats(parent, [p - 1.1 for p in parent], "higher", bound=0.1)["regressed"]
+
+
+def test_unresolved_when_the_parent_spread_is_wider_than_the_bound():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]  # IQR 2.0, wider than 0.1 * 12
+    assert not stats(parent, parent, "lower", bound=0.2)["unresolved"]  # IQR within 2.4
+    same = stats(parent, parent, "lower", bound=0.1)
+    assert same["unresolved"] and not same["regressed"]
+    # every change run below every parent run resolves it
+    assert not stats(parent, [9.9, 9.0, 8.0, 9.5, 9.8], "lower", bound=0.1)["unresolved"]
+    assert stats(parent, [9.9, 9.0, 8.0, 9.5, 10.0], "lower", bound=0.1)["unresolved"]
+    assert not stats(parent, [14.1, 15.0, 16.0, 14.5, 20.0], "higher", bound=0.1)["unresolved"]
 
 
 def test_a_run_whose_checks_fail_counts_as_a_failed_operation():
@@ -52,9 +72,9 @@ def test_a_run_whose_checks_fail_counts_as_a_failed_operation():
 
 
 def test_higher_is_better_flips_the_direction():
-    s = stats([10.0, 11.0, 12.0], [13.0, 14.0, 15.0], "higher")
+    s = stats([10.0, 11.0, 12.0], [13.0, 14.0, 15.0], "higher", bound=0.1)
     assert s["change_better"] == 3 and s["gain_shown"]
-    assert stats([10.0, 11.0, 12.0], [13.0, 14.0, 15.0], "lower")["change_better"] == 0
+    assert stats([10.0, 11.0, 12.0], [13.0, 14.0, 15.0], "lower", bound=0.1)["change_better"] == 0
 
 
 @pytest.mark.parametrize("parent, change, better", [
@@ -64,13 +84,13 @@ def test_higher_is_better_flips_the_direction():
 ])
 def test_bad_input_raises(parent, change, better):
     with pytest.raises(ValueError):
-        stats(parent, change, better)
+        stats(parent, change, better, bound=0.1)
 
 
 @pytest.mark.parametrize("value", [None, "1"])
 def test_a_new_file_records_whether_the_runs_write_bytecode(tmp_path, monkeypatch, value):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+        {"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}))
     result = {"metrics": {"setup_s": {"value": 1.0}}, "correct": True, "failed": 0}
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: (result, {"cpus": 2}, 45))
     if value is None:

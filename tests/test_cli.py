@@ -677,6 +677,17 @@ def trained_inputs(cfg, out_dir):
     return params, train_set, log, paths, space
 
 
+def test_samples_of_one_request_share_its_reward_metrics(tmp_path):
+    cfg = pipeline.load_config(MINI_CONFIG)
+    corp, log = pipeline.gen_data(cfg, str(tmp_path))
+    space, paths = pipeline.build_sequences(cfg, corp, pipeline.run_quantizer(cfg, corp).sids)
+    train_set, eval_set = pipeline.assemble_samples(cfg, corp, log, space, paths)
+    samples = train_set + eval_set
+    assert len({s.request_id for s in samples}) < len(samples)  # a request with several
+    metrics = {r.request_id: r.reward_metrics for r in log}
+    assert all(s.metrics is metrics[s.request_id] for s in samples)
+
+
 class TestTrainingLoop:
     def test_align_batch_i_reads_the_wrapping_pair_cursor(self, tmp_path, monkeypatch):
         cfg = pipeline.load_config({**MINI_CONFIG, "align": {**MINI_CONFIG["align"],

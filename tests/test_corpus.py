@@ -1,12 +1,16 @@
 """Generator and persistence tests for the synthetic corpus module."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sidforge import corpus
 from sidforge.analysis import conditional_entropy
 from sidforge.corpus import (
+    ATTR_FIELDS,
     CorpusFormatError,
+    Item,
     SynthConfig,
     generate_corpus,
     generate_interactions,
@@ -22,6 +26,22 @@ def rederive_blobs(cfg):
     rng = np.random.default_rng([cfg.seed, 0])
     rng.normal(0.0, 4.0, size=(cfg.n_clusters_true, cfg.d_emb))  # centers
     return rng.integers(0, cfg.n_clusters_true, size=cfg.n_items)
+
+
+def distinct_objects(strings) -> int:
+    return len({id(s) for s in strings})
+
+
+class TestItem:
+    @pytest.mark.parametrize("field, value", [
+        ("exposure_weight", math.nan), ("exposure_weight", math.inf), ("exposure_weight", 0),
+        ("gmv", math.nan), ("gmv", math.inf), ("gmv", -1.0)])
+    def test_weight_and_gmv_must_be_finite_and_in_range(self, field, value):
+        fields = {"item_id": 3, "embedding": [0.0], "exposure_weight": 1,
+                  "attrs": dict.fromkeys(ATTR_FIELDS, "a"), "gmv": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite .* for item 3, "
+                                             f"got {value}"):
+            Item(**fields)
 
 
 class TestGenerateCorpus:
@@ -80,6 +100,13 @@ class TestGenerateCorpus:
         a = generate_interactions(generate_corpus(cfg), cfg)
         b = generate_interactions(generate_corpus(cfg), cfg)
         assert a == b
+
+    def test_one_string_object_per_distinct_attribute_value(self, tmp_path):
+        corp = generate_corpus(SynthConfig(n_items=500, seed=4))
+        save_items(corp, tmp_path / "items.jsonl")
+        for items in (corp.items, load_items(tmp_path / "items.jsonl").items):
+            values = [v for it in items for v in it.attrs.values()]
+            assert distinct_objects(values) == len(set(values)) < 50
 
     def test_taxonomy_is_functional(self):
         corp = generate_corpus(SynthConfig(n_items=2000, attr_correlation=0.3, seed=1))
@@ -144,6 +171,15 @@ class TestGenerateInteractions:
         for r in log:
             expected = sum(by_id[e["item_id"]].gmv for e in r.events if e["level"] == 2)
             assert r.reward_metrics["gmv"] == pytest.approx(expected, rel=1e-12)
+
+    def test_a_user_id_is_one_string_object_whether_generated_or_loaded(self, tmp_path):
+        cfg = SynthConfig(n_items=50, n_requests=200, seed=4)
+        log = generate_interactions(generate_corpus(cfg), cfg)
+        save_interactions(log, tmp_path / "log.jsonl")
+        for requests in (log, load_interactions(tmp_path / "log.jsonl")):
+            for key in ("user_id", "scene", "objective"):
+                values = [getattr(r, key) for r in requests]
+                assert distinct_objects(values) == len(set(values)) < len(values)
 
 
 class TestPersistence:

@@ -141,6 +141,15 @@ class TestCapacityKmeansLayer:
         assert any(v.reason == "overweight_item" and v.item_index == 3
                    for v in res.violations)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_weight_that_is_not_finite_and_positive_names_its_index(self, bad):
+        pts = np.random.default_rng(0).normal(size=(6, 2))
+        w = np.ones(6)
+        w[4] = bad
+        with pytest.raises(ValueError, match=f"weights must be finite and > 0, got {bad} "
+                                             f"at index 4"):
+            capacity_kmeans_layer(pts, w, k=2, tau=1.5, seed=0)
+
     def test_no_violations_implies_feasible(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -278,9 +287,26 @@ class TestCodebookPersistence:
         save_sids(rq.sids, sid_path)
         cb = rq.codebook
         assert json.loads(cb_path.read_text()) == {
-            "K": 4, "L": 2, "tau": 1.1, "c_cap_per_layer": cb.c_cap_per_layer,
+            "K": 4, "L": 2, "tau": 1.1, "cap": 1.1 * (small_corpus.weights().sum() / 4),
             "layers": [layer.tolist() for layer in cb.layers], "meta": {"seed": 2}}
         assert load_sids(sid_path) == rq.sids
+
+    def test_cap_is_the_enforced_cap_and_null_when_uncapped(self, small_corpus, tmp_path):
+        w = small_corpus.weights()
+        rq = capacity_constrained_rq(small_corpus, 2, 4, 1.1, seed=2)
+        # the repair pass brings every load to the recorded cap: none ends above it
+        for layer in rq.layer_results:
+            assert not layer.violations and layer.loads.max() <= rq.codebook.cap
+        assert rq.codebook.cap == 1.1 * (w.sum() / 4)
+        for uncapped in (rq_kmeans_baseline(small_corpus, 2, 4, seed=2),
+                         capacity_constrained_rq(small_corpus, 2, 4, math.inf, seed=2)):
+            assert uncapped.codebook.tau is None and uncapped.codebook.cap is None
+            save_codebook(uncapped.codebook, tmp_path / "codebook.json")
+            assert json.loads((tmp_path / "codebook.json").read_text())["cap"] is None
+
+    def test_semantic_ids_have_no_dict(self, small_corpus):
+        sid = capacity_constrained_rq(small_corpus, 2, 4, 1.1, seed=2).sids[0]
+        assert not hasattr(sid, "__dict__")
 
     def test_tau_validation(self, monkeypatch):
         """A tau below 1, NaN included, raises before any clustering."""

@@ -192,8 +192,9 @@ class TestStepLogits:
             paths = data.draw(st.lists(token_paths(params.space), min_size=1, max_size=4))
             batch = model.step_logprobs([p[:t - 1] for p in paths])
             for path, row in zip(paths, batch):
-                cache = scorer._forward_sample(params, Sample(behavior, bos, path))
-                np.testing.assert_allclose(row, np.log(cache.probs[t - 1]), rtol=0, atol=1e-12)
+                cache = scorer._forward_batch(params, [Sample(behavior, bos, path)])
+                np.testing.assert_allclose(row, np.log(cache.probs[t - 1][0]), rtol=0,
+                                           atol=1e-12)
 
     @given(tiny_contexts(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -239,9 +240,9 @@ class TestStepLogits:
 
     def test_softmax_normalization(self, params):
         sample = Sample(behavior=(1,), bos=0, tokens=(1, 2, 3, 4))
-        cache = scorer._forward_sample(params, sample)
+        cache = scorer._forward_batch(params, [sample])
         for p in cache.probs:
-            assert abs(p.sum() - 1.0) < 1e-12
+            assert abs(p[0].sum() - 1.0) < 1e-12
 
 
 class TestTeacherForcedBatch:
@@ -253,8 +254,8 @@ class TestTeacherForcedBatch:
         loss, grads = ntp_loss_and_grad(batch, params)
         want_loss, want_grads = 0.0, scorer.zero_grads(params)
         for sample, row in zip(batch, cache.target_logps):
-            one = scorer._forward_sample(params, sample)
-            np.testing.assert_allclose(row, one.target_logps, rtol=0, atol=1e-12)
+            one = scorer._forward_batch(params, [sample])
+            np.testing.assert_allclose(row, one.target_logps[0], rtol=0, atol=1e-12)
             sample_loss, sample_grads = ntp_loss_and_grad([sample], params)
             want_loss += sample_loss
             for name, g in sample_grads.items():

@@ -169,7 +169,7 @@ class TestContentSummary:
 
     def test_empty_prefix_all_null(self):
         spec, table = self.spec_and_table()
-        rows = content_summary_rows(np.full((2, 3), -1), spec)
+        rows = content_summary_rows(np.zeros((2, 0), dtype=np.int64), spec)
         assert rows.shape == (2, spec.m_hashes)
         assert np.all(rows == spec.null_row)
         np.testing.assert_array_equal(table[rows[0]].reshape(-1),
@@ -177,7 +177,7 @@ class TestContentSummary:
 
     def test_deterministic(self):
         spec, _ = self.spec_and_table()
-        paths = np.array([[5, -1, 7]])
+        paths = np.array([[5, 6, 7]])
         np.testing.assert_array_equal(content_summary_rows(paths, spec),
                                       content_summary_rows(paths, spec))
 
@@ -185,21 +185,22 @@ class TestContentSummary:
         # pair (x=5, y=7), p1=31, p2=37, S=101:
         #   H1 = 5+7 = 12; H2 = 5*7 = 35; H3 = 31*5 + 37*7 = 414, 414 % 101 = 10
         spec, _ = self.spec_and_table()
-        assert content_summary_rows(np.array([[5, -1, 7]]), spec).tolist() == [[12, 35, 10]]
+        assert content_summary_rows(np.array([[5, 6, 7]]), spec).tolist() == [[12, 35, 10]]
         assert hash_rows(spec, 0, 5, 7) == [12, 35, 10]
 
     def test_output_dim_constant_across_prefix_lengths(self):
         spec, table = self.spec_and_table(pair_sizes=(101, 55), pairs=((1, 3), (2, 3)))
-        paths = np.array([[-1, -1, -1], [4, -1, -1], [4, 9, -1], [4, 9, 2]])
-        rows = content_summary_rows(paths, spec)
-        assert table[rows].reshape(len(paths), -1).shape == (len(paths), spec.output_dim)
-        assert np.all(rows[:3] == spec.null_row) and np.all(rows[3] != spec.null_row)
+        path = np.array([[4, 9, 2]])
+        for n in range(4):
+            rows = content_summary_rows(path[:, :n], spec)
+            assert table[rows].reshape(1, -1).shape == (1, spec.output_dim)
+            assert np.all(rows == spec.null_row) if n < 3 else np.all(rows != spec.null_row)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_prefix_array_matches_the_padded_reference(self, data):
         """A (B, n) prefix gives the rows of the path padded with -1 to its full
-        length, bit for bit, -1 entries within the prefix included."""
+        length, bit for bit."""
         n_steps = data.draw(st.integers(1, 5))
         step = st.integers(1, n_steps)
         pairs = tuple(data.draw(st.lists(st.tuples(step, step), min_size=1, max_size=4)))
@@ -207,7 +208,7 @@ class TestContentSummary:
                         pair_sizes=tuple(data.draw(st.integers(1, 50)) for _ in pairs),
                         m_hashes=data.draw(st.integers(1, 3)))
         b, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, n_steps))
-        prefix = np.array(data.draw(st.lists(st.integers(-1, 60), min_size=b * n,
+        prefix = np.array(data.draw(st.lists(st.integers(0, 60), min_size=b * n,
                                              max_size=b * n)), dtype=np.int64).reshape(b, n)
         padded = np.full((b, n_steps), -1, dtype=np.int64)
         padded[:, :n] = prefix
@@ -217,18 +218,18 @@ class TestContentSummary:
 
     def test_array_of_paths_matches_per_pair_hashes(self, corpus_and_space):
         _, space = corpus_and_space
-        paths = np.array([[4, 9, -1, -1, -1], [4, 9, 2, 7, -1], [-1] * 5, [3, 8, 1, 6, 5]])
+        paths = np.array([[4, 9, 2, 7, 5], [3, 8, 1, 6, 5]])
         for pairs in (None, [[1, 3], [2, 4]]):  # list pairs, as JSON gives them
             spec = hash_spec_for_space(space, pairs=pairs)
-            rows = content_summary_rows(paths, spec)
-            assert rows.shape == (len(paths), spec.m_hashes * len(spec.pairs))
-            for path, row in zip(paths.tolist(), rows.tolist()):
-                expect = []
-                for j, (px, py) in enumerate(spec.pairs):
-                    x, y = path[px - 1], path[py - 1]
-                    expect += (hash_rows(spec, j, x, y) if min(x, y) >= 0
-                               else [spec.null_row] * spec.m_hashes)
-                assert row == expect
+            for n in range(paths.shape[1] + 1):
+                rows = content_summary_rows(paths[:, :n], spec)
+                assert rows.shape == (len(paths), spec.m_hashes * len(spec.pairs))
+                for path, row in zip(paths.tolist(), rows.tolist()):
+                    expect = []
+                    for j, (px, py) in enumerate(spec.pairs):
+                        expect += (hash_rows(spec, j, path[px - 1], path[py - 1])
+                                   if max(px, py) <= n else [spec.null_row] * spec.m_hashes)
+                    assert row == expect
 
     def test_simultaneous_collision_rate_is_bloom_small(self):
         # frequency of two random DISTINCT pairs sharing all 3 hash rows

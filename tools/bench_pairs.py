@@ -10,7 +10,8 @@ runs first: odd pairs run the parent first. The runs of one call form a set:
 both sides' results in pair order and, per end-to-end metric of
 ``BENCHMARK.json``, each side's values, the medians, the change/parent ratio
 of the medians, the parent's interquartile range, the number of pairs where
-the change reads better and each side's failed operations. A run whose checks
+the change reads better, each side's failed operations, and whether the
+metric regressed or is unresolved against its bound. A run whose checks
 do not pass counts as at least one failed operation, and no gain is shown
 when the change's runs fail more operations than the parent's. The set is
 appended to the ``sets`` of ``--out``; a new file also records the
@@ -32,7 +33,8 @@ import numpy as np
 COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --trace 0"
 
 
-def stats(parent, change, better: str = "lower", parent_failed=(), change_failed=()) -> dict:
+def stats(parent, change, better: str = "lower", parent_failed=(), change_failed=(), *,
+          bound: float) -> dict:
     """Summary of one metric's paired values, in pair order.
 
     ``change_better`` counts the pairs where the change reads better; a tie
@@ -41,6 +43,12 @@ def stats(parent, change, better: str = "lower", parent_failed=(), change_failed
     change is better in at least nine tenths of the pairs, its median is
     better than the parent's by more than the parent's interquartile range,
     and its runs fail no more operations in total than the parent's.
+
+    ``bound`` is the metric's ``BENCHMARK.json`` bound, a share of the
+    parent's median. ``regressed`` holds when the change's median is worse
+    than the parent's by more than that share. ``unresolved`` holds when the
+    parent's interquartile range is wider than that share and not every run
+    of the change reads better than every run of the parent.
     """
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
@@ -52,6 +60,7 @@ def stats(parent, change, better: str = "lower", parent_failed=(), change_failed
     wins = int(np.sum(sign * c < sign * p))
     q1, q3 = np.percentile(p, [25, 75])
     p_med, c_med = float(np.median(p)), float(np.median(c))
+    allowed = bound * abs(p_med)
     return {
         "parent": [round(float(v), 4) for v in p],
         "change": [round(float(v), 4) for v in c],
@@ -66,6 +75,9 @@ def stats(parent, change, better: str = "lower", parent_failed=(), change_failed
         "change_failed": fails["change"],
         "gain_shown": bool(wins >= 0.9 * len(p) and sign * (p_med - c_med) > q3 - q1
                            and fails["change"] <= fails["parent"]),
+        "bound": bound,
+        "regressed": bool(sign * (c_med - p_med) > allowed),
+        "unresolved": bool(q3 - q1 > allowed and not np.max(sign * c) < np.min(sign * p)),
     }
 
 
@@ -116,7 +128,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
-        metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+        metrics = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs, environment, seconds = [], None, None
     for i in range(1, args.pairs + 1):
@@ -141,8 +153,8 @@ def main(argv=None) -> int:
     entry = {"workload": args.workload, "seed": args.seed, "seconds": seconds,
              "n_pairs": args.pairs, "pairs": pairs,
              "stats": {name: stats(values("parent", name), values("change", name), better,
-                                   failures("parent"), failures("change"))
-                       for name, better in metrics}}
+                                   failures("parent"), failures("change"), bound=bound)
+                       for name, better, bound in metrics}}
     if args.out.exists():
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -159,7 +171,11 @@ def main(argv=None) -> int:
                                "checks do not pass counts at least one), and whether that shows "
                                "a gain (better in 9/10 of the pairs, medians apart by more than "
                                "the parent's interquartile range, no more failed operations "
-                               "than the parent)",
+                               "than the parent), the metric's bound as a share of the parent's "
+                               "median, whether the change's median is worse than the parent's "
+                               "by more than the bound (regressed), and whether the parent's "
+                               "interquartile range is wider than the bound while some change "
+                               "run does not read better than every parent run (unresolved)",
                "environment": {**environment, **bytecode_setting()}, "sets": []}
     doc["sets"].append(entry)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -168,7 +184,8 @@ def main(argv=None) -> int:
     for name, s in entry["stats"].items():
         print(f"{args.workload} seed {args.seed} {name}: parent {s['parent_median']} "
               f"change {s['change_median']} ratio {s['ratio']} parent IQR {s['parent_iqr']} "
-              f"better {s['change_better']}/{s['pairs']} gain shown {s['gain_shown']}")
+              f"better {s['change_better']}/{s['pairs']} gain shown {s['gain_shown']} "
+              f"regressed {s['regressed']} unresolved {s['unresolved']}")
     return 0
 
 
