@@ -190,15 +190,14 @@ def dpo_loss_and_grad(pairs, params, reference, beta: float, stop_grad: bool = T
     if stop_grad:
         coeff_mask[:-1] = 0.0
 
-    winners = [Sample(behavior=p.behavior, bos=p.bos, tokens=p.winner) for p in pairs]
-    losers = [Sample(behavior=p.behavior, bos=p.bos, tokens=p.loser) for p in pairs]
-    ref_w = sequence_logprobs(reference, winners)
-    ref_l = sequence_logprobs(reference, losers)
+    # winners in rows 0..n-1, their losers in rows n..2n-1
+    n = len(pairs)
+    samples = ([Sample(behavior=p.behavior, bos=p.bos, tokens=p.winner) for p in pairs]
+               + [Sample(behavior=p.behavior, bos=p.bos, tokens=p.loser) for p in pairs])
+    ref_w, ref_l = np.split(sequence_logprobs(reference, samples), 2)
     # with stop_grad only the last step is kept for the backward
-    cache_w = _forward_batch(params, winners, keep=coeff_mask != 0)
-    cache_l = _forward_batch(params, losers, keep=coeff_mask != 0)
-    lp_w = cache_w.target_logps.sum(axis=1)
-    lp_l = cache_l.target_logps.sum(axis=1)
+    cache = _forward_batch(params, samples, keep=coeff_mask != 0)
+    lp_w, lp_l = np.split(cache.target_logps.sum(axis=1), 2)
     finite = np.isfinite(lp_w) & np.isfinite(lp_l) & np.isfinite(ref_w) & np.isfinite(ref_l)
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
@@ -211,14 +210,9 @@ def dpo_loss_and_grad(pairs, params, reference, beta: float, stop_grad: bool = T
     d_margin = -beta * _sigmoid(-beta * margin)
 
     grads = zero_grads(params)
-    _accumulate_backward(params, cache_w, d_margin[:, None] * coeff_mask, grads)
-    _accumulate_backward(params, cache_l, -d_margin[:, None] * coeff_mask, grads)
-
-    n = len(pairs)
-    loss /= n
-    for name in grads:
-        grads[name] /= n
-    return loss, grads
+    _accumulate_backward(params, cache,
+                         np.concatenate([d_margin, -d_margin])[:, None] * coeff_mask / n, grads)
+    return loss / n, grads
 
 
 def joint_loss(batch, pairs, params, reference, advantages, lam: float = 0.2,

@@ -1,4 +1,4 @@
-"""Hit-ratio metrics and the attribute-chain / quantizer ablation harness."""
+"""Hit-ratio metrics of a scorer: per-step token HR@3 and beam-search HR@K."""
 
 from __future__ import annotations
 

@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .corpus import CorpusFormatError, check_fields, expect, read_document, write_json
+from .corpus import (CorpusFormatError, check_fields, config_section, expect, read_document,
+                     write_json)
 from .tokenizer import HashSpec, SequenceSpace, content_summary_rows, hash_spec_for_space
 
 FROZEN_TENSORS = ("attn_wq", "attn_wk", "attn_wv", "attn_gamma")
@@ -41,7 +42,7 @@ class TrainingDivergedError(RuntimeError):
         self.trace = trace
 
 
-@dataclass
+@config_section("config", d_model=">= 1", prefix_window=">= 0", seed=">= 0")
 class ScorerConfig:
     d_model: int = 32
     prefix_window: int = 4
@@ -597,7 +598,7 @@ def _checkpoint(doc) -> ScorerParams:
     check_fields(doc, _CHECKPOINT_FIELDS, "checkpoint")
     cfg = expect("object", "config", doc["config"])
     check_fields(cfg, {f.name for f in fields(ScorerConfig)}, "config")
-    config = ScorerConfig(**{k: expect("integer", f"config.{k}", v) for k, v in cfg.items()})
+    config = ScorerConfig(**cfg)
     space = SequenceSpace.from_dict(doc["space"])
     params = ScorerParams(config, space, _hash_spec(doc["hash_spec"], space),
                           expect("integer", "n_behavior_tokens", doc["n_behavior_tokens"]), {})

@@ -95,7 +95,9 @@ class SequenceSpace:
         check_fields(expect("object", "space", d), {f.name for f in fields(cls)}, "space")
         vocabs = expect("object", "attr_vocabs", d["attr_vocabs"])
         for f, vocab in vocabs.items():
-            if sorted(expect("object", f"{f} vocabulary", vocab).values()) != [*range(len(vocab))]:
+            indices = [expect("integer", f"{f} vocabulary index", i)
+                       for i in expect("object", f"{f} vocabulary", vocab).values()]
+            if sorted(indices) != [*range(len(vocab))]:
                 raise ValueError(f"{f} vocabulary must number its values 0..{len(vocab) - 1}")
         if (tuple(d["objectives"]), tuple(d["scenes"])) != (OBJECTIVES, SCENES):
             raise ValueError(f"the task registry must be {list(OBJECTIVES)} x {list(SCENES)}")

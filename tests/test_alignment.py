@@ -346,6 +346,31 @@ class TestDpo:
             assert np.all(grads[f"head_w_{t}"] == 0.0)
             assert np.all(grads[f"head_b_{t}"] == 0.0)
 
+    @pytest.mark.parametrize("stop_grad", [True, False])
+    def test_one_reference_forward_one_forward_one_backward(self, monkeypatch, stop_grad):
+        """Each scorer pass runs once, over the winners and then their losers."""
+        rng = np.random.default_rng(37)
+        params = tiny_params(rng)
+        pairs = [_pair_for(params, rng) for _ in range(3)]
+        calls = []
+
+        def count(name, paths):
+            inner = getattr(alignment, name)
+
+            def counted(params, rows, *args, **kwargs):
+                calls.append((name, paths(rows)))
+                return inner(params, rows, *args, **kwargs)
+            monkeypatch.setattr(alignment, name, counted)
+
+        count("sequence_logprobs", lambda samples: [s.tokens for s in samples])
+        count("_forward_batch", lambda samples: [s.tokens for s in samples])
+        count("_accumulate_backward", lambda cache: list(map(tuple, cache.tokens.tolist())))
+        dpo_loss_and_grad(pairs, params, scorer.clone_params(params), beta=0.1,
+                          stop_grad=stop_grad)
+        rows = [p.winner for p in pairs] + [p.loser for p in pairs]
+        assert calls == [("sequence_logprobs", rows), ("_forward_batch", rows),
+                         ("_accumulate_backward", rows)]
+
     def test_nonpositive_beta_errors(self):
         rng = np.random.default_rng(36)
         params = tiny_params(rng)

@@ -34,7 +34,7 @@ from sidforge.corpus import (
 from sidforge.quantizer import load_sids
 from sidforge.scorer import load_checkpoint, save_checkpoint
 
-from helpers import f8le, to_nested_lists
+from helpers import f8le, stored, to_nested_lists
 
 MINI_CONFIG = {
     "seed": 5,
@@ -977,6 +977,23 @@ def _set(path, value):
     return edit
 
 
+def _renumber(attr, index, number):
+    """An edit that numbers the ``attr`` value of index ``index`` as ``number``."""
+    def edit(doc):
+        vocab = doc["space"]["attr_vocabs"][attr]
+        vocab.update({value: number for value, i in vocab.items() if i == index})
+    return edit
+
+
+def _negative_prefix_window(doc):
+    """prefix_window -1, with each head cut to the input width that it gives."""
+    config = doc["config"]
+    width = (config["prefix_window"] + 1) * config["d_model"]
+    config["prefix_window"] = -1
+    for name in [n for n in doc["tensors"] if n.startswith("head_w_")]:
+        doc["tensors"][name] = f8le(stored(doc, name)[:, :-width])
+
+
 # the fields whose own fields (or, for a list, entries) the fuzz also replaces,
 # each given by its key path
 NESTED = {"checkpoint.json": (("config",), ("space",), ("hash_spec",), ("tensors",),
@@ -1055,6 +1072,12 @@ class TestJsonDocuments:
          "malformed space (sid_sizes must be positive and all steps hold < 2**31 tokens"),
         ("checkpoint.json", ("space", "sid_sizes"), [4, 10**20],
          "malformed checkpoint (sid_sizes must be positive and all steps hold < 2**31 tokens"),
+        ("space.json", (), _renumber("l2", 1, True),
+         "malformed space (l2 vocabulary index must be an integer, got True)"),
+        ("checkpoint.json", (), _renumber("l3", 2, 2.0),
+         "malformed checkpoint (l3 vocabulary index must be an integer, got 2.0)"),
+        ("checkpoint.json", (), _negative_prefix_window,
+         "malformed checkpoint (config.prefix_window must be >= 0, got -1)"),
     ])
     def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, path, value, message):
         """A callable ``value`` edits the whole document."""
