@@ -19,36 +19,38 @@ import typing
 from . import corpus as corpus_mod, decoder, pipeline, quantizer, scorer
 
 
-def _command(sub, name, func, help_text, data_dir=True):
-    """Subcommand ``name`` running ``func``, with the flags every command takes."""
+def _command(sub, name, func, help_text, data_dir=True, section=None):
+    """Subcommand ``name`` running ``func``, with the flags every command takes;
+    its own flags override the fields of the same name in config ``section``."""
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="JSON run config; defaults apply when omitted")
     p.add_argument("--seed", type=int, help="override the global seed")
     p.add_argument("--out", default="run", help="run directory (default: run)")
     if data_dir:
         p.add_argument("--data-dir", help="directory of the input artifacts (default: --out)")
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, section=section)
     return p
 
 
+class _Task(argparse.Action):
+    """``--task objective:scene`` gives the ``objective`` and ``scene`` flags."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.objective, _, namespace.scene = value.partition(":")
+
+
 def _resolve_config(args) -> pipeline.RunConfig:
+    """The defaults, then ``--config``, then ``--seed``, then each override flag that was
+    given on its field of ``args.section``; every replace runs the config schema."""
     cfg = pipeline.load_config(args.config) if args.config else pipeline.RunConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.section:
+        section = getattr(cfg, args.section)
+        flags = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(section) if hasattr(args, f.name)}
+        cfg = dataclasses.replace(cfg, **{args.section: dataclasses.replace(section, **flags)})
     return cfg
-
-
-def _with_flags(section, args, *names):
-    """``section`` with each field in ``names`` replaced by the flag of that name.
-
-    Override flags default to ``argparse.SUPPRESS``, so a flag that was not
-    given leaves no attribute and its field keeps the config value.
-    """
-    return dataclasses.replace(section, **{n: getattr(args, n) for n in names if hasattr(args, n)})
-
-
-def _data_dir(args):
-    return args.data_dir if getattr(args, "data_dir", None) else args.out
 
 
 def _load_corpus_and_log(data_dir, metrics=()):
@@ -66,6 +68,14 @@ def _load_corpus_and_log(data_dir, metrics=()):
         if bad:
             raise corpus_mod.CorpusFormatError(f"{log_path}: request {r.request_id!r}: {bad[0]}")
     return corp, log
+
+
+def _items_and_sids(data_dir):
+    """items.jsonl, sids.jsonl and the latter's path."""
+    corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
+    path = os.path.join(data_dir, "sids.jsonl")
+    sids = quantizer.load_sids(path)
+    return corp, sids, path
 
 
 def _training_inputs(cfg, data_dir, metrics=()):
@@ -95,18 +105,14 @@ def _naming(path):
         raise corpus_mod.CorpusFormatError(f"{path}: {exc}") from exc
 
 
-def _cmd_gen_data(args):
-    cfg = _resolve_config(args)
+def _cmd_gen_data(cfg, args):
     corp, log = pipeline.gen_data(cfg, args.out)
     print(f"wrote {len(corp)} items and {len(log)} requests to {args.out}")
     return 0
 
 
-def _cmd_quantize(args):
-    cfg = _resolve_config(args)
-    cfg = dataclasses.replace(
-        cfg, quantizer=_with_flags(cfg.quantizer, args, "tau", "method", "strict"))
-    items_path = os.path.join(_data_dir(args), "items.jsonl")
+def _cmd_quantize(cfg, args):
+    items_path = os.path.join(args.data_dir, "items.jsonl")
     corp = corpus_mod.load_items(items_path)
     with _naming(items_path):
         result = pipeline.run_quantizer(cfg, corp, args.out)
@@ -116,31 +122,24 @@ def _cmd_quantize(args):
     return 0
 
 
-def _cmd_analyze(args):
-    cfg = _resolve_config(args)
-    data_dir = _data_dir(args)
-    corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
-    sids = quantizer.load_sids(os.path.join(data_dir, "sids.jsonl"))
-    with _naming(os.path.join(data_dir, "sids.jsonl")):
+def _cmd_analyze(cfg, args):
+    corp, sids, sids_path = _items_and_sids(args.data_dir)
+    with _naming(sids_path):
         pipeline.analyze(cfg, corp, sids, args.out)
     print(f"wrote {os.path.join(args.out, 'analysis.json')}")
     return 0
 
 
-def _cmd_build_seqs(args):
-    cfg = _resolve_config(args)
-    data_dir = _data_dir(args)
-    corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
-    sids = quantizer.load_sids(os.path.join(data_dir, "sids.jsonl"))
-    with _naming(os.path.join(data_dir, "sids.jsonl")):
+def _cmd_build_seqs(cfg, args):
+    corp, sids, sids_path = _items_and_sids(args.data_dir)
+    with _naming(sids_path):
         space, paths = pipeline.build_sequences(cfg, corp, sids, args.out)
     print(f"wrote {len(paths)} sequences over {space.n_steps} steps")
     return 0
 
 
-def _cmd_train(args):
-    cfg = _resolve_config(args)
-    corp, _, space, _, train_set = _training_inputs(cfg, _data_dir(args))
+def _cmd_train(cfg, args):
+    corp, _, space, _, train_set = _training_inputs(cfg, args.data_dir)
     params = pipeline.init_model(cfg, corp, space)
     params, trace = pipeline.train_model(cfg, params, train_set)
     scorer.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"),
@@ -150,14 +149,10 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_align(args):
-    cfg = _resolve_config(args)
-    cfg = dataclasses.replace(cfg, align=_with_flags(
-        cfg.align, args, "lambda_rft", "lambda_dpo", "beta", "c_clip", "pairs_per_request",
-        "dpo_target"))
-    data_dir = _data_dir(args)
-    _, log, space, paths, train_set = _training_inputs(cfg, data_dir, cfg.align.reward_weights)
-    params = scorer.load_checkpoint(os.path.join(data_dir, "checkpoint.json"))
+def _cmd_align(cfg, args):
+    _, log, space, paths, train_set = _training_inputs(cfg, args.data_dir,
+                                                       cfg.align.reward_weights)
+    params = scorer.load_checkpoint(os.path.join(args.data_dir, "checkpoint.json"))
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),
                            meta=pipeline.artifact_meta(cfg))
@@ -176,24 +171,17 @@ def _model_and_paths(data_dir):
                                                  params.space)
 
 
-def _cmd_decode(args):
-    cfg = _resolve_config(args)
-    if hasattr(args, "task"):
-        args.objective, _, args.scene = args.task.partition(":")
-    cfg = dataclasses.replace(cfg, decode=_with_flags(
-        cfg.decode, args, "beam_width", "top_k", "objective", "scene"))
-    params, checkpoint, paths = _model_and_paths(_data_dir(args))
+def _cmd_decode(cfg, args):
+    params, checkpoint, paths = _model_and_paths(args.data_dir)
     candidates = pipeline.decode(cfg, params, decoder.build_trie(paths), args.out)
     print(f"decoded {checkpoint}: wrote {len(candidates)} candidates to "
           f"{os.path.join(args.out, 'candidates.jsonl')}")
     return 0
 
 
-def _cmd_eval(args):
-    cfg = _resolve_config(args)
-    data_dir = _data_dir(args)
-    corp, log = _load_corpus_and_log(data_dir)
-    params, checkpoint, paths = _model_and_paths(data_dir)
+def _cmd_eval(cfg, args):
+    corp, log = _load_corpus_and_log(args.data_dir)
+    params, checkpoint, paths = _model_and_paths(args.data_dir)
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
     report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)
@@ -211,15 +199,13 @@ def _parse_chains(text) -> list:
                      f"{list(corpus_mod.ATTR_FIELDS)}, got {text!r}")
 
 
-def _cmd_ablate(args):
-    cfg = _resolve_config(args)
-    data_dir = _data_dir(args)
+def _cmd_ablate(cfg, args):
     chains = _parse_chains(args.chains) if args.chains else [(), ("l2", "l3")]
     methods = args.methods.split(",") if args.methods else ["capacity", "baseline"]
     for flag, grid in (("--chains", chains), ("--methods", methods)):
         if not grid or len(set(grid)) < len(grid):
             raise ValueError(f"{flag} must name at least one arm and none twice, got {grid}")
-    corp, log = _load_corpus_and_log(data_dir)
+    corp, log = _load_corpus_and_log(args.data_dir)
     reports = pipeline.ablation_run(cfg, corp, log, chains, methods)
     corpus_mod.write_json(os.path.join(args.out, "ablation.json"),
                           {name: r.as_dict() for name, r in reports.items()})
@@ -237,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "gen-data", _cmd_gen_data, "generate items.jsonl and interactions.jsonl",
              data_dir=False)
 
-    p = _command(sub, "quantize", _cmd_quantize, "fit codebooks and item codes")
+    p = _command(sub, "quantize", _cmd_quantize, "fit codebooks and item codes",
+                 section="quantizer")
     p.add_argument("--tau", type=float, default=argparse.SUPPRESS,
                    help="capacity tolerance; --method baseline runs with no cap")
     p.add_argument("--method", choices=["capacity", "baseline"], default=argparse.SUPPRESS)
@@ -248,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "build-seqs", _cmd_build_seqs, "attribute+SID token paths per item")
     _command(sub, "train", _cmd_train, "next-token training of the scorer")
 
-    p = _command(sub, "align", _cmd_align, "advantage-reweighted + preference-pair tuning")
+    p = _command(sub, "align", _cmd_align, "advantage-reweighted + preference-pair tuning",
+                 section="align")
     p.add_argument("--lambda-rft", type=float, default=argparse.SUPPRESS)
     p.add_argument("--lambda-dpo", type=float, default=argparse.SUPPRESS)
     p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
@@ -256,10 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs-per-request", type=int, default=argparse.SUPPRESS)
     p.add_argument("--dpo-target", choices=["last-sid", "all"], default=argparse.SUPPRESS)
 
-    p = _command(sub, "decode", _cmd_decode, "trie-constrained beam search")
+    p = _command(sub, "decode", _cmd_decode, "trie-constrained beam search", section="decode")
     p.add_argument("--beam-width", type=int, default=argparse.SUPPRESS)
     p.add_argument("--top-k", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--task", default=argparse.SUPPRESS,
+    p.add_argument("--task", action=_Task, default=argparse.SUPPRESS,
                    help="objective:scene, e.g. click:main_feed")
 
     _command(sub, "eval", _cmd_eval, "hit-ratio report on the holdout split")
@@ -271,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.data_dir = getattr(args, "data_dir", None) or args.out
     try:
-        return args.func(args)
+        return args.func(_resolve_config(args), args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"sidforge: error: {exc}", file=sys.stderr)
         return 1
