@@ -70,11 +70,24 @@ def _load_corpus_and_log(data_dir, metrics=()):
     return corp, log
 
 
+def _require_every_item(path, what, ids, corp):
+    """The item_ids ``ids`` that ``path`` gives a ``what`` must be those of the corpus:
+    name the smallest one the corpus lacks, else the smallest one ``path`` lacks."""
+    ids, known = set(ids), corp.by_id().keys()
+    if ids - known:
+        raise corpus_mod.CorpusFormatError(
+            f"{path}: item_id {min(ids - known)} has a {what} but is not in the corpus")
+    if known - ids:
+        raise corpus_mod.CorpusFormatError(
+            f"{path}: item_id {min(known - ids)} of the corpus has no {what}")
+
+
 def _items_and_sids(data_dir):
-    """items.jsonl, sids.jsonl and the latter's path."""
+    """items.jsonl, sids.jsonl and the latter's path; every item has one SID."""
     corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
     path = os.path.join(data_dir, "sids.jsonl")
     sids = quantizer.load_sids(path)
+    _require_every_item(path, "SID", [s.item_id for s in sids], corp)
     return corp, sids, path
 
 
@@ -90,7 +103,9 @@ def _training_inputs(cfg, data_dir, metrics=()):
             raise corpus_mod.CorpusFormatError(
                 f"{space_path}: {f.name} {got!r:.80} is not the {want!r:.80} "
                 f"that the config and items.jsonl give")
-    paths = pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"), space)
+    seqs_path = os.path.join(data_dir, "sequences.jsonl")
+    paths = pipeline.load_sequences(seqs_path, space)
+    _require_every_item(seqs_path, "sequence", paths, corp)
     train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
     return corp, log, space, paths, train_set
 
@@ -182,6 +197,7 @@ def _cmd_decode(cfg, args):
 def _cmd_eval(cfg, args):
     corp, log = _load_corpus_and_log(args.data_dir)
     params, checkpoint, paths = _model_and_paths(args.data_dir)
+    _require_every_item(os.path.join(args.data_dir, "sequences.jsonl"), "sequence", paths, corp)
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
     report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)

@@ -553,8 +553,8 @@ def _interaction(obj, share) -> Interaction:
 
 
 def load_interactions(path) -> list[Interaction]:
-    """interactions.jsonl; requests with equal user ids, scenes or objectives share
-    one string per value."""
+    """interactions.jsonl, one line per request_id; requests with equal user ids,
+    scenes or objectives share one string per value."""
     share = _sharing()
     return read_records(path, "interaction", set(_INTERACTION_FIELDS),
-                        lambda obj: _interaction(obj, share))
+                        lambda obj: _interaction(obj, share), unique="request_id")

@@ -1,6 +1,8 @@
 """End-to-end CLI subcommand tests on a miniature run configuration."""
 
+import argparse
 import contextlib
+import dataclasses
 import functools
 import inspect
 import io
@@ -22,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sidforge import alignment, pipeline, scorer, tokenizer
-from sidforge.cli import main
+from sidforge.cli import build_parser, main
 from sidforge.corpus import (
     Item,
     ItemCorpus,
@@ -393,6 +395,26 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "--tau: invalid float value: 'abc'" in err
         assert "Traceback" not in err
+
+    def test_every_override_flag_sets_a_field_of_its_section(self):
+        # the config overlay copies each given flag onto the field of its name, so a
+        # flag without a field, or a field named like a common flag, would go unread
+        subparsers, = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        sections = {}
+        for name, sub in subparsers.choices.items():
+            section = sections[name] = sub.get_default("section")
+            if section is None:
+                continue
+            fields = {f.name for f in dataclasses.fields(getattr(pipeline.RunConfig(), section))}
+            flags = [a.dest for a in sub._actions if a.default is argparse.SUPPRESS
+                     and not isinstance(a, argparse._HelpAction)]
+            dests = {d for flag in flags
+                     for d in ({"objective", "scene"} if flag == "task" else {flag})}
+            assert flags and dests <= fields, name
+            assert not fields & set(vars(sub.parse_args([]))), name
+        assert {name: s for name, s in sections.items() if s} == {
+            "quantize": "quantizer", "align": "align", "decode": "decode"}
 
     @pytest.mark.parametrize("seed, message", [("-1", "seed must be >= 0, got -1"),
                                                ("6", "corpus.seed 5 is never read")])
@@ -891,6 +913,7 @@ class TestJsonlReaders:
         ("interactions.jsonl", "reward_metrics", {"gmv": 1.0},
          "request 'r000001': missing reward metric 'watch_time'"),
         ("interactions.jsonl", "scene", "nowhere", "line 2: request r000001: unknown task"),
+        ("interactions.jsonl", "request_id", "r000002", "line 3: repeated request_id r000002"),
         ("items.jsonl", "item_id", 0.5, "line 2: item_id must be an integer, got 0.5"),
         ("sequences.jsonl", "path", ["a", "b", 1, 2, 3],
          "line 2: path token must be an integer, got 'a'"),
@@ -941,6 +964,52 @@ class TestJsonlReaders:
                 assert artifact in err
 
         replace_one_field()
+
+
+@contextlib.contextmanager
+def rewritten(path, edit):
+    """``path`` holds the lines ``edit(lines)`` inside the block, then its own again."""
+    original = pathlib.Path(path).read_text(encoding="utf-8")
+    try:
+        pathlib.Path(path).write_text("\n".join(edit(original.splitlines())) + "\n",
+                                      encoding="utf-8")
+        yield
+    finally:
+        pathlib.Path(path).write_text(original, encoding="utf-8")
+
+
+def _unknown_item(lines):
+    obj = json.loads(lines[1])
+    return [lines[0], json.dumps({**obj, "item_id": 99999})] + lines[2:]
+
+
+class TestItemCoverage:
+    """A stage that reads items.jsonl refuses SIDs or sequences for a subset of
+    the items, instead of running on that subset."""
+
+    def test_sids_must_give_every_item_a_sid(self, read_run, capsys):
+        config, data, out = read_run
+        path = os.path.join(data, "sids.jsonl")
+        with rewritten(path, lambda lines: lines[:30]):
+            for cmd in ("build-seqs", "analyze"):
+                capsys.readouterr()
+                assert run([cmd, "--config", config, "--data-dir", data, "--out", out]) == 1
+                assert f"{path}: item_id 30 of the corpus has no SID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:30], "item_id 30 of the corpus has no sequence"),
+        (lambda lines: lines + [json.dumps({**json.loads(lines[0]), "item_id": 60})],
+         "item_id 60 has a sequence but is not in the corpus"),
+        (_unknown_item, "item_id 99999 has a sequence but is not in the corpus"),
+    ], ids=["missing", "extra", "unknown-before-missing"])
+    def test_sequences_must_be_those_of_the_items(self, read_run, capsys, edit, message):
+        config, data, out = read_run
+        path = os.path.join(data, "sequences.jsonl")
+        with rewritten(path, edit):
+            for cmd in ("train", "align", "eval"):
+                capsys.readouterr()
+                assert run([cmd, "--config", config, "--data-dir", data, "--out", out]) == 1
+                assert f"{path}: {message}" in capsys.readouterr().err, cmd
 
 
 DOCUMENT_READERS = {"checkpoint.json": "decode", "space.json": "train"}
