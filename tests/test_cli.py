@@ -879,26 +879,32 @@ def read_run(tmp_path_factory):
     return str(config), data, str(base / "out")
 
 
+@contextlib.contextmanager
+def rewritten(path, edit):
+    """``path`` holds the lines ``edit(lines)`` inside the block, then its own again."""
+    original = pathlib.Path(path).read_text(encoding="utf-8")
+    try:
+        pathlib.Path(path).write_text("\n".join(edit(original.splitlines())) + "\n",
+                                      encoding="utf-8")
+        yield
+    finally:
+        pathlib.Path(path).write_text(original, encoding="utf-8")
+
+
 def run_on_edited_line(read_run, artifact, line_no, edit):
     """Run the reader of ``artifact`` with ``edit(obj)`` applied to line ``line_no``
     (0-based); the file is restored afterwards.  Returns (exit status, stderr)."""
     config, data, out = read_run
-    path = os.path.join(data, artifact)
-    with open(path, encoding="utf-8") as fh:
-        original = fh.read()
-    lines = original.splitlines()
-    obj = json.loads(lines[line_no])
-    edit(obj)
-    lines[line_no] = json.dumps(obj)
+
+    def edit_line(lines):
+        obj = json.loads(lines[line_no])
+        edit(obj)
+        return lines[:line_no] + [json.dumps(obj)] + lines[line_no + 1:]
+
     err = io.StringIO()
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = run([READERS[artifact], "--config", config, "--data-dir", data, "--out", out])
-    finally:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(original)
+    with (rewritten(os.path.join(data, artifact), edit_line), contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        rc = run([READERS[artifact], "--config", config, "--data-dir", data, "--out", out])
     return rc, err.getvalue()
 
 
@@ -913,7 +919,6 @@ class TestJsonlReaders:
         ("interactions.jsonl", "reward_metrics", {"gmv": 1.0},
          "request 'r000001': missing reward metric 'watch_time'"),
         ("interactions.jsonl", "scene", "nowhere", "line 2: request r000001: unknown task"),
-        ("interactions.jsonl", "request_id", "r000002", "line 3: repeated request_id r000002"),
         ("items.jsonl", "item_id", 0.5, "line 2: item_id must be an integer, got 0.5"),
         ("sequences.jsonl", "path", ["a", "b", 1, 2, 3],
          "line 2: path token must be an integer, got 'a'"),
@@ -922,6 +927,9 @@ class TestJsonlReaders:
         ("sequences.jsonl", "path", [0, 0, 9, 0], "line 2: token 9 out of range at step 3"),
         ("items.jsonl", "item_id", 100000,
          "item_id 100000 is outside 0..59; the ids must number the items"),
+        ("interactions.jsonl", "request_id", "r000002", "line 3: repeated request_id r000002"),
+        ("sequences.jsonl", "item_id", 99999,
+         "item_id 99999 has a sequence but is not in the corpus"),
     ])
     def test_bad_field_exits_1_naming_the_file(self, read_run, artifact, key, value, message):
         rc, err = run_on_edited_line(read_run, artifact, 1, lambda obj: obj.update({key: value}))
@@ -966,23 +974,6 @@ class TestJsonlReaders:
         replace_one_field()
 
 
-@contextlib.contextmanager
-def rewritten(path, edit):
-    """``path`` holds the lines ``edit(lines)`` inside the block, then its own again."""
-    original = pathlib.Path(path).read_text(encoding="utf-8")
-    try:
-        pathlib.Path(path).write_text("\n".join(edit(original.splitlines())) + "\n",
-                                      encoding="utf-8")
-        yield
-    finally:
-        pathlib.Path(path).write_text(original, encoding="utf-8")
-
-
-def _unknown_item(lines):
-    obj = json.loads(lines[1])
-    return [lines[0], json.dumps({**obj, "item_id": 99999})] + lines[2:]
-
-
 class TestItemCoverage:
     """A stage that reads items.jsonl refuses SIDs or sequences for a subset of
     the items, instead of running on that subset."""
@@ -1000,8 +991,7 @@ class TestItemCoverage:
         (lambda lines: lines[:30], "item_id 30 of the corpus has no sequence"),
         (lambda lines: lines + [json.dumps({**json.loads(lines[0]), "item_id": 60})],
          "item_id 60 has a sequence but is not in the corpus"),
-        (_unknown_item, "item_id 99999 has a sequence but is not in the corpus"),
-    ], ids=["missing", "extra", "unknown-before-missing"])
+    ], ids=["missing", "extra"])
     def test_sequences_must_be_those_of_the_items(self, read_run, capsys, edit, message):
         config, data, out = read_run
         path = os.path.join(data, "sequences.jsonl")
