@@ -60,10 +60,9 @@ def _load_corpus_and_log(data_dir, metrics=()):
     log_path = os.path.join(data_dir, "interactions.jsonl")
     corp = corpus_mod.load_items(items_path)
     log = corpus_mod.load_interactions(log_path)
-    by_id = corp.by_id()
     for r in log:
         bad = [f"item_id {e['item_id']} is not in {items_path}"
-               for e in r.events if e["item_id"] not in by_id]
+               for e in r.events if not 0 <= e["item_id"] < len(corp)]
         bad += [f"missing reward metric {m!r}" for m in metrics if m not in r.reward_metrics]
         if bad:
             raise corpus_mod.CorpusFormatError(f"{log_path}: request {r.request_id!r}: {bad[0]}")
@@ -73,7 +72,7 @@ def _load_corpus_and_log(data_dir, metrics=()):
 def _require_every_item(path, what, ids, corp):
     """The item_ids ``ids`` that ``path`` gives a ``what`` must be those of the corpus:
     name the smallest one the corpus lacks, else the smallest one ``path`` lacks."""
-    ids, known = set(ids), corp.by_id().keys()
+    ids, known = set(ids), set(range(len(corp)))
     if ids - known:
         raise corpus_mod.CorpusFormatError(
             f"{path}: item_id {min(ids - known)} has a {what} but is not in the corpus")

@@ -86,13 +86,21 @@ class Item:
 
 @dataclass
 class ItemCorpus:
+    """Items in item_id order, whose ids number them 0..N-1: ``items[i].item_id == i``,
+    so an id is the row of every per-item column, whatever order the items came in."""
+
     items: list
     d_emb: int
     attr_vocabs: dict = field(init=False, compare=False)  # built from the items
 
     def __post_init__(self):
-        ids = [it.item_id for it in self.items]
-        if len(set(ids)) != len(ids):
+        n = len(self.items)
+        outside = next((it.item_id for it in self.items if not 0 <= it.item_id < n), None)
+        if outside is not None:
+            raise ValueError(f"item_id {outside} is outside 0..{n - 1}; "
+                             f"the ids must number the items")
+        self.items = sorted(self.items, key=operator.attrgetter("item_id"))
+        if any(it.item_id != i for i, it in enumerate(self.items)):
             raise ValueError("duplicate item_ids in corpus")
         for it in self.items:
             if it.embedding.shape != (self.d_emb,):
@@ -118,9 +126,6 @@ class ItemCorpus:
 
     def weights(self) -> np.ndarray:
         return np.array([it.exposure_weight for it in self.items], dtype=np.float64)
-
-    def by_id(self) -> dict:
-        return {it.item_id: it for it in self.items}
 
 
 def build_attr_vocabs(items) -> dict:
@@ -354,7 +359,7 @@ def generate_interactions(corpus: ItemCorpus, cfg: SynthConfig) -> list[Interact
     p = w / w.sum()
 
     n_users = cfg.n_users if cfg.n_users is not None else max(1, cfg.n_requests // 8)
-    l2_values = sorted({it.attrs["l2"] for it in items})
+    l2_values = list(corpus.attr_vocabs["l2"])
     preferred_l2 = rng.integers(0, len(l2_values), size=n_users)
 
     share = _sharing()
@@ -522,10 +527,6 @@ def load_items(path) -> ItemCorpus:
     Items with equal attribute values share one string per value."""
     share = _sharing()
     items = read_records(path, "item", set(_ITEM_FIELDS), lambda obj: _item(obj, share))
-    outside = next((it.item_id for it in items if not 0 <= it.item_id < len(items)), None)
-    if outside is not None:
-        raise CorpusFormatError(f"{path}: item_id {outside} is outside 0..{len(items) - 1}; "
-                                f"the ids must number the items")
     try:
         return ItemCorpus(items=items, d_emb=items[0].embedding.shape[0] if items else 0)
     except ValueError as exc:

@@ -222,11 +222,10 @@ def load_space(path) -> tokenizer.SequenceSpace:
 
 def _items_of(corp, sids) -> list:
     """The corpus item of each SID; an item_id the corpus lacks raises ValueError."""
-    by_id = corp.by_id()
-    try:
-        return [by_id[s.item_id] for s in sids]
-    except KeyError as exc:
-        raise ValueError(f"item_id {exc.args[0]!r} has a SID but is not in the corpus") from exc
+    outside = next((s.item_id for s in sids if not 0 <= s.item_id < len(corp)), None)
+    if outside is not None:
+        raise ValueError(f"item_id {outside!r} has a SID but is not in the corpus")
+    return [corp.items[s.item_id] for s in sids]
 
 
 def load_sequences(path, space=None) -> dict:
@@ -249,9 +248,8 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
     final ``holdout_frac`` of requests by request_id order forms the eval
     split, disjoint from training.
     """
-    by_id = corp.by_id()
-    # in item_id order, so that the sum's rounding does not follow the order of the file
-    mean_gmv = float(np.mean([by_id[i].gmv for i in sorted(by_id)]))
+    items = corp.items
+    mean_gmv = float(np.mean([it.gmv for it in items]))
     contexts = request_contexts(cfg, log, space)
     samples = []
     for req in sorted(log, key=lambda r: r.request_id):
@@ -265,7 +263,7 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
                     bos=bos,
                     tokens=paths[e["item_id"]],
                     alpha=alignment.engagement_alpha(
-                        e["level"], by_id[e["item_id"]].gmv, mean_gmv
+                        e["level"], items[e["item_id"]].gmv, mean_gmv
                     ),
                     metrics=req.reward_metrics,
                     level=e["level"],
@@ -326,13 +324,12 @@ def init_model(cfg: RunConfig, corp, space) -> scorer.ScorerParams:
         p2=cfg.tokenizer.p2,
         d_hash=cfg.tokenizer.d_hash,
     )
-    n_behavior = max(it.item_id for it in corp.items) + 1
     sc = scorer.ScorerConfig(
         d_model=cfg.scorer.d_model,
         prefix_window=cfg.scorer.prefix_window,
         seed=cfg.seed,
     )
-    return scorer.init_scorer(space, spec, n_behavior, sc)
+    return scorer.init_scorer(space, spec, len(corp), sc)
 
 
 def train_model(cfg: RunConfig, params, train_set):

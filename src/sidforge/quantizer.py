@@ -347,23 +347,22 @@ def capacity_constrained_rq(
 
     Layer l clusters the residual left by layers < l; per-layer RNG seeds
     are derived as seed + layer so deeper runs share shallow layers.
-    Items are canonicalized to item_id order before clustering.
+    Row i of the codes is the corpus' item i, which is item_id i.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must be non-empty")
-    items = sorted(corpus.items, key=lambda it: it.item_id)
-    emb = np.array([it.embedding for it in items])
-    w = np.array([it.exposure_weight for it in items], dtype=np.float64)
+    emb = np.array([it.embedding for it in corpus.items])
+    w = corpus.weights()
     # residual coordinates at most double per layer, so with every |value|
     # below the bound each layer's summed squared distances stay finite
     bound = math.sqrt(np.finfo(np.float64).max / max(emb.size, 1) / 4 ** (n_layers + 1))
     too_large = np.abs(emb).max(axis=1, initial=0.0) > bound
     if too_large.any():
-        raise ValueError(f"item_id {items[int(too_large.argmax())].item_id}: embedding values "
+        raise ValueError(f"item_id {int(too_large.argmax())}: embedding values "
                          f"above {bound:.3g} overflow the squared distances")
 
     residual = emb.copy()
-    codes = np.empty((len(items), n_layers), dtype=np.int64)
+    codes = np.empty((len(corpus), n_layers), dtype=np.int64)
     layers, results = [], []
     for l in range(n_layers):
         res = capacity_kmeans_layer(
@@ -379,7 +378,7 @@ def capacity_constrained_rq(
     cap = _cap(tau, w, k)
     codebook = Codebook(layers=layers, K=k, L=n_layers, tau=tau_stored,
                         cap=cap if cap < math.inf else None)
-    sids = [SemanticId(it.item_id, tuple(row)) for it, row in zip(items, codes.tolist())]
+    sids = [SemanticId(i, tuple(row)) for i, row in enumerate(codes.tolist())]
     return RQResult(sids=sids, codebook=codebook, layer_results=results)
 
 

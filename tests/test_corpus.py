@@ -167,9 +167,8 @@ class TestGenerateInteractions:
         cfg = SynthConfig(n_items=100, n_requests=200, events_per_request=5, seed=4)
         corp = generate_corpus(cfg)
         log = generate_interactions(corp, cfg)
-        by_id = corp.by_id()
         for r in log:
-            expected = sum(by_id[e["item_id"]].gmv for e in r.events if e["level"] == 2)
+            expected = sum(corp.items[e["item_id"]].gmv for e in r.events if e["level"] == 2)
             assert r.reward_metrics["gmv"] == pytest.approx(expected, rel=1e-12)
 
     def test_a_user_id_is_one_string_object_whether_generated_or_loaded(self, tmp_path):
