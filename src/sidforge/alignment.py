@@ -129,10 +129,11 @@ def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
                     per_request_cap: int, seed) -> list:
     """Request-grouped preference pairs, capped per request by seeded sampling.
 
-    ``sequences_by_item`` maps item_id to its decoded token path (no BOS);
-    ``contexts_by_request`` maps request_id to (behavior tokens, bos token).
-    Requests are walked in request_id order, so the seeded draws do not
-    depend on the order of the log.  Requests without a usable pair
+    ``sequences_by_item`` maps the item_id of every event to its decoded token
+    path (no BOS), and a missing one raises ``KeyError``; ``contexts_by_request``
+    maps request_id to (behavior tokens, bos token), and requests it lacks are
+    skipped.  Requests are walked in request_id order, so the seeded draws do
+    not depend on the order of the log.  Requests without a usable pair
     contribute nothing.
     """
     rng = np.random.default_rng(seed)
@@ -142,7 +143,8 @@ def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
         if ctx is None:
             continue
         behavior, bos = ctx
-        events = [e for e in req.events if e["item_id"] in sequences_by_item]
+        events = req.events
+        tokens = [tuple(sequences_by_item[e["item_id"]]) for e in events]
         candidates = enumerate_request_pairs(events)
         if not candidates:
             continue
@@ -156,8 +158,8 @@ def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
                     request_id=req.request_id,
                     behavior=tuple(behavior),
                     bos=bos,
-                    winner=tuple(sequences_by_item[ei["item_id"]]),
-                    loser=tuple(sequences_by_item[ej["item_id"]]),
+                    winner=tokens[i],
+                    loser=tokens[j],
                     winner_item=ei["item_id"],
                     loser_item=ej["item_id"],
                     winner_level=ei["level"],

@@ -157,36 +157,39 @@ def _cmd_train(cfg, args):
     params = pipeline.init_model(cfg, corp, space)
     params, trace = pipeline.train_model(cfg, params, train_set)
     scorer.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"),
-                           meta=pipeline.artifact_meta(cfg))
+                           meta=pipeline.checkpoint_meta(cfg))
     print(f"trained on {len(train_set)} samples; "
           f"loss {trace[0]:.4f} -> {trace[-1]:.4f}")
     return 0
 
 
 def _cmd_align(cfg, args):
+    checkpoint = os.path.join(args.data_dir, "checkpoint.json")
+    params, meta = scorer.read_checkpoint(checkpoint)
+    pipeline.require_trained_split(cfg, meta, checkpoint)
     _, log, space, paths, train_set = _training_inputs(cfg, args.data_dir,
                                                        cfg.align.reward_weights)
-    params = scorer.load_checkpoint(os.path.join(args.data_dir, "checkpoint.json"))
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),
-                           meta=pipeline.artifact_meta(cfg))
+                           meta=pipeline.checkpoint_meta(cfg))
     print(f"aligned over {len(trace)} batches; final joint loss {trace[-1]:.4f}" if trace
           else "alignment skipped (align.epochs is 0); saved the trained model unchanged")
     return 0
 
 
 def _model_and_paths(data_dir):
-    """The aligned checkpoint, else the trained one; its path; the sequences that fit its space."""
+    """The aligned checkpoint, else the trained one; its meta and path; the sequences
+    that fit its space."""
     path = os.path.join(data_dir, "aligned_checkpoint.json")
     if not os.path.exists(path):
         path = os.path.join(data_dir, "checkpoint.json")
-    params = scorer.load_checkpoint(path)
-    return params, path, pipeline.load_sequences(os.path.join(data_dir, "sequences.jsonl"),
-                                                 params.space)
+    params, meta = scorer.read_checkpoint(path)
+    return params, meta, path, pipeline.load_sequences(
+        os.path.join(data_dir, "sequences.jsonl"), params.space)
 
 
 def _cmd_decode(cfg, args):
-    params, checkpoint, paths = _model_and_paths(args.data_dir)
+    params, _, checkpoint, paths = _model_and_paths(args.data_dir)
     candidates = pipeline.decode(cfg, params, decoder.build_trie(paths), args.out)
     print(f"decoded {checkpoint}: wrote {len(candidates)} candidates to "
           f"{os.path.join(args.out, 'candidates.jsonl')}")
@@ -195,7 +198,8 @@ def _cmd_decode(cfg, args):
 
 def _cmd_eval(cfg, args):
     corp, log = _load_corpus_and_log(args.data_dir)
-    params, checkpoint, paths = _model_and_paths(args.data_dir)
+    params, meta, checkpoint, paths = _model_and_paths(args.data_dir)
+    pipeline.require_trained_split(cfg, meta, checkpoint)
     _require_every_item(os.path.join(args.data_dir, "sequences.jsonl"), "sequence", paths, corp)
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)

@@ -152,6 +152,28 @@ def artifact_meta(cfg: RunConfig) -> dict:
     return {"config_digest": config_digest(cfg), "seed": cfg.seed}
 
 
+def checkpoint_meta(cfg: RunConfig) -> dict:
+    """A checkpoint's meta: the artifact meta and the ``eval.holdout_frac`` whose
+    training split the model was fit on."""
+    return {**artifact_meta(cfg), "holdout_frac": cfg.eval.holdout_frac}
+
+
+def require_trained_split(cfg: RunConfig, meta, path):
+    """Refuse the checkpoint ``path`` unless its ``meta`` records the
+    ``eval.holdout_frac`` of ``cfg``: with another fraction, the eval split would
+    hold requests the model was trained on, or the training split held-out ones."""
+    if not isinstance(meta, dict) or "holdout_frac" not in meta:
+        raise corpus_mod.CorpusFormatError(
+            f"{path}: meta has no holdout_frac, the eval.holdout_frac the model was "
+            f"trained with")
+    trained = corpus_mod.expect("number", f"{path}: meta.holdout_frac", meta["holdout_frac"],
+                                corpus_mod.CorpusFormatError)
+    if trained != cfg.eval.holdout_frac:
+        raise ConfigError(f"{path}: the model was trained with eval.holdout_frac {trained}, "
+                          f"but the config gives {cfg.eval.holdout_frac}, which splits the log "
+                          f"differently")
+
+
 # ----------------------------------------------------------------------
 # pipeline steps
 # ----------------------------------------------------------------------
@@ -246,7 +268,8 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
     Each sample's behavior and BOS come from ``request_contexts``, and its
     ``metrics`` is its request's ``reward_metrics`` dict itself.  The
     final ``holdout_frac`` of requests by request_id order forms the eval
-    split, disjoint from training.
+    split, disjoint from training.  ``paths`` must hold the item of every
+    engaged event; a missing one raises ``KeyError``.
     """
     items = corp.items
     mean_gmv = float(np.mean([it.gmv for it in items]))
@@ -255,7 +278,7 @@ def assemble_samples(cfg: RunConfig, corp, log, space, paths):
     for req in sorted(log, key=lambda r: r.request_id):
         behavior, bos = contexts[req.request_id]
         for e in req.events:
-            if e["level"] < corpus_mod.CLICK or e["item_id"] not in paths:
+            if e["level"] < corpus_mod.CLICK:
                 continue
             samples.append(
                 scorer.Sample(
@@ -292,7 +315,7 @@ def require_eval_set(cfg: RunConfig, log, eval_set):
     if not eval_set:
         raise ConfigError(
             f"empty eval split: eval.holdout_frac={cfg.eval.holdout_frac} of "
-            f"{len(log)} requests holds no engaged event with a known path"
+            f"{len(log)} requests holds no engaged event"
         )
 
 
@@ -443,7 +466,7 @@ def run_pipeline(cfg: RunConfig, out_dir):
     params, trace = train_model(cfg, params, train_set)
     params, align_trace = align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"),
-                           meta=artifact_meta(cfg))
+                           meta=checkpoint_meta(cfg))
     trie = decoder.build_trie(paths)
     report = evaluate(cfg, params, trie, eval_set, out_dir)
     decode(cfg, params, trie, out_dir)

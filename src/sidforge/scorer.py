@@ -620,12 +620,17 @@ def _checkpoint(doc) -> ScorerParams:
     return params
 
 
+def read_checkpoint(path) -> tuple:
+    """The model of :func:`load_checkpoint` and the checkpoint's ``meta``, as stored."""
+    return read_document(path, "checkpoint", None, lambda doc: (_checkpoint(doc), doc["meta"]))
+
+
 def load_checkpoint(path) -> ScorerParams:
     """A checkpoint of :data:`CHECKPOINT_FORMAT` whose tensors have the names and
     shapes of :func:`_tensor_shapes`; any other document raises
     ``CorpusFormatError``.  The format is checked before the keys, so that a
     checkpoint of an earlier version is named as one."""
-    return read_document(path, "checkpoint", None, _checkpoint)
+    return read_checkpoint(path)[0]
 
 
 def clone_params(params: ScorerParams) -> ScorerParams:

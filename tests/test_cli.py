@@ -28,6 +28,7 @@ from sidforge.cli import build_parser, main
 from sidforge.corpus import (
     Item,
     ItemCorpus,
+    generate_interactions,
     load_interactions,
     load_items,
     save_items,
@@ -679,6 +680,38 @@ class TestHoldout:
             held_out = {f"r{i:03d}" for i in range(n - n_eval, n)}
             assert pipeline.eval_request_ids(cfg, log) == held_out
 
+    @pytest.mark.parametrize("cmd", ["eval", "align"])
+    def test_another_holdout_than_the_model_was_trained_with_exits_1(self, read_run, tmp_path,
+                                                                     monkeypatch, capsys, cmd):
+        # at 0.3 the eval split would hold requests the model was trained on
+        _, data, out = read_run
+        checkpoint = os.path.join(data, "checkpoint.json")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(with_leaf("eval.holdout_frac", 0.3)))
+
+        def assemble_samples(*args):
+            raise AssertionError(f"{cmd} split the log at 0.3")
+
+        monkeypatch.setattr(pipeline, "assemble_samples", assemble_samples)
+        assert run([cmd, "--config", str(cfg_path), "--data-dir", data, "--out", out]) == 1
+        assert (f"sidforge: error: {checkpoint}: the model was trained with eval.holdout_frac "
+                f"0.1, but the config gives 0.3" in capsys.readouterr().err)
+        assert json.loads(pathlib.Path(checkpoint).read_text())["meta"]["holdout_frac"] == 0.1
+
+    @pytest.mark.parametrize("cmd", ["eval", "align"])
+    def test_checkpoint_without_the_trained_holdout_exits_1(self, read_run, capsys, cmd):
+        config, data, out = read_run
+        checkpoint = os.path.join(data, "checkpoint.json")
+
+        def edit(lines):
+            doc = json.loads(lines[0])
+            doc["meta"].pop("holdout_frac", None)
+            return [json.dumps(doc)]
+
+        with rewritten(checkpoint, edit):
+            assert run([cmd, "--config", config, "--data-dir", data, "--out", out]) == 1
+        assert f"{checkpoint}: meta has no holdout_frac" in capsys.readouterr().err
+
     @pytest.mark.parametrize("frac", [-0.1, 1.0, 1.5, float("nan")])
     def test_holdout_frac_outside_unit_interval_is_rejected(self, tmp_path, frac, capsys):
         with pytest.raises(pipeline.ConfigError, match=r"eval\.holdout_frac"):
@@ -782,6 +815,27 @@ class TestTrainingLoop:
             assert {n: a.tobytes() for n, a in aligned.tensors.items()} == before
 
 
+    def test_align_exits_1_when_the_loss_is_not_finite(self, read_run, capsys):
+        config, data, out = read_run
+        checkpoint = os.path.join(data, "checkpoint.json")
+
+        def edit(lines):
+            # every l2 target but index 0 gets the log-softmax -2e308 = -inf
+            doc = json.loads(lines[0])
+            bias = np.full_like(stored(doc, "head_b_1"), -1e308)
+            bias[0] = 1e308
+            doc["tensors"]["head_b_1"] = f8le(bias)
+            return [json.dumps(doc)]
+
+        with rewritten(checkpoint, edit), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow to -inf
+            assert run(["align", "--config", config, "--data-dir", data, "--out", out,
+                        "--lambda-dpo", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "sidforge: error: non-finite loss at batch 0\n" in err
+        assert "Traceback" not in err
+
+
 class TestAblationHarness:
     def test_identical_arms_identical_reports(self, tmp_path):
         cfg = pipeline.load_config(MINI_CONFIG)
@@ -825,6 +879,9 @@ class TestInputOrder:
         space, paths = pipeline.build_sequences(cfg, corp, pipeline.run_quantizer(cfg, corp).sids)
         perm = np.random.default_rng(3).permutation(len(corp))
         shuffled = ItemCorpus(items=[corp.items[i] for i in perm], d_emb=corp.d_emb)
+        assert shuffled == corp
+        synth = dataclasses.replace(cfg.corpus, seed=cfg.seed)
+        assert generate_interactions(shuffled, synth) == log
         want = pipeline.assemble_samples(cfg, corp, log, space, paths)
         got = pipeline.assemble_samples(cfg, shuffled, log, space, paths)
         assert any(s.alpha != 1.0 for s in want[0] + want[1])

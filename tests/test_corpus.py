@@ -44,6 +44,17 @@ class TestItem:
             Item(**fields)
 
 
+class TestItemCorpus:
+    @pytest.mark.parametrize("ids, message", [
+        ([0, 1, 5], "item_id 5 is outside 0..2; the ids must number the items"),
+        ([1, 0, 1], "duplicate item_ids in corpus"),
+    ])
+    def test_ids_must_number_the_items(self, ids, message):
+        items = [Item(i, [0.0], 1, dict.fromkeys(ATTR_FIELDS, "a"), 1.0) for i in ids]
+        with pytest.raises(ValueError, match=message):
+            corpus.ItemCorpus(items=items, d_emb=1)
+
+
 class TestGenerateCorpus:
     def test_single_item(self):
         corp = generate_corpus(SynthConfig(n_items=1, seed=0))

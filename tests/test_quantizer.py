@@ -259,8 +259,12 @@ class TestResidualQuantization:
         shuffled = list(small_corpus.items)
         rng.shuffle(shuffled)
         corp2 = ItemCorpus(items=shuffled, d_emb=small_corpus.d_emb)
+        assert corp2 == small_corpus
         rq2 = capacity_constrained_rq(corp2, 2, 8, 1.1, seed=9)
         assert rq1.sids == rq2.sids
+        # row i of the weights and of the codes is item i
+        assert [s.item_id for s in rq2.sids] == list(range(len(corp2)))
+        assert corp2.weights().tolist() == [it.exposure_weight for it in small_corpus.items]
 
     def test_capacity_slack_when_k_exceeds_items(self):
         # equal weights, K = n: singleton clusters are feasible at tau = 1

@@ -335,6 +335,18 @@ class TestTraining:
         assert len(trace) == 200
         assert np.mean(trace[-4:]) < np.mean(trace[:4])
 
+    def test_non_finite_loss_raises_before_the_step(self, params):
+        # the target's log-softmax is -1e308 - 1e308 = -inf
+        params.tensors["head_b_1"][:] = 1e308
+        params.tensors["head_b_1"][1] = -1e308
+        before = {n: a.tobytes() for n, a in params.tensors.items()}
+        data = [Sample(behavior=(), bos=0, tokens=(1, 0, 0, 0))]
+        with np.errstate(over="ignore"), pytest.raises(
+                scorer.TrainingDivergedError, match="non-finite loss at batch 0") as info:
+            train_epoch(data, params, 4, AdamW(params, lr=1e-3, weight_decay=1e-4))
+        assert info.value.trace == []
+        assert {n: a.tobytes() for n, a in params.tensors.items()} == before
+
     def test_same_seed_identical_traces(self):
         rng1 = np.random.default_rng(9)
         p1 = tiny_params(rng1)
