@@ -8,11 +8,10 @@ import numpy as np
 
 from sidforge import pipeline
 from sidforge.alignment import (
+    batch_rewards,
     build_dpo_pairs,
-    composite_reward,
     dpo_loss_and_grad,
     joint_loss,
-    minmax_normalize_metrics,
     normalize_advantages,
     rft_loss_and_grad,
 )
@@ -41,8 +40,7 @@ params, _ = pipeline.train_model(cfg, params, train_set)
 # rewards -> advantages
 batch = train_set[:16]
 weights = {"gmv": 0.7, "watch_time": 0.3}
-normalized = minmax_normalize_metrics([s.metrics for s in batch])
-rewards = [composite_reward(m, weights) for m in normalized]
+rewards = batch_rewards([s.metrics for s in batch], weights)
 adv = normalize_advantages(rewards, c_clip=3.0, eps=1e-8)
 print("rewards:    " + " ".join(f"{r:5.2f}" for r in rewards[:8]))
 print("advantages: " + " ".join(f"{a:5.2f}" for a in adv[:8]))

@@ -29,30 +29,16 @@ class AlignmentError(ValueError):
     pass
 
 
-def composite_reward(metrics: dict, weights: dict) -> float:
-    """Weighted sum of the (already normalized) named metrics; ``weights``
-    maps a metric name to its weight."""
-    total = 0.0
+def batch_rewards(metric_dicts, weights: dict) -> np.ndarray:
+    """Composite reward of each of a batch's ``metric_dicts``: the sum, in
+    ``weights`` order, of each weighted metric min-max normalized over the
+    batch, a metric constant over the batch counting 0."""
+    total = np.zeros(len(metric_dicts))
     for name, weight in weights.items():
-        if name not in metrics:
-            raise AlignmentError(f"missing metric {name!r} in {sorted(metrics)}")
-        total += weight * metrics[name]
+        values = np.array([m[name] for m in metric_dicts], dtype=np.float64)
+        lo, span = values.min(), values.max() - values.min()
+        total += weight * ((values - lo) / span if span > 0 else np.zeros_like(values))
     return total
-
-
-def minmax_normalize_metrics(metric_dicts) -> list:
-    """Batch min-max normalization per metric, constants mapping to 0."""
-    names = sorted({k for m in metric_dicts for k in m})
-    lo = {n: min(m[n] for m in metric_dicts if n in m) for n in names}
-    hi = {n: max(m[n] for m in metric_dicts if n in m) for n in names}
-    out = []
-    for m in metric_dicts:
-        norm = {}
-        for n, v in m.items():
-            span = hi[n] - lo[n]
-            norm[n] = (v - lo[n]) / span if span > 0 else 0.0
-        out.append(norm)
-    return out
 
 
 def normalize_advantages(rewards, c_clip: float, eps: float) -> np.ndarray:
@@ -130,19 +116,15 @@ def build_dpo_pairs(log, sequences_by_item: dict, contexts_by_request: dict,
     """Request-grouped preference pairs, capped per request by seeded sampling.
 
     ``sequences_by_item`` maps the item_id of every event to its decoded token
-    path (no BOS), and a missing one raises ``KeyError``; ``contexts_by_request``
-    maps request_id to (behavior tokens, bos token), and requests it lacks are
-    skipped.  Requests are walked in request_id order, so the seeded draws do
-    not depend on the order of the log.  Requests without a usable pair
-    contribute nothing.
+    path (no BOS) and ``contexts_by_request`` the request_id of every request
+    to its (behavior tokens, bos token); a missing one raises ``KeyError``.
+    Requests are walked in request_id order, so the seeded draws do not depend
+    on the order of the log.  Requests without a usable pair contribute nothing.
     """
     rng = np.random.default_rng(seed)
     out = []
     for req in sorted(log, key=lambda r: r.request_id):
-        ctx = contexts_by_request.get(req.request_id)
-        if ctx is None:
-            continue
-        behavior, bos = ctx
+        behavior, bos = contexts_by_request[req.request_id]
         events = req.events
         tokens = [tuple(sequences_by_item[e["item_id"]]) for e in events]
         candidates = enumerate_request_pairs(events)

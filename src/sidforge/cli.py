@@ -53,9 +53,8 @@ def _resolve_config(args) -> pipeline.RunConfig:
     return cfg
 
 
-def _load_corpus_and_log(data_dir, metrics=()):
-    """items.jsonl and interactions.jsonl, whose events must name corpus items
-    and whose requests must each carry the reward ``metrics``."""
+def _load_corpus_and_log(data_dir):
+    """items.jsonl and interactions.jsonl, whose events must name corpus items."""
     items_path = os.path.join(data_dir, "items.jsonl")
     log_path = os.path.join(data_dir, "interactions.jsonl")
     corp = corpus_mod.load_items(items_path)
@@ -63,7 +62,6 @@ def _load_corpus_and_log(data_dir, metrics=()):
     for r in log:
         bad = [f"item_id {e['item_id']} is not in {items_path}"
                for e in r.events if not 0 <= e["item_id"] < len(corp)]
-        bad += [f"missing reward metric {m!r}" for m in metrics if m not in r.reward_metrics]
         if bad:
             raise corpus_mod.CorpusFormatError(f"{log_path}: request {r.request_id!r}: {bad[0]}")
     return corp, log
@@ -90,10 +88,10 @@ def _items_and_sids(data_dir):
     return corp, sids, path
 
 
-def _training_inputs(cfg, data_dir, metrics=()):
+def _training_inputs(cfg, data_dir):
     """Corpus, log, space, paths and training split of ``data_dir``; space.json must
     be the space that ``cfg`` and items.jsonl give, since it sizes the model."""
-    corp, log = _load_corpus_and_log(data_dir, metrics)
+    corp, log = _load_corpus_and_log(data_dir)
     space_path = os.path.join(data_dir, "space.json")
     space, expected = pipeline.load_space(space_path), pipeline.build_space(cfg, corp)
     for f in dataclasses.fields(space):
@@ -167,8 +165,7 @@ def _cmd_align(cfg, args):
     checkpoint = os.path.join(args.data_dir, "checkpoint.json")
     params, meta = scorer.read_checkpoint(checkpoint)
     pipeline.require_trained_split(cfg, meta, checkpoint)
-    _, log, space, paths, train_set = _training_inputs(cfg, args.data_dir,
-                                                       cfg.align.reward_weights)
+    _, log, space, paths, train_set = _training_inputs(cfg, args.data_dir)
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),
                            meta=pipeline.checkpoint_meta(cfg))

@@ -150,6 +150,9 @@ class Interaction:
         if self.scene not in SCENES or self.objective not in OBJECTIVES:
             raise ValueError(f"request {self.request_id}: unknown task "
                              f"{self.objective!r}:{self.scene!r}")
+        if set(self.reward_metrics) != set(REWARD_METRICS):
+            raise ValueError(f"request {self.request_id}: reward_metrics must have the keys "
+                             f"{list(REWARD_METRICS)}, got {sorted(self.reward_metrics)}")
         ranks = [e["exposure_rank"] for e in self.events]
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"request {self.request_id}: duplicate exposure_ranks")

@@ -263,51 +263,51 @@ def load_sequences(path, space=None) -> dict:
 
 
 def assemble_samples(cfg: RunConfig, corp, log, space, paths):
-    """Engaged events become teacher-forcing samples; split by request order.
+    """Engaged events become teacher-forcing samples, one list per side of
+    :func:`split_log`: (training samples, eval samples).
 
     Each sample's behavior and BOS come from ``request_contexts``, and its
-    ``metrics`` is its request's ``reward_metrics`` dict itself.  The
-    final ``holdout_frac`` of requests by request_id order forms the eval
-    split, disjoint from training.  ``paths`` must hold the item of every
-    engaged event; a missing one raises ``KeyError``.
+    ``metrics`` is its request's ``reward_metrics`` dict itself.  ``paths``
+    must hold the item of every engaged event; a missing one raises ``KeyError``.
     """
     items = corp.items
     mean_gmv = float(np.mean([it.gmv for it in items]))
     contexts = request_contexts(cfg, log, space)
-    samples = []
-    for req in sorted(log, key=lambda r: r.request_id):
-        behavior, bos = contexts[req.request_id]
-        for e in req.events:
-            if e["level"] < corpus_mod.CLICK:
-                continue
-            samples.append(
-                scorer.Sample(
-                    behavior=behavior,
-                    bos=bos,
-                    tokens=paths[e["item_id"]],
-                    alpha=alignment.engagement_alpha(
-                        e["level"], items[e["item_id"]].gmv, mean_gmv
-                    ),
-                    metrics=req.reward_metrics,
-                    level=e["level"],
-                    target_item=e["item_id"],
-                    request_id=req.request_id,
+    sides = ([], [])
+    for samples, requests in zip(sides, split_log(cfg, log)):
+        for req in requests:
+            behavior, bos = contexts[req.request_id]
+            for e in req.events:
+                if e["level"] < corpus_mod.CLICK:
+                    continue
+                samples.append(
+                    scorer.Sample(
+                        behavior=behavior,
+                        bos=bos,
+                        tokens=paths[e["item_id"]],
+                        alpha=alignment.engagement_alpha(
+                            e["level"], items[e["item_id"]].gmv, mean_gmv
+                        ),
+                        metrics=req.reward_metrics,
+                        level=e["level"],
+                        target_item=e["item_id"],
+                        request_id=req.request_id,
+                    )
                 )
-            )
-    held_out = eval_request_ids(cfg, log)
-    train_set = [s for s in samples if s.request_id not in held_out]
-    eval_set = [s for s in samples if s.request_id in held_out]
-    return train_set, eval_set
+    return sides
 
 
-def eval_request_ids(cfg: RunConfig, log) -> set:
-    """The final ``holdout_frac`` of requests by request_id order, rounded down.
+def split_log(cfg: RunConfig, log) -> tuple[list, list]:
+    """(training requests, held-out requests), each in request_id order: the
+    final ``eval.holdout_frac`` of requests by request_id order is held out,
+    rounded down.
 
     The fraction counts as written, its shortest decimal: 0.29 of 100 requests
     is 29, though the float product 0.29 * 100 falls just below 29.
     """
-    ids = sorted(r.request_id for r in log)
-    return set(ids[len(ids) - int(Fraction(repr(cfg.eval.holdout_frac)) * len(ids)):])
+    requests = sorted(log, key=lambda r: r.request_id)
+    cut = len(requests) - int(Fraction(repr(cfg.eval.holdout_frac)) * len(requests))
+    return requests[:cut], requests[cut:]
 
 
 def require_eval_set(cfg: RunConfig, log, eval_set):
@@ -363,7 +363,8 @@ def train_model(cfg: RunConfig, params, train_set):
 def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     """Joint advantage-reweighted NTP + preference-pair optimization.
 
-    Preference pairs come from training requests only, never the holdout.
+    Preference pairs come from the training side of :func:`split_log` only,
+    never the holdout.
     Global batch ``i`` (counted across epochs) takes the ``align.batch_size``
     pairs from ``(i * align.batch_size) % len(pairs)`` on, fewer at the end.
     At ``align.epochs`` 0 it does no work and returns ``params`` and an empty trace.
@@ -372,16 +373,17 @@ def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     if a.epochs == 0:
         return params, []
     reference = scorer.clone_params(params)
-    held_out = eval_request_ids(cfg, log)
-    contexts = {r: c for r, c in request_contexts(cfg, log, space).items() if r not in held_out}
-    pairs = alignment.build_dpo_pairs(log, paths, contexts, a.pairs_per_request, cfg.seed)
+    # the held-out requests come last by id, so no training context reads them
+    train_requests, _ = split_log(cfg, log)
+    pairs = alignment.build_dpo_pairs(train_requests, paths,
+                                      request_contexts(cfg, train_requests, space),
+                                      a.pairs_per_request, cfg.seed)
     stop_grad = a.dpo_target == "last-sid"
     batch_index = itertools.count()
 
     def joint_step(batch, params):
         start = (next(batch_index) * a.batch_size) % max(1, len(pairs))
-        normalized = alignment.minmax_normalize_metrics([s.metrics for s in batch])
-        rewards = [alignment.composite_reward(m, a.reward_weights) for m in normalized]
+        rewards = alignment.batch_rewards([s.metrics for s in batch], a.reward_weights)
         adv = alignment.normalize_advantages(rewards, a.c_clip, a.eps)
         return alignment.joint_loss(
             batch, pairs[start:start + a.batch_size], params, reference, adv,

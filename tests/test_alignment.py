@@ -11,13 +11,12 @@ from sidforge import alignment, scorer
 from sidforge.alignment import (
     AlignmentError,
     PreferencePair,
+    batch_rewards,
     build_dpo_pairs,
-    composite_reward,
     dpo_loss_and_grad,
     engagement_alpha,
     enumerate_request_pairs,
     joint_loss,
-    minmax_normalize_metrics,
     normalize_advantages,
     preference_level,
     rft_loss_and_grad,
@@ -35,29 +34,33 @@ from helpers import (
 )
 
 
-class TestCompositeReward:
+class TestBatchRewards:
     def test_zero_weights(self):
         weights = {"gmv": 0.0, "watch_time": 0.0}
-        assert composite_reward({"gmv": 5.0, "watch_time": 2.0}, weights) == 0.0
+        metrics = [{"gmv": 5.0, "watch_time": 2.0}, {"gmv": 1.0, "watch_time": 7.0}]
+        assert batch_rewards(metrics, weights).tolist() == [0.0, 0.0]
 
-    def test_single_metric_identity(self):
-        weights = {"gmv": 1.0}
-        assert composite_reward({"gmv": 3.25}, weights) == 3.25
+    def test_single_metric_is_its_minmax_value(self):
+        metrics = [{"gmv": 0.0, "watch_time": 9.0}, {"gmv": 4.0, "watch_time": 1.0},
+                   {"gmv": 1.0, "watch_time": 5.0}]
+        assert batch_rewards(metrics, {"gmv": 1.0}).tolist() == [0.0, 1.0, 0.25]
 
-    def test_hand_weighted_sum(self):
-        weights = {"gmv": 0.7, "watch": 0.3}
-        r = composite_reward({"gmv": 2.0, "watch": 10.0}, weights)
-        assert r == pytest.approx(0.7 * 2.0 + 0.3 * 10.0)
+    def test_hand_weighted_sum_in_weights_order(self):
+        metrics = [{"gmv": 2.0, "watch_time": 10.0}, {"gmv": 4.0, "watch_time": 0.0},
+                   {"gmv": 0.0, "watch_time": 5.0}]
+        r = batch_rewards(metrics, {"gmv": 0.7, "watch_time": 0.3})
+        # the same bits as summing from 0.0 in the order of the weights
+        assert r.tolist() == [0.0 + 0.7 * 0.5 + 0.3 * 1.0, 0.0 + 0.7 * 1.0 + 0.3 * 0.0,
+                              0.0 + 0.7 * 0.0 + 0.3 * 0.5]
 
-    def test_missing_metric_errors(self):
-        weights = {"gmv": 1.0}
-        with pytest.raises(AlignmentError, match="gmv"):
-            composite_reward({"watch": 1.0}, weights)
+    def test_constant_metric_counts_zero(self):
+        metrics = [{"gmv": 3.0, "watch_time": w} for w in (0.0, 1.0, 2.0)]
+        r = batch_rewards(metrics, {"gmv": 0.7, "watch_time": 0.3})
+        assert r.tolist() == [0.0, 0.3 * 0.5, 0.3 * 1.0]
 
     def test_minmax_normalization(self):
-        metrics = [{"gmv": 0.0}, {"gmv": 5.0}, {"gmv": 10.0}]
-        normed = minmax_normalize_metrics(metrics)
-        assert [m["gmv"] for m in normed] == [0.0, 0.5, 1.0]
+        metrics = [{"gmv": g, "watch_time": 0.0} for g in (0.0, 5.0, 10.0)]
+        assert batch_rewards(metrics, {"gmv": 1.0}).tolist() == [0.0, 0.5, 1.0]
 
 
 class TestNormalizeAdvantages:
@@ -225,9 +228,19 @@ class TestBuildDpoPairs:
 
     def test_pairs_have_no_dict(self):
         events = [{"item_id": i, "level": i, "exposure_rank": i + 1} for i in range(2)]
-        log = [Interaction("r0", "u0", "search", "click", events, {"gmv": 0.0})]
+        log = [Interaction("r0", "u0", "search", "click", events,
+                           {"gmv": 0.0, "watch_time": 0.0})]
         pair, = build_dpo_pairs(log, {0: (0, 1), 1: (1, 0)}, {"r0": ((), 0)}, 4, seed=0)
         assert not hasattr(pair, "__dict__")
+
+    def test_request_without_a_context_raises_key_error(self):
+        cfg = SynthConfig(n_items=40, n_requests=20, events_per_request=4, seed=7)
+        corp = generate_corpus(cfg)
+        log = generate_interactions(corp, cfg)
+        seqs = {it.item_id: (0, 1) for it in corp.items}
+        ctxs = {r.request_id: ((), 0) for r in log[:-1]}
+        with pytest.raises(KeyError, match=log[-1].request_id):
+            build_dpo_pairs(log, seqs, ctxs, per_request_cap=4, seed=0)
 
     def test_pairs_do_not_depend_on_the_order_of_the_log(self):
         cfg = SynthConfig(n_items=40, n_requests=100, events_per_request=4, seed=7)

@@ -645,10 +645,10 @@ class TestHoldout:
         run_dir = str(tmp_path / "run")
         pipeline.run_pipeline(cfg, run_dir)
         log = load_interactions(os.path.join(run_dir, "interactions.jsonl"))
-        held_out = pipeline.eval_request_ids(cfg, log)
+        _, held_out = pipeline.split_log(cfg, log)
         (pairs,) = built
         assert pairs and held_out
-        assert not {p.request_id for p in pairs} & held_out
+        assert not {p.request_id for p in pairs} & {r.request_id for r in held_out}
 
     def test_empty_holdout_is_an_error(self, tmp_path, capsys):
         cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": 0.0}})
@@ -665,20 +665,26 @@ class TestHoldout:
         assert "eval.holdout_frac" in capsys.readouterr().err
 
     def test_holdout_rounds_down_and_zero_holds_out_nothing(self, tmp_path):
+        def held_out_ids(cfg, log):
+            # the two sides are disjoint, give the whole log and each run in request_id order
+            train, held_out = pipeline.split_log(cfg, log)
+            assert [r.request_id for r in train + held_out] == sorted(r.request_id for r in log)
+            assert sorted(map(id, train + held_out)) == sorted(map(id, log))
+            return [r.request_id for r in held_out]
+
         cfg = pipeline.load_config(MINI_CONFIG)
         _, log = pipeline.gen_data(cfg, str(tmp_path / "data"))
         ids = sorted(r.request_id for r in log)
-        assert pipeline.eval_request_ids(cfg, log) == set(ids[-8:])  # 0.10 of 80
+        assert held_out_ids(cfg, log) == ids[-8:]  # 0.10 of 80
         for frac, n_eval in ((0.0, 0), (0.01, 0), (0.05, 4)):
             cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": frac}})
-            assert pipeline.eval_request_ids(cfg, log) == set(ids[len(ids) - n_eval:])
+            assert held_out_ids(cfg, log) == ids[len(ids) - n_eval:]
         # the fraction as written: the float products 0.29 * 100 and 0.7 * 90
         # fall just below 29 and 63
         for n, frac, n_eval in ((100, 0.29, 29), (100, 0.57, 57), (90, 0.7, 63), (90, 0.1, 9)):
             cfg = pipeline.load_config({**MINI_CONFIG, "eval": {"holdout_frac": frac}})
             log = [types.SimpleNamespace(request_id=f"r{i:03d}") for i in reversed(range(n))]
-            held_out = {f"r{i:03d}" for i in range(n - n_eval, n)}
-            assert pipeline.eval_request_ids(cfg, log) == held_out
+            assert held_out_ids(cfg, log) == [f"r{i:03d}" for i in range(n - n_eval, n)]
 
     @pytest.mark.parametrize("cmd", ["eval", "align"])
     def test_another_holdout_than_the_model_was_trained_with_exits_1(self, read_run, tmp_path,
@@ -974,7 +980,8 @@ class TestJsonlReaders:
         ("interactions.jsonl", "reward_metrics", {"gmv": "x", "watch_time": 1.0},
          "line 2: reward metric 'gmv' must be a finite number, got 'x'"),
         ("interactions.jsonl", "reward_metrics", {"gmv": 1.0},
-         "request 'r000001': missing reward metric 'watch_time'"),
+         "line 2: request r000001: reward_metrics must have the keys ['gmv', 'watch_time'], "
+         "got ['gmv']"),
         ("interactions.jsonl", "scene", "nowhere", "line 2: request r000001: unknown task"),
         ("items.jsonl", "item_id", 0.5, "line 2: item_id must be an integer, got 0.5"),
         ("sequences.jsonl", "path", ["a", "b", 1, 2, 3],
@@ -992,6 +999,21 @@ class TestJsonlReaders:
         rc, err = run_on_edited_line(read_run, artifact, 1, lambda obj: obj.update({key: value}))
         assert rc == 1
         assert f"{artifact}: {message}" in err
+
+    def test_train_refuses_a_request_without_a_reward_metric(self, read_run, capsys):
+        config, data, out = read_run
+        path = os.path.join(data, "interactions.jsonl")
+
+        def edit(lines):
+            obj = json.loads(lines[1])
+            del obj["reward_metrics"]["watch_time"]
+            return lines[:1] + [json.dumps(obj)] + lines[2:]
+
+        with rewritten(path, edit):
+            assert run(["train", "--config", config, "--data-dir", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"sidforge: error: {path}: line 2: request r000001: reward_metrics must have the "
+            f"keys ['gmv', 'watch_time'], got ['gmv']\n")
 
     def test_integer_too_long_to_parse_names_file_and_line(self, tmp_path):
         path = tmp_path / "sids.jsonl"

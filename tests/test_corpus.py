@@ -1,6 +1,7 @@
 """Generator and persistence tests for the synthetic corpus module."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestGenerateInteractions:
             for key in ("user_id", "scene", "objective"):
                 values = [getattr(r, key) for r in requests]
                 assert distinct_objects(values) == len(set(values)) < len(values)
+
+
+class TestInteraction:
+    @pytest.mark.parametrize("metrics, got", [
+        ({"gmv": 1.0}, "['gmv']"),
+        ({"gmv": 1.0, "watch_time": 2.0, "clicks": 3.0}, "['clicks', 'gmv', 'watch_time']"),
+    ], ids=["missing", "extra"])
+    def test_reward_metrics_must_have_exactly_the_reward_keys(self, metrics, got):
+        events = [{"item_id": 0, "level": 1, "exposure_rank": 1}]
+        with pytest.raises(ValueError, match=re.escape(
+                f"request r0: reward_metrics must have the keys ['gmv', 'watch_time'], got {got}")):
+            corpus.Interaction("r0", "u0", "search", "click", events, metrics)
 
 
 class TestPersistence:
