@@ -152,26 +152,35 @@ def artifact_meta(cfg: RunConfig) -> dict:
     return {"config_digest": config_digest(cfg), "seed": cfg.seed}
 
 
+# the config keys a checkpoint's meta records, each with its section and what
+# another value would do to the samples that eval and align assemble
+_TRAINED_WITH = {"holdout_frac": ("eval", "splits the log differently"),
+                "max_behavior_len": ("scorer", "truncates each request's behavior differently")}
+
+
 def checkpoint_meta(cfg: RunConfig) -> dict:
-    """A checkpoint's meta: the artifact meta and the ``eval.holdout_frac`` whose
-    training split the model was fit on."""
-    return {**artifact_meta(cfg), "holdout_frac": cfg.eval.holdout_frac}
+    """A checkpoint's meta: the artifact meta and the ``eval.holdout_frac`` and
+    ``scorer.max_behavior_len`` that the model was fit with."""
+    return {**artifact_meta(cfg), **{key: getattr(getattr(cfg, section), key)
+                                     for key, (section, _) in _TRAINED_WITH.items()}}
 
 
 def require_trained_split(cfg: RunConfig, meta, path):
-    """Refuse the checkpoint ``path`` unless its ``meta`` records the
-    ``eval.holdout_frac`` of ``cfg``: with another fraction, the eval split would
-    hold requests the model was trained on, or the training split held-out ones."""
-    if not isinstance(meta, dict) or "holdout_frac" not in meta:
-        raise corpus_mod.CorpusFormatError(
-            f"{path}: meta has no holdout_frac, the eval.holdout_frac the model was "
-            f"trained with")
-    trained = corpus_mod.expect("number", f"{path}: meta.holdout_frac", meta["holdout_frac"],
-                                corpus_mod.CorpusFormatError)
-    if trained != cfg.eval.holdout_frac:
-        raise ConfigError(f"{path}: the model was trained with eval.holdout_frac {trained}, "
-                          f"but the config gives {cfg.eval.holdout_frac}, which splits the log "
-                          f"differently")
+    """Refuse the checkpoint ``path`` unless its ``meta`` records the values of
+    ``cfg`` that :func:`checkpoint_meta` records: with another ``eval.holdout_frac``,
+    the eval split would hold requests the model was trained on, or the training
+    split held-out ones; with another ``scorer.max_behavior_len``, each sample
+    would be conditioned on another history than the model was trained on."""
+    for key, (section, effect) in _TRAINED_WITH.items():
+        name, given = f"{section}.{key}", getattr(getattr(cfg, section), key)
+        if not isinstance(meta, dict) or key not in meta:
+            raise corpus_mod.CorpusFormatError(
+                f"{path}: meta has no {key}, the {name} the model was trained with")
+        trained = corpus_mod.expect("number", f"{path}: meta.{key}", meta[key],
+                                    corpus_mod.CorpusFormatError)
+        if trained != given:
+            raise ConfigError(f"{path}: the model was trained with {name} {trained}, but the "
+                              f"config gives {given}, which {effect}")
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +376,8 @@ def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     never the holdout.
     Global batch ``i`` (counted across epochs) takes the ``align.batch_size``
     pairs from ``(i * align.batch_size) % len(pairs)`` on, fewer at the end.
+    Training requests that give no pair are a ``ConfigError`` unless
+    ``align.lambda_dpo`` is 0, which aligns by RFT alone.
     At ``align.epochs`` 0 it does no work and returns ``params`` and an empty trace.
     """
     a = cfg.align
@@ -378,6 +389,9 @@ def align_model(cfg: RunConfig, params, train_set, log, paths, space):
     pairs = alignment.build_dpo_pairs(train_requests, paths,
                                       request_contexts(cfg, train_requests, space),
                                       a.pairs_per_request, cfg.seed)
+    if not pairs and a.lambda_dpo > 0:
+        raise ConfigError(f"align.lambda_dpo is {a.lambda_dpo}, but the training requests "
+                          f"give no preference pair; set it to 0 to align without DPO")
     stop_grad = a.dpo_target == "last-sid"
     batch_index = itertools.count()
 

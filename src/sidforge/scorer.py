@@ -219,7 +219,8 @@ def _head_logprobs(params: ScorerParams, x, t):
     logits += params.tensors[f"head_b_{t}"]
     if not np.isfinite(logits).all():
         raise ScorerError(f"non-finite logits in tensor head_w_{t} at step {t}")
-    logits -= logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a -inf log-prob fails the loss's finiteness check
+        logits -= logits.max(axis=-1, keepdims=True)
     logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     return logits
 

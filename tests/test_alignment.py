@@ -34,18 +34,18 @@ from helpers import (
 )
 
 
-class TestBatchRewards:
+class TestCompositeReward:
     def test_zero_weights(self):
         weights = {"gmv": 0.0, "watch_time": 0.0}
         metrics = [{"gmv": 5.0, "watch_time": 2.0}, {"gmv": 1.0, "watch_time": 7.0}]
         assert batch_rewards(metrics, weights).tolist() == [0.0, 0.0]
 
-    def test_single_metric_is_its_minmax_value(self):
+    def test_single_metric_identity(self):
         metrics = [{"gmv": 0.0, "watch_time": 9.0}, {"gmv": 4.0, "watch_time": 1.0},
                    {"gmv": 1.0, "watch_time": 5.0}]
         assert batch_rewards(metrics, {"gmv": 1.0}).tolist() == [0.0, 1.0, 0.25]
 
-    def test_hand_weighted_sum_in_weights_order(self):
+    def test_hand_weighted_sum(self):
         metrics = [{"gmv": 2.0, "watch_time": 10.0}, {"gmv": 4.0, "watch_time": 0.0},
                    {"gmv": 0.0, "watch_time": 5.0}]
         r = batch_rewards(metrics, {"gmv": 0.7, "watch_time": 0.3})

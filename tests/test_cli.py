@@ -705,6 +705,25 @@ class TestHoldout:
         assert json.loads(pathlib.Path(checkpoint).read_text())["meta"]["holdout_frac"] == 0.1
 
     @pytest.mark.parametrize("cmd", ["eval", "align"])
+    def test_another_behavior_length_than_the_model_was_trained_with_exits_1(
+            self, read_run, tmp_path, monkeypatch, capsys, cmd):
+        # at 1 every sample would be conditioned on a shorter history than in training
+        _, data, out = read_run
+        checkpoint = os.path.join(data, "checkpoint.json")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(with_leaf("scorer.max_behavior_len", 1)))
+
+        def assemble_samples(*args):
+            raise AssertionError(f"{cmd} assembled samples at max_behavior_len 1")
+
+        monkeypatch.setattr(pipeline, "assemble_samples", assemble_samples)
+        assert run([cmd, "--config", str(cfg_path), "--data-dir", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"sidforge: error: {checkpoint}: the model was trained with scorer.max_behavior_len "
+            f"8, but the config gives 1, which truncates each request's behavior differently\n")
+        assert json.loads(pathlib.Path(checkpoint).read_text())["meta"]["max_behavior_len"] == 8
+
+    @pytest.mark.parametrize("cmd", ["eval", "align"])
     def test_checkpoint_without_the_trained_holdout_exits_1(self, read_run, capsys, cmd):
         config, data, out = read_run
         checkpoint = os.path.join(data, "checkpoint.json")
@@ -821,6 +840,21 @@ class TestTrainingLoop:
             assert {n: a.tobytes() for n, a in aligned.tensors.items()} == before
 
 
+    def test_align_with_dpo_and_no_preference_pair_exits_1(self, tmp_path, capsys):
+        # one event per request gives no pair; without DPO, align runs on RFT alone
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(with_leaf("corpus.events_per_request", 1)))
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "build-seqs", "train"):
+            assert run([cmd, "--config", str(cfg_path), "--out", out]) == 0, cmd
+        capsys.readouterr()
+        assert run(["align", "--config", str(cfg_path), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "sidforge: error: align.lambda_dpo is 0.15, but the training requests give no "
+            "preference pair; set it to 0 to align without DPO\n")
+        assert not os.path.exists(os.path.join(out, "aligned_checkpoint.json"))
+        assert run(["align", "--config", str(cfg_path), "--out", out, "--lambda-dpo", "0"]) == 0
+
     def test_align_exits_1_when_the_loss_is_not_finite(self, read_run, capsys):
         config, data, out = read_run
         checkpoint = os.path.join(data, "checkpoint.json")
@@ -834,12 +868,10 @@ class TestTrainingLoop:
             return [json.dumps(doc)]
 
         with rewritten(checkpoint, edit), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow to -inf
+            warnings.simplefilter("error")  # numpy's overflow to -inf must not print either
             assert run(["align", "--config", config, "--data-dir", data, "--out", out,
                         "--lambda-dpo", "0"]) == 1
-        err = capsys.readouterr().err
-        assert "sidforge: error: non-finite loss at batch 0\n" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == "sidforge: error: non-finite loss at batch 0\n"
 
 
 class TestAblationHarness:
