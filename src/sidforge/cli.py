@@ -67,25 +67,21 @@ def _load_corpus_and_log(data_dir):
     return corp, log
 
 
-def _require_every_item(path, what, ids, corp):
-    """The item_ids ``ids`` that ``path`` gives a ``what`` must be those of the corpus:
-    name the smallest one the corpus lacks, else the smallest one ``path`` lacks."""
-    ids, known = set(ids), set(range(len(corp)))
-    if ids - known:
-        raise corpus_mod.CorpusFormatError(
-            f"{path}: item_id {min(ids - known)} has a {what} but is not in the corpus")
-    if known - ids:
-        raise corpus_mod.CorpusFormatError(
-            f"{path}: item_id {min(known - ids)} of the corpus has no {what}")
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix ``path`` to a ValueError raised inside: the stage found records
+    of that file that do not fit the other, already checked, inputs."""
+    try:
+        yield
+    except ValueError as exc:
+        raise corpus_mod.CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def _items_and_sids(data_dir):
-    """items.jsonl, sids.jsonl and the latter's path; every item has one SID."""
+    """items.jsonl, sids.jsonl and the latter's path."""
     corp = corpus_mod.load_items(os.path.join(data_dir, "items.jsonl"))
     path = os.path.join(data_dir, "sids.jsonl")
-    sids = quantizer.load_sids(path)
-    _require_every_item(path, "SID", [s.item_id for s in sids], corp)
-    return corp, sids, path
+    return corp, quantizer.load_sids(path), path
 
 
 def _training_inputs(cfg, data_dir):
@@ -102,19 +98,10 @@ def _training_inputs(cfg, data_dir):
                 f"that the config and items.jsonl give")
     seqs_path = os.path.join(data_dir, "sequences.jsonl")
     paths = pipeline.load_sequences(seqs_path, space)
-    _require_every_item(seqs_path, "sequence", paths, corp)
+    with _naming(seqs_path):
+        corp.require_every_item(paths, "sequence")
     train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
     return corp, log, space, paths, train_set
-
-
-@contextlib.contextmanager
-def _naming(path):
-    """Prefix ``path`` to a ValueError raised inside: the stage found records
-    of that file that do not fit the other, already checked, inputs."""
-    try:
-        yield
-    except ValueError as exc:
-        raise corpus_mod.CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def _cmd_gen_data(cfg, args):
@@ -197,7 +184,8 @@ def _cmd_eval(cfg, args):
     corp, log = _load_corpus_and_log(args.data_dir)
     params, meta, checkpoint, paths = _model_and_paths(args.data_dir)
     pipeline.require_trained_split(cfg, meta, checkpoint)
-    _require_every_item(os.path.join(args.data_dir, "sequences.jsonl"), "sequence", paths, corp)
+    with _naming(os.path.join(args.data_dir, "sequences.jsonl")):
+        corp.require_every_item(paths, "sequence")
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
     report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)

@@ -127,6 +127,15 @@ class ItemCorpus:
     def weights(self) -> np.ndarray:
         return np.array([it.exposure_weight for it in self.items], dtype=np.float64)
 
+    def require_every_item(self, ids, what):
+        """Raise ValueError unless ``ids``, the items that have a ``what``, are those of
+        the corpus: name the smallest one it lacks, else the smallest one ``ids`` lack."""
+        ids, known = set(ids), set(range(len(self)))
+        if ids - known:
+            raise ValueError(f"item_id {min(ids - known)} has a {what} but is not in the corpus")
+        if known - ids:
+            raise ValueError(f"item_id {min(known - ids)} of the corpus has no {what}")
+
 
 def build_attr_vocabs(items) -> dict:
     """Per-field identifier -> index tables, sorted for determinism."""

@@ -227,14 +227,15 @@ def build_space(cfg: RunConfig, corp) -> tokenizer.SequenceSpace:
 
 
 def build_sequences(cfg: RunConfig, corp, sids, out_dir=None):
-    """Per-item token paths (attr chain + SID codes), keyed by item_id.
+    """Per-item token paths (attr chain + SID codes), keyed by item_id; ``sids``
+    must give every item of ``corp`` one SID.
 
     The BOS token is task-dependent and attached per sample, so sequences
     store only the decoded path.
     """
     space = build_space(cfg, corp)
-    paths = {sid.item_id: tokenizer.build_sequence(item, sid, space)
-             for sid, item in zip(sids, _items_of(corp, sids))}
+    corp.require_every_item([s.item_id for s in sids], "SID")
+    paths = {s.item_id: tokenizer.build_sequence(corp.items[s.item_id], s, space) for s in sids}
     if out_dir is not None:
         corpus_mod.write_jsonl(
             os.path.join(out_dir, "sequences.jsonl"),
@@ -249,14 +250,6 @@ def load_space(path) -> tokenizer.SequenceSpace:
     """space.json, as :func:`build_sequences` writes it."""
     return corpus_mod.read_document(path, "space", {"space", "meta"},
                                     lambda doc: tokenizer.SequenceSpace.from_dict(doc["space"]))
-
-
-def _items_of(corp, sids) -> list:
-    """The corpus item of each SID; an item_id the corpus lacks raises ValueError."""
-    outside = next((s.item_id for s in sids if not 0 <= s.item_id < len(corp)), None)
-    if outside is not None:
-        raise ValueError(f"item_id {outside!r} has a SID but is not in the corpus")
-    return [corp.items[s.item_id] for s in sids]
 
 
 def load_sequences(path, space=None) -> dict:
@@ -444,21 +437,17 @@ def evaluate(cfg: RunConfig, params, trie, eval_set, out_dir=None) -> evaluation
 
 
 def analyze(cfg: RunConfig, corp, sids, out_dir) -> dict:
-    """Exposure-concentration and attribute-entropy report over the item codes.
-
-    Rows are items in item_id order; the attribute columns follow
-    ``tokenizer.attr_chain``.  Writes ``analysis.json``.
+    """Exposure-concentration and attribute-entropy report over the item paths
+    of :func:`build_sequences`: the SID codes, conditioned on the attribute tokens
+    the decoder sees before them.  Rows are items in item_id order.  Writes
+    ``analysis.json``.
     """
-    sids = sorted(sids, key=lambda s: s.item_id)
-    items = _items_of(corp, sids)
-    codes = np.array([s.codes for s in sids])
-    weights = np.array([it.exposure_weight for it in items], dtype=np.float64)
-    attr_cols = [[corp.attr_vocabs[f][it.attrs[f]] for it in items]
-                 for f in cfg.tokenizer.attr_chain]
-    attrs = np.array(attr_cols).T if attr_cols else np.zeros((len(sids), 0), dtype=int)
+    space, paths = build_sequences(cfg, corp, sids)
+    tokens = np.array([paths[i] for i in range(len(corp))])
+    codes, weights = tokens[:, space.m:], corp.weights()
     report = {
         "exposure": exposure_report(codes, weights),
-        "entropy": {"per_layer": entropy_report(codes, attrs, weights)},
+        "entropy": {"per_layer": entropy_report(codes, tokens[:, :space.m], weights)},
         "meta": artifact_meta(cfg),
     }
     corpus_mod.write_json(os.path.join(out_dir, "analysis.json"), report)
