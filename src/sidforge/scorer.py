@@ -503,12 +503,13 @@ def train_epoch(dataset, params: ScorerParams, batch_size: int, optimizer: AdamW
     trace = []
     for start in range(0, len(dataset), batch_size):
         batch = dataset[start:start + batch_size]
-        loss, grads = loss_and_grad(batch, params)
-        mean_loss = loss / len(batch)
-        if not math.isfinite(mean_loss):
-            raise TrainingDivergedError(f"non-finite loss at batch {len(trace)}", trace)
-        trace.append(mean_loss)
-        optimizer.step(params, grads)
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks name a divergence
+            loss, grads = loss_and_grad(batch, params)
+            mean_loss = loss / len(batch)
+            if not math.isfinite(mean_loss):
+                raise TrainingDivergedError(f"non-finite loss at batch {len(trace)}", trace)
+            trace.append(mean_loss)
+            optimizer.step(params, grads)
     return params, trace
 
 

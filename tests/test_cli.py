@@ -873,6 +873,22 @@ class TestTrainingLoop:
                         "--lambda-dpo", "0"]) == 1
         assert capsys.readouterr().err == "sidforge: error: non-finite loss at batch 0\n"
 
+    @pytest.mark.parametrize("lr, cmd", [(1e300, "train"), (1e30, "align")])
+    def test_a_diverging_step_ends_in_one_diagnostic_line(self, tmp_path, capsys, lr, cmd):
+        # train.lr 1e300 overflows the first training step; a model trained at 1e30
+        # overflows the first step of align
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(with_leaf("train.lr", lr)))
+        out = str(tmp_path / "run")
+        for step in ("gen-data", "quantize", "build-seqs", "train")[:4 if cmd == "align" else 3]:
+            assert run([step, "--config", str(cfg_path), "--out", out]) == 0, step
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings must not print
+            assert run([cmd, "--config", str(cfg_path), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "sidforge: error: non-finite logits in tensor head_w_1 at step 1\n")
+
 
 class TestAblationHarness:
     def test_identical_arms_identical_reports(self, tmp_path):
@@ -1088,6 +1104,36 @@ class TestJsonlReaders:
 class TestItemCoverage:
     """A stage that reads items.jsonl refuses SIDs or sequences for a subset of
     the items, instead of running on that subset."""
+
+    def test_build_sequences_refuses_sids_for_part_of_the_corpus(self, tmp_path):
+        cfg = pipeline.load_config(MINI_CONFIG)
+        corp, _ = pipeline.gen_data(cfg, str(tmp_path))
+        sids = pipeline.run_quantizer(cfg, corp).sids
+        with pytest.raises(ValueError, match="^item_id 7 of the corpus has no SID$"):
+            pipeline.build_sequences(cfg, corp, [s for s in sids if s.item_id != 7])
+
+    @pytest.mark.parametrize("leaf, edit, message", [
+        (None, lambda obj: obj.update(sid=[9] + obj["sid"][1:]),
+         "sid code 9 out of range at layer 0"),
+        ("quantizer.n_layers", None, "sid has 2 layers, space expects 3"),
+    ], ids=["code-out-of-range", "layer-count"])
+    def test_analyze_refuses_sids_that_do_not_fit_the_space(self, read_run, tmp_path, capsys,
+                                                           leaf, edit, message):
+        config, data, out = read_run
+        if leaf:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(with_leaf(leaf, 3)))
+
+        def edit_first(lines):
+            obj = json.loads(lines[0])
+            edit(obj)
+            return [json.dumps(obj)] + lines[1:]
+
+        path = os.path.join(data, "sids.jsonl")
+        capsys.readouterr()
+        with rewritten(path, edit_first if edit else list):
+            assert run(["analyze", "--config", str(config), "--data-dir", data, "--out", out]) == 1
+        assert capsys.readouterr().err == f"sidforge: error: {path}: {message}\n"
 
     def test_sids_must_give_every_item_a_sid(self, read_run, capsys):
         config, data, out = read_run

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sidforge import corpus
 from sidforge.analysis import conditional_entropy
@@ -54,6 +56,21 @@ class TestItemCorpus:
         items = [Item(i, [0.0], 1, dict.fromkeys(ATTR_FIELDS, "a"), 1.0) for i in ids]
         with pytest.raises(ValueError, match=message):
             corpus.ItemCorpus(items=items, d_emb=1)
+
+    @given(n=st.integers(1, 8), ids=st.sets(st.integers(-3, 12)))
+    def test_require_every_item_names_a_foreign_id_then_a_missing_one(self, n, ids):
+        items = [Item(i, [0.0], 1, dict.fromkeys(ATTR_FIELDS, "a"), 1.0) for i in range(n)]
+        corp = corpus.ItemCorpus(items=items, d_emb=1)
+        foreign, missing = ids - set(range(n)), set(range(n)) - ids
+        if foreign:
+            message = f"item_id {min(foreign)} has a SID but is not in the corpus"
+        elif missing:
+            message = f"item_id {min(missing)} of the corpus has no SID"
+        else:
+            assert corp.require_every_item(sorted(ids, reverse=True), "SID") is None
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            corp.require_every_item(sorted(ids, reverse=True), "SID")
 
 
 class TestGenerateCorpus:
