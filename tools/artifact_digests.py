@@ -27,14 +27,7 @@ import shutil
 import sys
 from pathlib import Path
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(1, str(ROOT / "perfbench"))
-
-from sidforge import cli, pipeline  # noqa: E402
-from workloads import PIPELINE_2K  # noqa: E402
 
 # each subcommand in the order that its inputs exist
 CLI_CHAIN = ("gen-data", "quantize", "analyze", "build-seqs", "train", "align", "decode",
@@ -55,6 +48,8 @@ def fresh(path) -> str:
 
 def cli_run(config, run_dir) -> dict:
     """Digests of the run directory after each CLI subcommand ran on ``config``."""
+    from sidforge import cli
+
     for command in CLI_CHAIN:
         with contextlib.redirect_stdout(sys.stderr):
             status = cli.main([command, "--config", str(config), "--out", run_dir])
@@ -64,6 +59,9 @@ def cli_run(config, run_dir) -> dict:
 
 
 def pipeline_run(seed: int, run_dir) -> dict:
+    from sidforge import pipeline
+    from workloads import PIPELINE_2K
+
     pipeline.run_pipeline(pipeline.load_config({**PIPELINE_2K, "seed": seed}), run_dir)
     return digests(run_dir)
 
@@ -74,6 +72,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="directory to hold one directory per run")
     ap.add_argument("--pipeline-seeds", type=int, nargs="*", default=[7, 11])
     args = ap.parse_args(argv)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads BLAS
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     runs = {"cli": cli_run(args.config, fresh(Path(args.out) / "cli"))}
     for seed in args.pipeline_seeds:
         runs[f"pipeline-{seed}"] = pipeline_run(seed, fresh(Path(args.out) / f"pipeline-{seed}"))
