@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CLICK, EXPOSURE, PURCHASE
+from .corpus import PURCHASE
 from .scorer import (
     Sample,
     _accumulate_backward,
@@ -78,14 +78,6 @@ def rft_loss_and_grad(batch, advantages: np.ndarray, lam: float, params):
 # preference pairs and DPO
 # ----------------------------------------------------------------------
 
-def preference_level(event) -> int:
-    """Behavioral level of an interaction event: purchase 2, click 1, exposure 0."""
-    level = event["level"]
-    if level not in (EXPOSURE, CLICK, PURCHASE):
-        raise AlignmentError(f"invalid preference level {level!r}")
-    return level
-
-
 @dataclass(frozen=True, slots=True)
 class PreferencePair:
     request_id: str
@@ -107,7 +99,7 @@ def enumerate_request_pairs(events) -> list:
     Winner has the strictly higher level, or the smaller exposure rank at
     equal levels: the larger key (level, -exposure_rank).
     """
-    keys = [(preference_level(e), -e["exposure_rank"]) for e in events]
+    keys = [(e["level"], -e["exposure_rank"]) for e in events]
     return [(i, j) for i, ki in enumerate(keys) for j, kj in enumerate(keys) if ki > kj]
 
 

@@ -225,16 +225,21 @@ def _ranked(scores) -> np.ndarray:
     return idx[np.lexsort((idx, -scores))]
 
 
-def chain_rule_posterior(joint: DiscreteJoint, u: int) -> np.ndarray:
-    """p(f | y=1, u) for every combination, as a product of per-feature
-    conditionals p(f_k | f_<k, y=1, u) obtained by marginalizing the
-    exact posterior table."""
+def _posterior(joint: DiscreteJoint, u: int) -> tuple[np.ndarray, float]:
+    """The exact p(f | y=1, u) of every combination, by Bayes, and its normalizer p(y=1 | u)."""
     p_f_u = joint.p_features_given_user[u]
     p_pos = joint.p_pos_given_fu[u]
     p_y1 = float(p_f_u @ p_pos)
     if p_y1 <= 0.0:
         raise ZeroNormalizerError(f"p(y=1 | u={u}) is zero")
-    post = p_f_u * p_pos / p_y1  # exact p(f | y=1, u)
+    return p_f_u * p_pos / p_y1, p_y1
+
+
+def chain_rule_posterior(joint: DiscreteJoint, u: int) -> np.ndarray:
+    """p(f | y=1, u) for every combination, as a product of per-feature
+    conditionals p(f_k | f_<k, y=1, u) obtained by marginalizing the
+    exact posterior table."""
+    post, _ = _posterior(joint, u)
     sizes = joint.feature_sizes
     out = np.ones(joint.n_combos)
     prev = np.ones(1)  # mass of each prefix f_<k, in mixed-radix order
@@ -257,14 +262,8 @@ def bayes_rank_check(joint: DiscreteJoint, u: int) -> BayesRankResult:
     The generative route inverts the table to p(f|y=1,u) via Bayes,
     re-expands it with the chain rule, and scores by p(f|y=1,u)*p(y=1|u).
     """
-    p_f_u = joint.p_features_given_user[u]
-    p_pos = joint.p_pos_given_fu[u]
-    p_y1 = float(p_f_u @ p_pos)
-    if p_y1 <= 0.0:
-        raise ZeroNormalizerError(f"p(y=1 | u={u}) is zero")
-
-    score_disc = p_pos.copy()
-    posterior = p_f_u * p_pos / p_y1
+    posterior, p_y1 = _posterior(joint, u)
+    score_disc = joint.p_pos_given_fu[u].copy()
     score_gen = posterior * p_y1
     score_gen_chain = chain_rule_posterior(joint, u) * p_y1
 

@@ -84,22 +84,31 @@ def _items_and_sids(data_dir):
     return corp, quantizer.load_sids(path), path
 
 
-def _training_inputs(cfg, data_dir):
-    """Corpus, log, space, paths and training split of ``data_dir``; space.json must
-    be the space that ``cfg`` and items.jsonl give, since it sizes the model."""
-    corp, log = _load_corpus_and_log(data_dir)
+def _run_space(data_dir, *models, corp=None):
+    """space.json of ``data_dir``, equal to each (source, space) of ``models`` that sizes the
+    model, and the sequences.jsonl paths that fit it and, given ``corp``, are its items'."""
     space_path = os.path.join(data_dir, "space.json")
-    space, expected = pipeline.load_space(space_path), pipeline.build_space(cfg, corp)
-    for f in dataclasses.fields(space):
-        got, want = getattr(space, f.name), getattr(expected, f.name)
-        if got != want:
-            raise corpus_mod.CorpusFormatError(
-                f"{space_path}: {f.name} {got!r:.80} is not the {want!r:.80} "
-                f"that the config and items.jsonl give")
+    space = pipeline.load_space(space_path)
+    for source, expected in models:
+        for f in dataclasses.fields(space):
+            got, want = getattr(space, f.name), getattr(expected, f.name)
+            if got != want:
+                raise corpus_mod.CorpusFormatError(
+                    f"{space_path}: {f.name} {got!r:.80} is not the {want!r:.80} that {source}")
     seqs_path = os.path.join(data_dir, "sequences.jsonl")
     paths = pipeline.load_sequences(seqs_path, space)
-    with _naming(seqs_path):
-        corp.require_every_item(paths, "sequence")
+    if corp is not None:
+        with _naming(seqs_path):
+            corp.require_every_item(paths, "sequence")
+    return space, paths
+
+
+def _training_inputs(cfg, data_dir, *models):
+    """Corpus, log, space, paths and training split of ``data_dir``; space.json must be
+    the space that ``cfg`` and items.jsonl give, since it sizes the model, and ``models``'."""
+    corp, log = _load_corpus_and_log(data_dir)
+    space, paths = _run_space(data_dir, ("the config and items.jsonl give",
+                                         pipeline.build_space(cfg, corp)), *models, corp=corp)
     train_set, _ = pipeline.assemble_samples(cfg, corp, log, space, paths)
     return corp, log, space, paths, train_set
 
@@ -152,7 +161,8 @@ def _cmd_align(cfg, args):
     checkpoint = os.path.join(args.data_dir, "checkpoint.json")
     params, meta = scorer.read_checkpoint(checkpoint)
     pipeline.require_trained_split(cfg, meta, checkpoint)
-    _, log, space, paths, train_set = _training_inputs(cfg, args.data_dir)
+    _, log, space, paths, train_set = _training_inputs(
+        cfg, args.data_dir, (f"{checkpoint} was trained with", params.space))
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),
                            meta=pipeline.checkpoint_meta(cfg))
@@ -161,15 +171,14 @@ def _cmd_align(cfg, args):
     return 0
 
 
-def _model_and_paths(data_dir):
-    """The aligned checkpoint, else the trained one; its meta and path; the sequences
-    that fit its space."""
+def _model_and_paths(data_dir, corp=None):
+    """The aligned checkpoint, else the trained one; its meta and path; its run's sequences."""
     path = os.path.join(data_dir, "aligned_checkpoint.json")
     if not os.path.exists(path):
         path = os.path.join(data_dir, "checkpoint.json")
     params, meta = scorer.read_checkpoint(path)
-    return params, meta, path, pipeline.load_sequences(
-        os.path.join(data_dir, "sequences.jsonl"), params.space)
+    _, paths = _run_space(data_dir, (f"{path} was trained with", params.space), corp=corp)
+    return params, meta, path, paths
 
 
 def _cmd_decode(cfg, args):
@@ -182,10 +191,8 @@ def _cmd_decode(cfg, args):
 
 def _cmd_eval(cfg, args):
     corp, log = _load_corpus_and_log(args.data_dir)
-    params, meta, checkpoint, paths = _model_and_paths(args.data_dir)
+    params, meta, checkpoint, paths = _model_and_paths(args.data_dir, corp)
     pipeline.require_trained_split(cfg, meta, checkpoint)
-    with _naming(os.path.join(args.data_dir, "sequences.jsonl")):
-        corp.require_every_item(paths, "sequence")
     _, eval_set = pipeline.assemble_samples(cfg, corp, log, params.space, paths)
     pipeline.require_eval_set(cfg, log, eval_set)
     report = pipeline.evaluate(cfg, params, decoder.build_trie(paths), eval_set, args.out)

@@ -143,11 +143,7 @@ def build_sequence(item, sid, space: SequenceSpace) -> tuple:
 # ----------------------------------------------------------------------
 
 def _integer_root(x: int, k: int) -> int:
-    """Exact floor(x ** (1/k)) by integer arithmetic."""
-    if x < 0 or k < 1:
-        raise ValueError("x must be >= 0 and k >= 1")
-    if x == 0:
-        return 0
+    """Exact floor(x ** (1/k)) by integer arithmetic, for x >= 1 and k >= 2."""
     r = int(round(x ** (1.0 / k)))
     while r > 0 and r**k > x:
         r -= 1

@@ -18,7 +18,6 @@ from sidforge.alignment import (
     enumerate_request_pairs,
     joint_loss,
     normalize_advantages,
-    preference_level,
     rft_loss_and_grad,
 )
 from sidforge.corpus import (CLICK, EXPOSURE, PURCHASE, Interaction, SynthConfig, generate_corpus,
@@ -157,13 +156,6 @@ class TestPreferenceLevels:
         assert PURCHASE == 2
         assert CLICK == 1
         assert EXPOSURE == 0
-        assert preference_level({"level": 2}) == 2
-        assert preference_level({"level": 1}) == 1
-        assert preference_level({"level": 0}) == 0
-
-    def test_invalid_level(self):
-        with pytest.raises(AlignmentError):
-            preference_level({"level": 7})
 
 
 def _pair_for(params, rng):
@@ -205,14 +197,6 @@ class TestBuildDpoPairs:
                 if ei["level"] > ej["level"] or (ei["level"] == ej["level"]
                                                  and ei["exposure_rank"] < ej["exposure_rank"])]
         assert enumerate_request_pairs(events) == want
-
-    def test_each_level_is_checked_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(alignment, "preference_level",
-                            lambda e: calls.append(e) or e["level"])
-        events = [{"item_id": i, "level": i % 3, "exposure_rank": i + 1} for i in range(5)]
-        assert len(enumerate_request_pairs(events)) == 5 * 4 // 2
-        assert len(calls) == 5
 
     def test_never_violates_preference_order(self):
         cfg = SynthConfig(n_items=50, n_requests=60, events_per_request=5, seed=6)
