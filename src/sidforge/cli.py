@@ -153,7 +153,7 @@ def _cmd_train(cfg, args):
     scorer.save_checkpoint(params, os.path.join(args.out, "checkpoint.json"),
                            meta=pipeline.checkpoint_meta(cfg))
     print(f"trained on {len(train_set)} samples; "
-          f"loss {trace[0]:.4f} -> {trace[-1]:.4f}")
+          f"engagement-weighted loss {trace[0]:.6g} -> {trace[-1]:.6g}")
     return 0
 
 
@@ -166,7 +166,8 @@ def _cmd_align(cfg, args):
     params, trace = pipeline.align_model(cfg, params, train_set, log, paths, space)
     scorer.save_checkpoint(params, os.path.join(args.out, "aligned_checkpoint.json"),
                            meta=pipeline.checkpoint_meta(cfg))
-    print(f"aligned over {len(trace)} batches; final joint loss {trace[-1]:.4f}" if trace
+    print(f"aligned over {len(trace)} batches; "
+          f"final engagement-weighted joint loss {trace[-1]:.6g}" if trace
           else "alignment skipped (align.epochs is 0); saved the trained model unchanged")
     return 0
 

@@ -890,6 +890,43 @@ class TestTrainingLoop:
             "sidforge: error: non-finite logits in tensor head_w_1 at step 1\n")
 
 
+    def test_the_train_line_stays_short_when_the_loss_is_huge(self, tmp_path, capsys):
+        # train.lr 1e30 ends at a finite loss near 1e217, which :.4f printed in full
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(with_leaf("train.lr", 1e30)))
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "build-seqs", "train"):
+            assert run([cmd, "--config", str(cfg_path), "--out", out]) == 0, cmd
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"trained on \d+ samples; engagement-weighted loss "
+                            r"\d+\.\d+ -> \d\.\d+e\+\d+", line), line
+        assert len(line) < 100
+
+
+class TestRunSpace:
+    """align, eval and decode run a checkpoint only over the token space it was trained on."""
+
+    def test_sequences_rebuilt_over_another_attr_chain_exit_1(self, tmp_path, capsys):
+        trained, rebuilt = tmp_path / "trained.json", tmp_path / "rebuilt.json"
+        trained.write_text(json.dumps(with_leaf("tokenizer.attr_chain", ["l3", "seller"])))
+        rebuilt.write_text(json.dumps(with_leaf("tokenizer.attr_chain", ["seller", "l3"])))
+        out = str(tmp_path / "run")
+        for cmd in ("gen-data", "quantize", "build-seqs", "train"):
+            assert run([cmd, "--config", str(trained), "--out", out]) == 0, cmd
+        assert run(["build-seqs", "--config", str(rebuilt), "--out", out]) == 0
+        space, checkpoint = os.path.join(out, "space.json"), os.path.join(out, "checkpoint.json")
+        # both fields hold 4 values, so every rebuilt token lies in the model's ranges
+        assert (pipeline.load_space(space).step_vocab_sizes.tolist()
+                == load_checkpoint(checkpoint).space.step_vocab_sizes.tolist() == [4, 4, 4, 4])
+        for cmd in ("align", "eval", "decode"):
+            capsys.readouterr()
+            assert run([cmd, "--config", str(rebuilt), "--out", out]) == 1, cmd
+            assert capsys.readouterr().err == (
+                f"sidforge: error: {space}: attr_chain ('seller', 'l3') is not the "
+                f"('l3', 'seller') that {checkpoint} was trained with\n"), cmd
+        assert not os.path.exists(os.path.join(out, "aligned_checkpoint.json"))
+
+
 class TestAblationHarness:
     def test_identical_arms_identical_reports(self, tmp_path):
         cfg = pipeline.load_config(MINI_CONFIG)
@@ -1002,9 +1039,10 @@ def rewritten(path, edit):
         pathlib.Path(path).write_text(original, encoding="utf-8")
 
 
-def run_on_edited_line(read_run, artifact, line_no, edit):
-    """Run the reader of ``artifact`` with ``edit(obj)`` applied to line ``line_no``
-    (0-based); the file is restored afterwards.  Returns (exit status, stderr)."""
+def run_on_edited_line(read_run, artifact, line_no, edit, cmd=None):
+    """Run ``cmd``, by default the reader of ``artifact``, with ``edit(obj)`` applied to
+    line ``line_no`` (0-based); the file is restored afterwards.  Returns (exit status,
+    stderr)."""
     config, data, out = read_run
 
     def edit_line(lines):
@@ -1015,7 +1053,8 @@ def run_on_edited_line(read_run, artifact, line_no, edit):
     err = io.StringIO()
     with (rewritten(os.path.join(data, artifact), edit_line), contextlib.redirect_stderr(err),
           contextlib.redirect_stdout(io.StringIO())):
-        rc = run([READERS[artifact], "--config", config, "--data-dir", data, "--out", out])
+        rc = run([cmd or READERS[artifact], "--config", config, "--data-dir", data,
+                  "--out", out])
     return rc, err.getvalue()
 
 
@@ -1099,6 +1138,33 @@ class TestJsonlReaders:
                 assert artifact in err
 
         replace_one_field()
+
+
+def _event(index, **fields):
+    """An edit that updates event ``index`` of a request with ``fields``."""
+    return lambda obj: obj["events"][index].update(fields)
+
+
+class TestRecordRefusals:
+    """Records that the generator never writes are refused by the command that reads them."""
+
+    @pytest.mark.parametrize("cmd, artifact, line_no, edit, message", [
+        ("quantize", "items.jsonl", 1, lambda obj: obj["attrs"].update(l3="L3_1"),
+         "items.jsonl: l3 'L3_1' maps to more than one l2"),
+        ("quantize", "items.jsonl", 1, lambda obj: obj.update(embedding=obj["embedding"][:5]),
+         "items.jsonl: item 1 embedding has shape (5,), expected (6,)"),
+        ("train", "interactions.jsonl", 1, _event(1, exposure_rank=1),
+         "interactions.jsonl: line 2: request r000001: duplicate exposure_ranks"),
+        ("train", "interactions.jsonl", 1, _event(0, level=3),
+         "interactions.jsonl: line 2: request r000001: bad level 3"),
+        ("train", "interactions.jsonl", 1, _event(0, exposure_rank=0),
+         "interactions.jsonl: line 2: request r000001: exposure_rank must be >= 1"),
+    ], ids=["taxonomy", "embedding-width", "duplicate-rank", "level", "rank-below-1"])
+    def test_edited_record_exits_1_naming_the_file(self, read_run, cmd, artifact, line_no,
+                                                    edit, message):
+        rc, err = run_on_edited_line(read_run, artifact, line_no, edit, cmd)
+        assert rc == 1
+        assert err == f"sidforge: error: {os.path.join(read_run[1], message)}\n"
 
 
 class TestItemCoverage:

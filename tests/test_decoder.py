@@ -256,3 +256,9 @@ class TestBeamSearch:
             beam_search(model, trie, beam_width=1, top_k=2)
         with pytest.raises(DecoderError):
             build_trie({})
+
+    def test_trie_token_outside_the_scorer_vocabulary_names_its_step(self):
+        trie = build_trie({0: (0, 5), 1: (1, 2)})
+        with pytest.raises(DecoderError,
+                           match="^trie token 5 outside scorer vocabulary at step 2$"):
+            beam_search(RandomLogitModel((2, 3), seed=0), trie, beam_width=2, top_k=1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ class TestCapacityKmeansLayer:
         w = np.ones(10)
         w[3] = 100.0
         with pytest.raises(CapacityError, match="item index 3"):
+            capacity_kmeans_layer(pts, w, k=2, tau=1.0, seed=0, strict=True)
+
+    def test_strict_repair_names_the_cluster_it_could_not_drain(self):
+        # cap 1.525: the 1.05 item fills one cluster, so neither unit item finds room
+        pts = np.array([[0.0], [0.001], [0.002]])
+        w = np.array([1.0, 1.0, 1.05])
+        with pytest.raises(CapacityError, match=re.escape(
+                "layer 0: cluster 0 still overloaded after repair (load 2.0 > cap 1.5, "
+                "2 member(s) found no feasible target)")):
             capacity_kmeans_layer(pts, w, k=2, tau=1.0, seed=0, strict=True)
 
     def test_overweight_item_lenient_reports_violation(self):

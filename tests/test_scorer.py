@@ -264,6 +264,14 @@ class TestTeacherForcedBatch:
         for name, g in want_grads.items():
             np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
+    def test_empty_batch_and_wrong_token_count_are_refused(self, params):
+        with pytest.raises(ScorerError, match="^empty batch$"):
+            scorer._forward_batch(params, [])
+        sample = random_sample(np.random.default_rng(0), params)
+        short = Sample(sample.behavior, sample.bos, sample.tokens[:-1])
+        with pytest.raises(ScorerError, match="^sample has 3 tokens, space expects 4$"):
+            scorer._forward_batch(params, [sample, short])
+
 
 class TestNtpLoss:
     def test_all_vocab_one_gives_zero(self):
@@ -471,8 +479,10 @@ class TestCheckpoint:
         (to_nested_lists, "no format field"),
         (lambda d: d["tensors"]["emb_hash"].update(shape=[9.0, 3.0]),
          r"tensor 'emb_hash' has shape \[9\.0, 3\.0\], expected \[9, 3\]"),
+        (lambda d: d.update(format="sidforge.checkpoint/1"),
+         r"format must be 'sidforge\.checkpoint/2', got 'sidforge\.checkpoint/1'"),
     ], ids=["missing", "short", "unknown", "ragged", "config-not-an-object", "bad-base64",
-            "byte-length", "no-format", "nested-list-format", "float-shape"])
+            "byte-length", "no-format", "nested-list-format", "float-shape", "other-format"])
     def test_tensor_names_and_shapes_are_checked(self, params, tmp_path, edit, want):
         path = tmp_path / "checkpoint.json"
         save_checkpoint(params, path)
