@@ -85,8 +85,8 @@ def _items_and_sids(data_dir):
 
 
 def _run_space(data_dir, *models, corp=None):
-    """space.json of ``data_dir``, equal to each (source, space) of ``models`` that sizes the
-    model, and the sequences.jsonl paths that fit it and, given ``corp``, are its items'."""
+    """space.json of ``data_dir``, which must equal each space of the (source, space) pairs
+    ``models``, and the sequences.jsonl paths that fit it and, given ``corp``, cover its items."""
     space_path = os.path.join(data_dir, "space.json")
     space = pipeline.load_space(space_path)
     for source, expected in models:
@@ -104,8 +104,8 @@ def _run_space(data_dir, *models, corp=None):
 
 
 def _training_inputs(cfg, data_dir, *models):
-    """Corpus, log, space, paths and training split of ``data_dir``; space.json must be
-    the space that ``cfg`` and items.jsonl give, since it sizes the model, and ``models``'."""
+    """Corpus, log, space, paths and training split of ``data_dir``; space.json must be the
+    space that ``cfg`` and items.jsonl give, since it sizes the model, and each of ``models``."""
     corp, log = _load_corpus_and_log(data_dir)
     space, paths = _run_space(data_dir, ("the config and items.jsonl give",
                                          pipeline.build_space(cfg, corp)), *models, corp=corp)
