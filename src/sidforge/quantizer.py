@@ -30,7 +30,7 @@ from .corpus import expect, read_records, write_json, write_jsonl
 
 
 class CapacityError(ValueError):
-    """Strict-mode capacity repair failed; the message names the culprit."""
+    """A strict run's layer recorded a capacity violation; the message names the first."""
 
 
 @dataclass
@@ -118,15 +118,16 @@ def _squared_distances(p2, twice_points, centroids, out):
     return np.maximum(out, 0.0, out=out)
 
 
-def _repair_pass(d2, weights, z, loads, cap, pinned, strict, layer, violations):
+def _repair_pass(d2, weights, z, loads, cap, pinned, layer, violations):
     """Evict members of overloaded clusters into the nearest feasible cluster.
 
     Clusters are repaired in descending overload, members evicted in
     descending distance to their own centroid.  Targets must stay within
     cap after accepting the item, so a repaired cluster never re-overloads.
     A member with no feasible target is skipped while lighter members can
-    still fix the cluster; only when the cluster stays overloaded do such
-    members get force-placed (lenient) or raise (strict).
+    still fix the cluster; only when the cluster stays overloaded are such
+    members force-placed into the least-loaded cluster, each move recorded
+    in ``violations``.
 
     The walk holds the loads as Python floats and finds targets in
     batches: one (members x K) pass gives the nearest feasible target of
@@ -175,12 +176,6 @@ def _repair_pass(d2, weights, z, loads, cap, pinned, strict, layer, violations):
                     break
         if load[k] <= cap:
             continue
-        if strict:
-            raise CapacityError(
-                f"layer {layer}: cluster {k} still overloaded after repair "
-                f"(load {load[k]:.1f} > cap {cap:.1f}, "
-                f"{len(deferred)} member(s) found no feasible target)"
-            )
         for i in deferred:
             if load[k] <= cap:
                 break
@@ -260,7 +255,6 @@ def capacity_kmeans_layer(
     seed,
     max_iter: int = 50,
     eps_conv: float = 1e-6,
-    strict: bool = False,
     layer: int = 0,
 ) -> LayerResult:
     """One capacity-repaired Lloyd run over residual vectors.
@@ -281,22 +275,10 @@ def capacity_kmeans_layer(
 
     cap = _cap(tau, w, k)
 
-    violations = []
     pinned = w > cap
-    heavy = np.flatnonzero(pinned)
-    if heavy.size:
-        if strict:
-            raise CapacityError(
-                f"layer {layer}: item index {int(heavy[0])} has weight "
-                f"{w[heavy[0]]:.1f} > cap {cap:.1f}; infeasible in strict mode"
-            )
-        for i in heavy:
-            violations.append(
-                CapacityViolation(
-                    layer=layer, cluster=-1, reason="overweight_item",
-                    item_index=int(i), excess=float(w[i] - cap),
-                )
-            )
+    violations = [CapacityViolation(layer=layer, cluster=-1, reason="overweight_item",
+                                    item_index=int(i), excess=float(w[i] - cap))
+                  for i in np.flatnonzero(pinned)]
 
     centroids = kmeanspp_init(pts, k, seed)
     p2 = (pts * pts).sum(axis=1)[:, None]
@@ -309,7 +291,7 @@ def capacity_kmeans_layer(
         _squared_distances(p2, twice_pts, centroids, out=d2)
         z = np.argmin(d2, axis=1)  # ties -> lowest index
         loads = np.bincount(z, weights=w, minlength=k)
-        _repair_pass(d2, w, z, loads, cap, pinned, strict, layer, violations)
+        _repair_pass(d2, w, z, loads, cap, pinned, layer, violations)
         _reseed_empty(d2, w, z, loads, pinned)
         _update_centroids(pts, z, centroids)
         obj = float(((pts - centroids[z]) ** 2).sum(axis=1).mean())
@@ -347,7 +329,9 @@ def capacity_constrained_rq(
 
     Layer l clusters the residual left by layers < l; per-layer RNG seeds
     are derived as seed + layer so deeper runs share shallow layers.
-    Row i of the codes is the corpus' item i, which is item_id i.
+    Row i of the codes is the corpus' item i, which is item_id i.  With
+    ``strict``, the first layer that records a capacity violation raises
+    ``CapacityError``; a run that raises none returns what a lenient run does.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must be non-empty")
@@ -361,21 +345,28 @@ def capacity_constrained_rq(
         raise ValueError(f"item_id {int(too_large.argmax())}: embedding values "
                          f"above {bound:.3g} overflow the squared distances")
 
+    cap = _cap(tau, w, k)
     residual = emb.copy()
     codes = np.empty((len(corpus), n_layers), dtype=np.int64)
     layers, results = [], []
     for l in range(n_layers):
         res = capacity_kmeans_layer(
-            residual, w, k, tau, seed + l,
-            max_iter=max_iter, eps_conv=eps_conv, strict=strict, layer=l,
+            residual, w, k, tau, seed + l, max_iter=max_iter, eps_conv=eps_conv, layer=l,
         )
+        if strict and res.violations:
+            v = res.violations[0]
+            where = f"cluster {v.cluster}" if v.item_index is None else f"item index {v.item_index}"
+            raise CapacityError(
+                f"layer {l}: {len(res.violations)} capacity violation(s), the first "
+                f"{v.reason} at {where} (excess {v.excess:.1f} over cap {cap:.1f}); "
+                f"infeasible in strict mode"
+            )
         codes[:, l] = res.assignments
         residual = residual - res.centroids[res.assignments]
         layers.append(res.centroids)
         results.append(res)
 
     tau_stored = None if (tau is None or math.isinf(tau)) else float(tau)
-    cap = _cap(tau, w, k)
     codebook = Codebook(layers=layers, K=k, L=n_layers, tau=tau_stored,
                         cap=cap if cap < math.inf else None)
     sids = [SemanticId(i, tuple(row)) for i, row in enumerate(codes.tolist())]

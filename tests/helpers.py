@@ -167,7 +167,7 @@ def max_grad_rel_error(analytic, fd, floor=1e-6):
 
 @st.composite
 def capacity_inputs(draw, max_items=300):
-    """Points, Zipf integer weights, K, tau and strict mode for the quantizer.
+    """Points, Zipf integer weights, K and tau for the quantizer.
 
     K is 1-8 and there are K to ``max_items`` points of dimension 1-4,
     either Gaussian or on a small integer grid (exact distance ties and
@@ -187,7 +187,7 @@ def capacity_inputs(draw, max_items=300):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         weights[i] = weights.sum()
     tau = draw(st.none() | st.just(math.inf) | st.floats(1.0, 2.0))
-    return points, weights, k, tau, draw(st.booleans())
+    return points, weights, k, tau
 
 
 def reference_squared_distances(points, centroids):
@@ -198,7 +198,7 @@ def reference_squared_distances(points, centroids):
     return np.maximum(d2, 0.0)
 
 
-def reference_repair_pass(d2, weights, z, loads, cap, pinned, strict, layer, violations):
+def reference_repair_pass(d2, weights, z, loads, cap, pinned, layer, violations):
     """The repair pass one member at a time, each against the current loads."""
     overloaded = np.flatnonzero(loads > cap)
     order = overloaded[np.argsort(-(loads[overloaded] - cap), kind="stable")]
@@ -227,12 +227,6 @@ def reference_repair_pass(d2, weights, z, loads, cap, pinned, strict, layer, vio
                 deferred.append(i)
         if loads[k] <= cap:
             continue
-        if strict:
-            raise quantizer.CapacityError(
-                f"layer {layer}: cluster {k} still overloaded after repair "
-                f"(load {loads[k]:.1f} > cap {cap:.1f}, "
-                f"{len(deferred)} member(s) found no feasible target)"
-            )
         for i in deferred:
             if loads[k] <= cap:
                 break
@@ -260,7 +254,7 @@ def reference_repair_pass(d2, weights, z, loads, cap, pinned, strict, layer, vio
 
 
 def reference_capacity_kmeans_layer(residuals, weights, k, tau, seed, max_iter=50,
-                                    eps_conv=1e-6, strict=False, layer=0):
+                                    eps_conv=1e-6, layer=0):
     """``quantizer.capacity_kmeans_layer`` by its sequential definition.
 
     Distances are recomputed in full each iteration, the repair pass
@@ -281,20 +275,14 @@ def reference_capacity_kmeans_layer(residuals, weights, k, tau, seed, max_iter=5
     pinned = np.zeros(n, dtype=bool)
     if not unbounded:
         heavy = np.flatnonzero(w > cap)
-        if heavy.size:
-            if strict:
-                raise quantizer.CapacityError(
-                    f"layer {layer}: item index {int(heavy[0])} has weight "
-                    f"{w[heavy[0]]:.1f} > cap {cap:.1f}; infeasible in strict mode"
+        pinned[heavy] = True
+        for i in heavy:
+            violations.append(
+                quantizer.CapacityViolation(
+                    layer=layer, cluster=-1, reason="overweight_item",
+                    item_index=int(i), excess=float(w[i] - cap),
                 )
-            pinned[heavy] = True
-            for i in heavy:
-                violations.append(
-                    quantizer.CapacityViolation(
-                        layer=layer, cluster=-1, reason="overweight_item",
-                        item_index=int(i), excess=float(w[i] - cap),
-                    )
-                )
+            )
 
     centroids = quantizer.kmeanspp_init(pts, k, seed)
     prev_obj = math.inf
@@ -305,7 +293,7 @@ def reference_capacity_kmeans_layer(residuals, weights, k, tau, seed, max_iter=5
         z = np.argmin(d2, axis=1)  # ties -> lowest index
         loads = np.bincount(z, weights=w, minlength=k)
         if not unbounded:
-            reference_repair_pass(d2, w, z, loads, cap, pinned, strict, layer, violations)
+            reference_repair_pass(d2, w, z, loads, cap, pinned, layer, violations)
         quantizer._reseed_empty(d2, w, z, loads, pinned)
         for kk in range(k):
             members = np.flatnonzero(z == kk)

@@ -206,7 +206,8 @@ class TestCliErrors:
         rc = run(["quantize", "--config", config_path, "--out", out,
                   "--tau", "1.05", "--strict-capacity"])
         assert rc == 1
-        assert "cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "layer 0:" in err and "overweight_item at item index 0" in err
 
     def test_checkpoint_without_tensors_key(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "run")

@@ -105,7 +105,8 @@ class TestCapacityKmeansLayer:
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(100, 5))
         w = zipf_integer_weights(rng, 100, 1.1).astype(float)
-        res = capacity_kmeans_layer(pts, w, k=8, tau=1.05, seed=1, strict=True)
+        res = capacity_kmeans_layer(pts, w, k=8, tau=1.05, seed=1)
+        assert res.violations == []
         recount = np.bincount(res.assignments, weights=w, minlength=8)
         assert recount.max() <= 1.05 * w.sum() / 8 + 1e-9
 
@@ -131,23 +132,25 @@ class TestCapacityKmeansLayer:
         pts = np.random.default_rng(0).normal(size=(10, 2))
         w = np.ones(10)
         w[3] = 100.0
-        with pytest.raises(CapacityError, match="item index 3"):
-            capacity_kmeans_layer(pts, w, k=2, tau=1.0, seed=0, strict=True)
-
-    def test_strict_repair_names_the_cluster_it_could_not_drain(self):
-        # cap 1.525: the 1.05 item fills one cluster, so neither unit item finds room
-        pts = np.array([[0.0], [0.001], [0.002]])
-        w = np.array([1.0, 1.0, 1.05])
         with pytest.raises(CapacityError, match=re.escape(
-                "layer 0: cluster 0 still overloaded after repair (load 2.0 > cap 1.5, "
-                "2 member(s) found no feasible target)")):
-            capacity_kmeans_layer(pts, w, k=2, tau=1.0, seed=0, strict=True)
+                "layer 0: 3 capacity violation(s), the first overweight_item at item index 3 "
+                "(excess 45.5 over cap 54.5)")):
+            capacity_constrained_rq(toy_corpus(pts, w, 2), 2, 2, 1.0, seed=0, strict=True)
+
+    def test_strict_run_names_an_item_no_cluster_could_take(self):
+        # cap 30.5: the weight-21 item fills one cluster, so neither weight-20 item finds room
+        pts = np.array([[0.0], [0.001], [0.002]])
+        w = np.array([20.0, 20.0, 21.0])
+        with pytest.raises(CapacityError, match=re.escape(
+                "layer 0: 3 capacity violation(s), the first no_feasible_target at item "
+                "index 1 (excess 9.5 over cap 30.5)")):
+            capacity_constrained_rq(toy_corpus(pts, w, 1), 1, 2, 1.0, seed=0, strict=True)
 
     def test_overweight_item_lenient_reports_violation(self):
         pts = np.random.default_rng(0).normal(size=(10, 2))
         w = np.ones(10)
         w[3] = 100.0
-        res = capacity_kmeans_layer(pts, w, k=2, tau=1.0, seed=0, strict=False)
+        res = capacity_kmeans_layer(pts, w, k=2, tau=1.0, seed=0)
         assert any(v.reason == "overweight_item" and v.item_index == 3
                    for v in res.violations)
 
@@ -171,13 +174,6 @@ class TestCapacityKmeansLayer:
                 assert recount.max() <= 1.2 * w.sum() / 4 + 1e-9
 
 
-def _layer_or_error(layer_fn, *args, **kwargs):
-    try:
-        return layer_fn(*args, **kwargs)
-    except CapacityError as exc:
-        return str(exc)
-
-
 class TestCapacityProperties:
     @given(capacity_inputs(), st.sampled_from((1.0, 0.1, 1 / 3)))
     @settings(max_examples=120, deadline=None)
@@ -185,15 +181,10 @@ class TestCapacityProperties:
         # the batched repair pass, hoisted distances and bincount means give
         # the one-member-at-a-time definition's result bit for bit; scaled
         # weights make the load sums round
-        points, weights, k, tau, strict = inputs
+        points, weights, k, tau = inputs
         args = (points, weights * scale, k, tau, 3)
-        kwargs = dict(max_iter=12, strict=strict, layer=1)
-        got = _layer_or_error(capacity_kmeans_layer, *args, **kwargs)
-        want = _layer_or_error(reference_capacity_kmeans_layer, *args, **kwargs)
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert not isinstance(got, str), got
+        got = capacity_kmeans_layer(*args, max_iter=12, layer=1)
+        want = reference_capacity_kmeans_layer(*args, max_iter=12, layer=1)
         assert np.array_equal(got.assignments, want.assignments)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert got.loads.tobytes() == want.loads.tobytes()
@@ -204,7 +195,7 @@ class TestCapacityProperties:
     @given(capacity_inputs())
     @settings(max_examples=60, deadline=None)
     def test_every_layer_within_cap_or_violation_recorded(self, inputs):
-        points, weights, k, tau, _ = inputs
+        points, weights, k, tau = inputs
         corp = toy_corpus(points, weights, points.shape[1])
         rq = capacity_constrained_rq(corp, 3, k, tau, seed=0, max_iter=8)
         if tau is None or math.isinf(tau):
