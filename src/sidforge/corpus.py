@@ -60,9 +60,11 @@ class Item:
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
         if self.item_id < 0:
             raise ValueError(f"item_id must be non-negative, got {self.item_id}")
-        if not 0 < self.exposure_weight < math.inf:  # NaN fails both
-            raise ValueError(f"exposure_weight must be finite and > 0 for item {self.item_id}, "
-                             f"got {self.exposure_weight}")
+        # a count that float64 holds exactly, so weights() and its sums do not overflow;
+        # NaN fails both bounds, and :.80 cuts the repr of a huge int
+        if not 0 < self.exposure_weight <= 2**53:
+            raise ValueError(f"exposure_weight must be finite and in (0, 2**53] for item "
+                             f"{self.item_id}, got {self.exposure_weight!r:.80}")
         if not np.all(np.isfinite(self.embedding)):
             raise ValueError(f"non-finite embedding for item {self.item_id}")
         if not 0 <= self.gmv < math.inf:

@@ -33,9 +33,9 @@ def _cross_keys(cfg):
     if not 1 <= d.top_k <= d.beam_width:
         raise ConfigError(f"decode.top_k must lie in [1, decode.beam_width = "
                           f"{d.beam_width}], got {d.top_k!r}")
-    if not e.ks or not all(1 <= k <= e.beam_width for k in e.ks):
-        raise ConfigError(f"eval.ks must be non-empty and lie in [1, eval.beam_width = "
-                          f"{e.beam_width}], got {list(e.ks)}")
+    if not e.ks or len(set(e.ks)) < len(e.ks) or not all(1 <= k <= e.beam_width for k in e.ks):
+        raise ConfigError(f"eval.ks must be non-empty, distinct and lie in [1, eval.beam_width "
+                          f"= {e.beam_width}], got {list(e.ks)}")
     if t.p1 == t.p2:
         raise ConfigError(f"tokenizer.p1 and tokenizer.p2 must differ, got {t.p1} for both")
     if cfg.corpus.seed not in (0, cfg.seed):

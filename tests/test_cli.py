@@ -473,6 +473,7 @@ class TestConfig:
         ("align", {"dpo_target": "last_sid"},
          r"align\.dpo_target must be one of \['last-sid', 'all'\], got 'last_sid'"),
         ("eval", {"ks": [5, 64]}, r"eval\.ks must .* \[1, eval\.beam_width = 8\], got \[5, 64\]"),
+        ("eval", {"ks": [5, 5, 3]}, r"eval\.ks must be non-empty, distinct .* got \[5, 5, 3\]"),
         ("eval", {"ks": [0, 5]}, r"eval\.ks must .* got \[0, 5\]"),
         ("eval", {"ks": []}, r"eval\.ks must be non-empty"),
         ("corpus", {"seed": 3}, r"corpus\.seed 3 is never read"),
@@ -501,11 +502,11 @@ class TestConfig:
         (None, {"seed": 1.5}, r"^seed must be an integer, got 1\.5"),
         ("align", {"lam": 0.5, "c_clip": 2},
          r"align\.lam \* align\.c_clip must be < 1, got align\.lam = 0\.5 and align\.c_clip = 2"),
-    ], ids=["dpo-target", "ks-above-width", "ks-zero", "ks-empty", "corpus-seed", "attr-chain",
-            "d-model", "d-hash", "m-hashes", "k", "epochs", "train-batch", "align-batch", "tau",
-            "tau-null", "n-layers", "top-k", "objective", "scene", "max-iter", "max-behavior-len",
-            "prefix-window", "pairs-per-request", "align-epochs", "seed-negative", "seed-float",
-            "lam-times-c-clip"])
+    ], ids=["dpo-target", "ks-above-width", "ks-repeated", "ks-zero", "ks-empty", "corpus-seed",
+            "attr-chain", "d-model", "d-hash", "m-hashes", "k", "epochs", "train-batch",
+            "align-batch", "tau", "tau-null", "n-layers", "top-k", "objective", "scene",
+            "max-iter", "max-behavior-len", "prefix-window", "pairs-per-request", "align-epochs",
+            "seed-negative", "seed-float", "lam-times-c-clip"])
     def test_values_that_would_pass_silently_are_config_errors(self, section, value, match):
         """``section`` None sets a top-level key."""
         with pytest.raises(pipeline.ConfigError, match=match):

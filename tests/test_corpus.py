@@ -38,12 +38,14 @@ def distinct_objects(strings) -> int:
 class TestItem:
     @pytest.mark.parametrize("field, value", [
         ("exposure_weight", math.nan), ("exposure_weight", math.inf), ("exposure_weight", 0),
+        ("exposure_weight", 2**53 + 1),
+        pytest.param("exposure_weight", 10**400, id="exposure_weight-10**400"),
         ("gmv", math.nan), ("gmv", math.inf), ("gmv", -1.0)])
     def test_weight_and_gmv_must_be_finite_and_in_range(self, field, value):
         fields = {"item_id": 3, "embedding": [0.0], "exposure_weight": 1,
                   "attrs": dict.fromkeys(ATTR_FIELDS, "a"), "gmv": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite .* for item 3, "
-                                             f"got {value}"):
+                                             f"got {value!r:.80}$"):
             Item(**fields)
 
 
