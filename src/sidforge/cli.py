@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="capacity tolerance; --method baseline runs with no cap")
     p.add_argument("--method", choices=["capacity", "baseline"], default=argparse.SUPPRESS)
     p.add_argument("--strict-capacity", dest="strict", action="store_true",
-                   default=argparse.SUPPRESS, help="fail instead of recording capacity violations")
+                   default=argparse.SUPPRESS, help="refuse the run at the first capacity violation")
 
     _command(sub, "analyze", _cmd_analyze, "exposure concentration and entropy report")
     _command(sub, "build-seqs", _cmd_build_seqs, "attribute+SID token paths per item")
